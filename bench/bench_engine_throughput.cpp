@@ -33,9 +33,9 @@
 #include "engine/chunked_stream.hpp"
 #include "engine/session.hpp"
 #include "engine/thread_pool.hpp"
-#include "graph/dataflow.hpp"
-#include "graph/executor.hpp"
+#include "graph/backend.hpp"
 #include "graph/planner.hpp"
+#include "graph/program.hpp"
 #include "img/image.hpp"
 #include "img/sc_pipeline.hpp"
 #include "rng/lfsr.hpp"
@@ -61,17 +61,17 @@ sc::engine::ChunkedRunStats run_stream_workload(std::size_t stream_bits,
   return stats;
 }
 
-sc::graph::DataflowGraph bench_graph() {
+sc::graph::Program bench_graph() {
   using namespace sc::graph;
-  DataflowGraph g;
-  const NodeId a = g.add_input("a", 0.6, 0);
-  const NodeId b = g.add_input("b", 0.5, 0);
-  const NodeId c = g.add_input("c", 0.3, 1);
-  const NodeId d = g.add_input("d", 0.8, 1);
-  const NodeId ab = g.add_op(OpKind::kMultiply, a, b);
-  const NodeId cd = g.add_op(OpKind::kMultiply, c, d);
-  g.mark_output(g.add_op(OpKind::kScaledAdd, ab, cd));
-  return g;
+  GraphBuilder g;
+  const Value a = g.input("a", 0.6, 0);
+  const Value b = g.input("b", 0.5, 0);
+  const Value c = g.input("c", 0.3, 1);
+  const Value d = g.input("d", 0.8, 1);
+  const Value ab = g.op("multiply", {a, b});
+  const Value cd = g.op("multiply", {c, d});
+  g.output(g.op("scaled-add", {ab, cd}));
+  return g.build();
 }
 
 std::vector<unsigned> parse_threads(const char* arg) {
@@ -152,9 +152,9 @@ int main(int argc, char** argv) {
               scc);
 
   // --- workload 2: graph execution batch -----------------------------------
-  const sc::graph::DataflowGraph g = bench_graph();
-  const sc::graph::Plan plan =
-      sc::graph::plan_insertions(g, sc::graph::Strategy::kManipulation);
+  const sc::graph::Program g = bench_graph();
+  const sc::graph::ProgramPlan plan =
+      sc::graph::plan_program(g, sc::graph::Strategy::kManipulation);
   const std::string batch_config = "jobs=" + std::to_string(jobs);
 
   std::vector<sc::graph::ExecutionResult> baseline;
@@ -165,14 +165,22 @@ int main(int argc, char** argv) {
               "speedup", "identical");
   for (const unsigned t : thread_counts) {
     sc::engine::Session session({t, sc::engine::kDefaultChunkBits, 42});
-    sc::graph::ExecConfig base;
-    base.stream_length = 4096;
-    const auto configs = sc::graph::seeded_sweep(base, jobs, session);
+    std::vector<sc::graph::ExecConfig> configs(jobs);
+    for (std::size_t i = 0; i < jobs; ++i) {
+      configs[i].stream_length = 4096;
+      configs[i].seed = session.strided_seed_for(i);
+    }
     std::vector<sc::graph::ExecutionResult> results;
     const double median_s = harness.time_case(
         "engine/graph_batch/t" + std::to_string(session.threads()), "jobs_per_s",
         static_cast<double>(jobs), 1.0,
-        [&] { results = sc::graph::execute_batch(g, plan, configs, session); },
+        [&] {
+          results = session.map<sc::graph::ExecutionResult>(
+              jobs, [&](std::size_t i) {
+                return sc::graph::make_backend(sc::graph::BackendKind::kKernel)
+                    ->run(g, plan, configs[i]);
+              });
+        },
         batch_config);
     bool identical = true;
     if (baseline.empty()) {

@@ -13,9 +13,9 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "graph/dataflow.hpp"
-#include "graph/executor.hpp"
+#include "graph/backend.hpp"
 #include "graph/planner.hpp"
+#include "graph/program.hpp"
 #include "hw/cost.hpp"
 
 using namespace sc;
@@ -24,40 +24,42 @@ using bench::cell;
 
 namespace {
 
-DataflowGraph product_sum() {
-  DataflowGraph g;
-  const NodeId a = g.add_input("a", 0.6, 0);
-  const NodeId b = g.add_input("b", 0.5, 0);
-  const NodeId c = g.add_input("c", 0.3, 1);
-  const NodeId d = g.add_input("d", 0.8, 1);
-  g.mark_output(g.add_op(OpKind::kScaledAdd,
-                         g.add_op(OpKind::kMultiply, a, b),
-                         g.add_op(OpKind::kMultiply, c, d)));
-  return g;
+Program product_sum() {
+  GraphBuilder g;
+  const Value a = g.input("a", 0.6, 0);
+  const Value b = g.input("b", 0.5, 0);
+  const Value c = g.input("c", 0.3, 1);
+  const Value d = g.input("d", 0.8, 1);
+  // c*d is node 4 and a*b node 5: node ids key the decorrelator seeds, so
+  // this order keeps the table's published errors.
+  const Value cd = g.op("multiply", {c, d});
+  const Value ab = g.op("multiply", {a, b});
+  g.output(g.op("scaled-add", {ab, cd}));
+  return g.build();
 }
 
-DataflowGraph edge_magnitude() {
-  DataflowGraph g;
-  const NodeId a = g.add_input("a", 0.7, 0);
-  const NodeId b = g.add_input("b", 0.4, 1);
-  const NodeId c = g.add_input("c", 0.55, 2);
-  const NodeId d = g.add_input("d", 0.25, 3);
-  const NodeId gx = g.add_op(OpKind::kSubtractAbs, a, b);
-  const NodeId gy = g.add_op(OpKind::kSubtractAbs, c, d);
-  g.mark_output(g.add_op(OpKind::kSaturatingAdd, gx, gy));
-  return g;
+Program edge_magnitude() {
+  GraphBuilder g;
+  const Value a = g.input("a", 0.7, 0);
+  const Value b = g.input("b", 0.4, 1);
+  const Value c = g.input("c", 0.55, 2);
+  const Value d = g.input("d", 0.25, 3);
+  const Value gx = g.op("subtract", {a, b});
+  const Value gy = g.op("subtract", {c, d});
+  g.output(g.op("saturating-add", {gx, gy}));
+  return g.build();
 }
 
-DataflowGraph minmax_tree() {
-  DataflowGraph g;
-  const NodeId a = g.add_input("a", 0.2, 0);
-  const NodeId b = g.add_input("b", 0.9, 1);
-  const NodeId c = g.add_input("c", 0.6, 2);
-  const NodeId d = g.add_input("d", 0.35, 3);
-  const NodeId mx = g.add_op(OpKind::kMax, a, b);
-  const NodeId mn = g.add_op(OpKind::kMin, c, d);
-  g.mark_output(g.add_op(OpKind::kScaledAdd, mx, mn));
-  return g;
+Program minmax_tree() {
+  GraphBuilder g;
+  const Value a = g.input("a", 0.2, 0);
+  const Value b = g.input("b", 0.9, 1);
+  const Value c = g.input("c", 0.6, 2);
+  const Value d = g.input("d", 0.35, 3);
+  const Value mx = g.op("max", {a, b});
+  const Value mn = g.op("min", {c, d});
+  g.output(g.op("scaled-add", {mx, mn}));
+  return g.build();
 }
 
 }  // namespace
@@ -70,15 +72,16 @@ int main() {
 
   const struct {
     const char* name;
-    std::function<DataflowGraph()> build;
+    std::function<Program()> build;
   } graphs[] = {
       {"a*b + c*d (2 RNG groups)", product_sum},
       {"sat(|a-b| + |c-d|)", edge_magnitude},
       {"0.5(max(a,b) + min(c,d))", minmax_tree},
   };
 
+  const auto kernel = make_backend(BackendKind::kKernel);
   for (const auto& entry : graphs) {
-    const DataflowGraph g = entry.build();
+    const Program g = entry.build();
     std::printf("\n-- %s --\n\n", entry.name);
     bench::Table table({"Strategy", "Fixes", "Error", "Overhead um2",
                         "Overhead uW", "Unresolved"},
@@ -86,8 +89,8 @@ int main() {
     table.print_header();
     for (Strategy strategy :
          {Strategy::kNone, Strategy::kRegeneration, Strategy::kManipulation}) {
-      const Plan plan = plan_insertions(g, strategy);
-      const ExecutionResult result = execute(g, plan);
+      const ProgramPlan plan = plan_program(g, strategy);
+      const ExecutionResult result = kernel->run(g, plan, {});
       const hw::CostReport cost = hw::evaluate(plan.overhead);
       table.print_row(
           {to_string(strategy),
@@ -99,13 +102,16 @@ int main() {
     table.print_rule();
 
     // Per-op fix listing for the manipulation plan.
-    const Plan plan = plan_insertions(g, Strategy::kManipulation);
-    for (const PlannedFix& fix : plan.fixes) {
-      std::printf("  node %-2u %-14s needs %-12s operands %-11s -> %s\n",
-                  fix.op_node, to_string(fix.op).c_str(),
-                  to_string(fix.requirement).c_str(),
-                  to_string(fix.relation).c_str(),
-                  to_string(fix.fix).c_str());
+    const ProgramPlan plan = plan_program(g, Strategy::kManipulation);
+    for (const NodeId op : g.op_nodes()) {
+      const std::vector<NodeId>& operands = g.node(op).operands;
+      const std::vector<const PairFix*> fixes = plan.fixes_for(op);
+      std::printf("  node %-2u %-14s needs %-12s operands %-11s -> %s\n", op,
+                  g.def_of(op).name.c_str(),
+                  to_string(g.def_of(op).requirement).c_str(),
+                  to_string(classify(g, operands[0], operands[1])).c_str(),
+                  to_string(fixes.empty() ? FixKind::kNone : fixes[0]->fix)
+                      .c_str());
     }
   }
 

@@ -38,7 +38,7 @@ Bitstream saturating_add(const Bitstream& x, const Bitstream& y);
 /// model reflects (5-10x the MUX adder).
 Bitstream toggle_add(const Bitstream& x, const Bitstream& y);
 
-/// Per-cycle form of toggle_add for the cycle-level simulator.
+/// Per-cycle form of toggle_add.
 class ToggleAdder {
  public:
   bool step(bool x, bool y) {

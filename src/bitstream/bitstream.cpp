@@ -1,6 +1,6 @@
 #include "bitstream/bitstream.hpp"
 
-#include "common/bitops.hpp"
+#include <bit>
 #include <cassert>
 
 namespace sc {
@@ -52,7 +52,7 @@ void Bitstream::clear() noexcept {
 
 std::size_t Bitstream::count_ones() const noexcept {
   std::size_t ones = 0;
-  for (Word w : words_) ones += static_cast<std::size_t>(sc::popcount64(w));
+  for (Word w : words_) ones += static_cast<std::size_t>(std::popcount(w));
   return ones;
 }
 

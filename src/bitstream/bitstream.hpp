@@ -5,7 +5,7 @@
 /// the fraction of 1s (range [0,1]) and whose *bipolar* value maps 1 -> +1 and
 /// 0 -> -1 (range [-1,+1]).  All stochastic-computing circuits in this library
 /// consume and produce `sc::Bitstream` objects (whole-stream API) or
-/// individual bits (per-cycle API, see `sc::core` and `sc::sim`).
+/// individual bits (per-cycle API, see `sc::core`).
 ///
 /// The representation is 64-bit-word packed so that combinational gates
 /// (AND/OR/XOR/NOT/MUX) and population counts run word-parallel.

@@ -1,7 +1,7 @@
 #include "bitstream/correlation.hpp"
 
 #include <algorithm>
-#include "common/bitops.hpp"
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -24,9 +24,9 @@ OverlapCounts overlap(const Bitstream& x, const Bitstream& y) {
   std::uint64_t ones_x = 0;
   std::uint64_t ones_y = 0;
   for (std::size_t i = 0; i < xw.size(); ++i) {
-    a += static_cast<std::uint64_t>(sc::popcount64(xw[i] & yw[i]));
-    ones_x += static_cast<std::uint64_t>(sc::popcount64(xw[i]));
-    ones_y += static_cast<std::uint64_t>(sc::popcount64(yw[i]));
+    a += static_cast<std::uint64_t>(std::popcount(xw[i] & yw[i]));
+    ones_x += static_cast<std::uint64_t>(std::popcount(xw[i]));
+    ones_y += static_cast<std::uint64_t>(std::popcount(yw[i]));
   }
   counts.a = a;
   counts.b = ones_x - a;

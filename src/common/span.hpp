@@ -1,65 +1,14 @@
 /// \file span.hpp
-/// Minimal C++17 stand-in for std::span (C++20), covering the subset this
-/// codebase uses: construction from contiguous containers, iteration,
-/// indexing, and size queries.  Non-owning view; the referenced data must
-/// outlive the span.
+/// sc::span, the name the library's interfaces spell for std::span.
+/// Non-owning view; the referenced data must outlive the span.
 
 #pragma once
 
-#include <cstddef>
-#include <type_traits>
+#include <span>
 
 namespace sc {
 
 template <typename T>
-class span {
- public:
-  using element_type = T;
-  using value_type = std::remove_cv_t<T>;
-
-  constexpr span() noexcept = default;
-  constexpr span(T* data, std::size_t size) noexcept
-      : data_(data), size_(size) {}
-
-  /// Constructs from any contiguous container exposing data() and size()
-  /// (std::vector, std::array, sc::span of compatible type, ...).
-  /// Matching C++20 std::span, rvalue containers are accepted only for
-  /// const element types (safe in function-argument position); binding a
-  /// mutable span to a temporary is rejected at compile time.
-  template <typename Container,
-            typename Element = std::remove_pointer_t<
-                decltype(std::declval<Container&>().data())>,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<Container>, span> &&
-                (std::is_lvalue_reference_v<Container> || std::is_const_v<T>) &&
-                // Qualification conversion only (std::span's gate): rules
-                // out derived-to-base and void* decay, which would iterate
-                // with the wrong stride.
-                std::is_convertible_v<Element (*)[], T (*)[]>>,
-            typename = decltype(std::declval<Container&>().size())>
-  constexpr span(Container&& c) noexcept : data_(c.data()), size_(c.size()) {}
-
-  [[nodiscard]] constexpr T* data() const noexcept { return data_; }
-  [[nodiscard]] constexpr std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] constexpr bool empty() const noexcept { return size_ == 0; }
-
-  constexpr T& operator[](std::size_t i) const noexcept { return data_[i]; }
-  [[nodiscard]] constexpr T& front() const noexcept { return data_[0]; }
-  [[nodiscard]] constexpr T& back() const noexcept { return data_[size_ - 1]; }
-
-  [[nodiscard]] constexpr T* begin() const noexcept { return data_; }
-  [[nodiscard]] constexpr T* end() const noexcept { return data_ + size_; }
-
-  [[nodiscard]] constexpr span subspan(std::size_t offset, std::size_t count) const noexcept {
-    return span(data_ + offset, count);
-  }
-  [[nodiscard]] constexpr span first(std::size_t count) const noexcept {
-    return span(data_, count);
-  }
-
- private:
-  T* data_ = nullptr;
-  std::size_t size_ = 0;
-};
+using span = std::span<T>;
 
 }  // namespace sc

@@ -2,9 +2,8 @@
 /// Stochastic-to-digital (S/D) converter: the counter of paper Fig. 2f.
 ///
 /// The S/D converter sums the 1s of an incoming stream into a binary
-/// register; after N cycles the register holds B = p * N.  The per-cycle
-/// form is what the cycle-level simulator instantiates; the whole-stream
-/// helpers are the convenient functional equivalents.
+/// register; after N cycles the register holds B = p * N.  The whole-stream
+/// helpers are the functional equivalents of the per-cycle form.
 
 #pragma once
 

@@ -9,8 +9,7 @@
 /// line, single TFM).
 ///
 /// Whole-stream helpers `apply(...)` run a transform over packed bitstreams
-/// and are the forms tests and benchmarks use; the sim module wraps the same
-/// objects as cycle-level circuit elements.
+/// and are the forms tests and benchmarks use.
 
 #pragma once
 

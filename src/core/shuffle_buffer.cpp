@@ -1,12 +1,15 @@
 #include "core/shuffle_buffer.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace sc::core {
 
 ShuffleBuffer::ShuffleBuffer(std::size_t depth, rng::RandomSourcePtr source)
     : slots_(depth), source_(std::move(source)) {
-  assert(depth >= 1);
+  if (depth == 0) {
+    throw std::invalid_argument("core::ShuffleBuffer: depth must be >= 1");
+  }
   assert(source_ != nullptr);
   initialize_slots();
 }

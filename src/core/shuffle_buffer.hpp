@@ -29,7 +29,8 @@ namespace sc::core {
 /// Randomly addressed bit buffer (single stream).
 class ShuffleBuffer final : public StreamTransform {
  public:
-  /// \param depth   number of storage slots D (>= 1)
+  /// \param depth   number of storage slots D (>= 1; 0 throws
+  ///                std::invalid_argument)
   /// \param source  auxiliary address source; owned.  Its value is reduced
   ///                modulo (D+1), so any width >= ceil(log2(D+1)) works.
   ShuffleBuffer(std::size_t depth, rng::RandomSourcePtr source);

@@ -3,7 +3,7 @@
 /// one configuration.
 ///
 /// A Session is what callers thread through the high-level entry points
-/// (`graph::execute_batch`, `img::run_pipeline_tiled`, benches): it owns
+/// (`graph::make_engine_backend`, `img::run_pipeline_tiled`, benches): it owns
 /// the worker pool, fixes the chunk size for long-stream processing, and
 /// anchors the deterministic seeding scheme (base seed -> per-job seeds).
 /// Two sessions with the same config produce bit-identical results

@@ -56,11 +56,6 @@ struct ExecConfig {
   std::uint32_t seed = 3;      ///< base seed of the derivation scheme
   unsigned sync_depth = 2;     ///< depth of inserted (de)synchronizers
   std::size_t shuffle_depth = 8;
-  /// Legacy knob of the execute() shim: route fixes through the
-  /// table-driven kernels (KernelBackend) or the bit-serial reference
-  /// path (ReferenceBackend).  Backends obtained via make_backend ignore
-  /// it — the backend *is* the choice.
-  bool use_kernels = true;
   /// Materialize every node's stream in the result.  Set false on the
   /// engine backend to run long streams in O(chunk) memory (streams stay
   /// empty; output values are still exact reductions).

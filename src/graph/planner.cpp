@@ -180,10 +180,6 @@ Relation classify(const Program& program, NodeId a, NodeId b) {
   return classify_with(program, lineages(program), a, b);
 }
 
-Relation classify(const DataflowGraph& graph, NodeId a, NodeId b) {
-  return classify(to_program(graph), a, b);
-}
-
 std::vector<const PairFix*> ProgramPlan::fixes_for(NodeId op_node) const {
   std::vector<const PairFix*> result;
   for (const PairFix& fix : fixes) {
@@ -253,70 +249,6 @@ ProgramPlan plan_program(const Program& program, Strategy strategy,
     metrics.counter("planner.violations").add(plan.violations.size());
   }
   return plan;
-}
-
-// --------------------------------------------------------------- legacy API
-
-FixKind Plan::fix_for(NodeId op_node) const {
-  for (const PlannedFix& fix : fixes) {
-    if (fix.op_node == op_node) return fix.fix;
-  }
-  return FixKind::kNone;
-}
-
-Plan plan_insertions(const DataflowGraph& graph, Strategy strategy,
-                     const PlannerConfig& config) {
-  const Program program = to_program(graph);  // preserves node ids
-  const ProgramPlan inner = plan_program(program, strategy, config);
-  // One shared lineage table for the agnostic-op relation reporting below
-  // (per-op classify() calls would recompute it per node).
-  const std::vector<std::set<unsigned>> lineage = lineages(program);
-
-  Plan plan;
-  plan.strategy = inner.strategy;
-  plan.violations = inner.violations;
-  plan.overhead = inner.overhead;
-  plan.inserted_units = inner.inserted_units;
-  for (NodeId op_node : graph.op_nodes()) {
-    PlannedFix fix;
-    fix.op_node = op_node;
-    fix.op = graph.node(op_node).op;
-    fix.requirement = requirement_of(fix.op);
-    fix.relation = Relation::kUnknown;
-    for (const PairFix& pair : inner.fixes) {
-      if (pair.op_node == op_node) {
-        fix.relation = pair.relation;
-        fix.fix = pair.fix;
-        break;
-      }
-    }
-    // Agnostic ops produce no PairFix entry; report their relation too.
-    if (fix.requirement == Requirement::kAgnostic) {
-      fix.relation = classify_with(program, lineage, graph.node(op_node).lhs,
-                                   graph.node(op_node).rhs);
-    }
-    plan.fixes.push_back(fix);
-  }
-  return plan;
-}
-
-ProgramPlan to_program_plan(const Plan& plan) {
-  ProgramPlan converted;
-  converted.strategy = plan.strategy;
-  converted.violations = plan.violations;
-  converted.overhead = plan.overhead;
-  converted.inserted_units = plan.inserted_units;
-  for (const PlannedFix& fix : plan.fixes) {
-    PairFix pair;
-    pair.op_node = fix.op_node;
-    pair.operand_a = 0;
-    pair.operand_b = 1;
-    pair.requirement = fix.requirement;
-    pair.relation = fix.relation;
-    pair.fix = fix.fix;
-    converted.fixes.push_back(pair);
-  }
-  return converted;
 }
 
 }  // namespace sc::graph

@@ -28,16 +28,12 @@
 ///   kManipulation - synchronizer / decorrelator / desynchronizer in-stream
 /// Every plan carries the inserted hardware as a netlist so strategies can
 /// be compared on cost as well as accuracy.
-///
-/// The legacy DataflowGraph entry points (classify / plan_insertions /
-/// Plan) remain as thin shims over the Program planner.
 
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "graph/dataflow.hpp"
 #include "graph/program.hpp"
 #include "hw/netlist.hpp"
 
@@ -54,12 +50,6 @@ std::string to_string(Relation relation);
 
 /// Classifies the relation between two program nodes from lineage analysis.
 Relation classify(const Program& program, NodeId a, NodeId b);
-
-/// Legacy shim: classification on a DataflowGraph.  Converts the graph
-/// and computes all lineages per call — convenient for one-off queries;
-/// for many pairs of one graph, convert once with to_program() and query
-/// classify(Program, ...) (or plan the whole program).
-Relation classify(const DataflowGraph& graph, NodeId a, NodeId b);
 
 /// Insertion strategy (see file comment).
 enum class Strategy { kNone, kRegeneration, kManipulation };
@@ -157,38 +147,5 @@ bool requirement_satisfied(Requirement requirement, Relation relation);
 /// planner charges per planned fix; the optimizer uses it to re-price a
 /// rewritten plan.
 hw::Netlist fix_netlist(FixKind kind, const PlannerConfig& config);
-
-// --------------------------------------------------------------- legacy API
-
-/// Planned fix for one two-operand op node (legacy shape).
-struct PlannedFix {
-  NodeId op_node = 0;
-  OpKind op = OpKind::kMultiply;
-  Requirement requirement = Requirement::kAgnostic;
-  Relation relation = Relation::kUnknown;
-  FixKind fix = FixKind::kNone;
-};
-
-/// Full insertion plan for a DataflowGraph under one strategy.
-struct Plan {
-  Strategy strategy = Strategy::kNone;
-  std::vector<PlannedFix> fixes;      ///< one entry per op node
-  std::vector<NodeId> violations;     ///< ops left unsatisfied (kNone only)
-  hw::Netlist overhead;               ///< all inserted hardware
-  std::size_t inserted_units = 0;     ///< manipulators or regenerators
-
-  /// Fix planned for a given op node (kNone if none).
-  [[nodiscard]] FixKind fix_for(NodeId op_node) const;
-};
-
-/// Legacy shim: plans a DataflowGraph by converting it to a Program,
-/// running plan_program, and mapping the pair fixes back onto the
-/// two-operand nodes (ids are preserved by the conversion).
-Plan plan_insertions(const DataflowGraph& graph, Strategy strategy,
-                     const PlannerConfig& config = {});
-
-/// Converts a legacy plan to the Program-plan shape (operand pair (0, 1)
-/// per fixed node) so old call sites can feed the new backends.
-ProgramPlan to_program_plan(const Plan& plan);
 
 }  // namespace sc::graph

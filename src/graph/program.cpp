@@ -101,16 +101,6 @@ Value GraphBuilder::input(std::string name, double value, unsigned rng_group) {
   return Value{push(std::move(node))};
 }
 
-Value GraphBuilder::raw_input(std::string name, double value,
-                              unsigned rng_group) {
-  ProgramNode node;
-  node.kind = ProgramNode::Kind::kInput;
-  node.name = unique_name(std::move(name));
-  node.value = std::clamp(value, 0.0, 1.0);
-  node.rng_group = rng_group;
-  return Value{push(std::move(node))};
-}
-
 Value GraphBuilder::constant(double value, std::string name) {
   ProgramNode node;
   node.kind = ProgramNode::Kind::kConstant;

@@ -6,10 +6,7 @@
 /// exact evaluation, correlation planning (planner.hpp), hardware costing,
 /// and execution on every backend (backend.hpp).  Programs support named
 /// values, n-ary operators, constants (each with a private RNG group),
-/// multiple outputs, and subgraph composition (append), replacing the
-/// closed two-operand DataflowGraph as the computation representation;
-/// DataflowGraph remains as a thin shim (dataflow.hpp) that converts into
-/// a Program.
+/// multiple outputs, and subgraph composition (append).
 ///
 /// Typical use:
 ///   GraphBuilder b;
@@ -115,11 +112,6 @@ class GraphBuilder {
   /// Adds a generated input.  Inputs sharing `rng_group` are encoded from
   /// one RNG trace (SCC = +1 between them).
   Value input(std::string name, double value, unsigned rng_group);
-
-  /// Shim path for to_program(): like input() but without the duplicate-
-  /// name / group-range validation (names are auto-uniquified, any group
-  /// id is accepted — legacy DataflowGraph never restricted either).
-  Value raw_input(std::string name, double value, unsigned rng_group);
 
   /// Adds a constant stream.  Each constant gets a private RNG group, so
   /// it is provably independent of every other value.

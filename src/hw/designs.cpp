@@ -1,6 +1,6 @@
 #include "hw/designs.hpp"
 
-#include "common/bitops.hpp"
+#include <bit>
 #include <cassert>
 #include <sstream>
 
@@ -8,7 +8,7 @@ namespace sc::hw {
 
 unsigned state_bits(std::size_t states) {
   assert(states >= 1);
-  return states <= 1 ? 1u : static_cast<unsigned>(sc::bit_width64(states - 1));
+  return states <= 1 ? 1u : static_cast<unsigned>(std::bit_width(states - 1));
 }
 
 Netlist or_gate_netlist() {

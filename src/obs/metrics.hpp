@@ -25,6 +25,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -32,8 +33,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "common/bitops.hpp"
 
 namespace sc::obs {
 
@@ -86,7 +85,7 @@ class Histogram {
   static constexpr unsigned kBuckets = 65;
 
   void observe(std::uint64_t v) noexcept {
-    buckets_[bit_width64(v)].fetch_add(1, std::memory_order_relaxed);
+    buckets_[std::bit_width(v)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
   }

@@ -1,9 +1,9 @@
 #include "obs/probe.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
-#include "common/bitops.hpp"
 #include "obs/telemetry.hpp"
 
 namespace sc::obs {
@@ -42,13 +42,13 @@ void StreamProbe::accumulate(const Bitstream& x, const Bitstream* y,
             ? ~Bitstream::Word{0}
             : (((Bitstream::Word{1} << take) - 1) << shift);
     const Bitstream::Word vx = wx[word] & mask;
-    const auto ox = static_cast<std::uint64_t>(popcount64(vx));
+    const auto ox = static_cast<std::uint64_t>(std::popcount(vx));
     window_.ones_x += ox;
     total_.ones_x += ox;
     if (wy != nullptr) {
       const Bitstream::Word vy = wy[word] & mask;
-      const auto oy = static_cast<std::uint64_t>(popcount64(vy));
-      const auto both = static_cast<std::uint64_t>(popcount64(vx & vy));
+      const auto oy = static_cast<std::uint64_t>(std::popcount(vy));
+      const auto both = static_cast<std::uint64_t>(std::popcount(vx & vy));
       window_.ones_y += oy;
       total_.ones_y += oy;
       window_.a += both;

@@ -1,14 +1,15 @@
 #include "rng/lfsr.hpp"
 
 #include <array>
-#include "common/bitops.hpp"
+#include <bit>
 #include "common/simd.hpp"
-#include <cassert>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace sc::rng {
@@ -62,7 +63,7 @@ constexpr std::array<std::uint32_t, 33> kTapTable = [] {
 inline std::uint32_t fib_step(std::uint32_t state, std::uint32_t taps,
                               std::uint32_t mask) {
   const auto feedback =
-      static_cast<std::uint32_t>(sc::popcount32(state & taps) & 1);
+      static_cast<std::uint32_t>(std::popcount(state & taps) & 1);
   return ((state << 1) | feedback) & mask;
 }
 
@@ -115,11 +116,19 @@ const LeapTable& leap_table(unsigned width, std::uint32_t taps,
   return ref;
 }
 
+/// Returns `width` if kTapTable has taps for it (3..32); throws otherwise.
+unsigned checked_width(unsigned width) {
+  if (width < 3 || width > 32) {
+    throw std::invalid_argument("rng::Lfsr: width " + std::to_string(width) +
+                                " is outside 3..32");
+  }
+  return width;
+}
+
 }  // namespace
 
 std::uint32_t Lfsr::maximal_taps(unsigned width) {
-  assert(width >= 3 && width <= 32);
-  return kTapTable[width];
+  return kTapTable[checked_width(width)];
 }
 
 /// Memoized period of the register: `vals` holds one full cycle of emitted
@@ -145,10 +154,10 @@ struct Lfsr::Ring {
 };
 
 Lfsr::Lfsr(unsigned width, std::uint32_t seed, unsigned rotation)
-    : width_(width),
-      rotation_(rotation % width),
-      taps_(maximal_taps(width)),
-      mask_(width == 32 ? ~0u : (1u << width) - 1u) {
+    : width_(checked_width(width)),
+      rotation_(rotation % width_),
+      taps_(kTapTable[width_]),
+      mask_(width_ == 32 ? ~0u : (1u << width_) - 1u) {
   seed &= mask_;
   if (seed == 0) seed = 1;  // the all-zero state is a fixed point
   seed_ = seed;
@@ -328,7 +337,7 @@ void Lfsr::fill_indices(std::uint8_t* out, std::size_t n, std::uint32_t bound) {
 std::uint32_t Lfsr::next() {
   const std::uint32_t out = state_;
   const std::uint32_t feedback =
-      static_cast<std::uint32_t>(sc::popcount32(state_ & taps_) & 1);
+      static_cast<std::uint32_t>(std::popcount(state_ & taps_) & 1);
   state_ = ((state_ << 1) | feedback) & mask_;
   if (rotation_ == 0) return out;
   return ((out >> rotation_) | (out << (width_ - rotation_))) & mask_;

@@ -34,7 +34,8 @@ namespace sc::rng {
 /// use the generic block-fill defaults.
 class Lfsr final : public RandomSource {
  public:
-  /// \param width    register width in bits (3..32)
+  /// \param width    register width in bits (3..32; others throw
+  ///                 std::invalid_argument)
   /// \param seed     initial state; must be nonzero in the low `width` bits
   ///                 (0 is remapped to 1, the conventional safe default)
   /// \param rotation output rotation in bits (models tapping the register at
@@ -61,7 +62,8 @@ class Lfsr final : public RandomSource {
   /// Current register state (for tests).
   [[nodiscard]] std::uint32_t state() const { return state_; }
 
-  /// Maximal-period tap mask for a given width (3..32).
+  /// Maximal-period tap mask for a given width (3..32; others throw
+  /// std::invalid_argument).
   static std::uint32_t maximal_taps(unsigned width);
 
  private:

@@ -1,6 +1,6 @@
 #include "rng/sobol.hpp"
 
-#include "common/bitops.hpp"
+#include <bit>
 #include <cassert>
 #include <sstream>
 #include <vector>
@@ -66,7 +66,7 @@ std::uint32_t Sobol::next() {
   // Gray-code update: flip with the direction vector indexed by the
   // position of the lowest zero... equivalently lowest set bit of index+1.
   const unsigned c =
-      static_cast<unsigned>(sc::countr_zero64(~index_));  // lowest 0 of index
+      static_cast<unsigned>(std::countr_zero(~index_));  // lowest 0 of index
   state_ ^= v_[c];
   ++index_;
   return out;
@@ -78,7 +78,7 @@ void Sobol::fill(std::uint32_t* out, std::size_t n) {
   std::uint64_t idx = index_;
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = s >> shift;
-    const unsigned c = static_cast<unsigned>(sc::countr_zero64(~idx));
+    const unsigned c = static_cast<unsigned>(std::countr_zero(~idx));
     s ^= v_[c];
     ++idx;
   }

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "engine/session.hpp"
@@ -20,6 +21,7 @@
 #include "graph/seeds.hpp"
 #include "graph_fixtures.hpp"
 #include "img/sc_pipeline.hpp"
+#include "rng/lfsr.hpp"
 
 namespace sc::graph {
 namespace {
@@ -224,6 +226,35 @@ TEST(Backends, EngineRunsLongStreamsWithoutMaterializing) {
   }
   // A long stream averages the quantization away: 0.5*(0.6*0.5) + 0.15.
   EXPECT_NEAR(streamed.values[0], 0.3, 0.01);
+}
+
+TEST(Backends, InvalidWidthsAndShuffleDepthsThrow) {
+  // Run unchecked, these give plausible-looking wrong values in Release:
+  // multiply(0.6, 0.3) reads ~1.0 at widths 2 and 33, and a depth-0
+  // decorrelator is a wire.
+  EXPECT_THROW(rng::Lfsr(0), std::invalid_argument);
+
+  GraphBuilder b;
+  const Value x = b.input("x", 0.6, 0);
+  const Value y = b.input("y", 0.3, 0);  // same group: needs a decorrelator
+  b.output(b.op("multiply", {x, y}));
+  const Program p = b.build();
+  const ProgramPlan plan = plan_program(p, Strategy::kManipulation);
+
+  for (const BackendKind kind :
+       {BackendKind::kReference, BackendKind::kKernel, BackendKind::kEngine}) {
+    const auto backend = make_backend(kind);
+    for (const unsigned width : {2u, 33u}) {
+      ExecConfig config;
+      config.width = width;
+      EXPECT_THROW(backend->run(p, plan, config), std::invalid_argument)
+          << backend->name() << " width " << width;
+    }
+    ExecConfig config;
+    config.shuffle_depth = 0;
+    EXPECT_THROW(backend->run(p, plan, config), std::invalid_argument)
+        << backend->name() << " shuffle depth 0";
+  }
 }
 
 // --- acceptance: operators the executor has no hardcoded knowledge of ------

@@ -22,9 +22,9 @@
 #include "engine/chunked_stream.hpp"
 #include "engine/session.hpp"
 #include "engine/thread_pool.hpp"
-#include "graph/dataflow.hpp"
-#include "graph/executor.hpp"
+#include "graph/backend.hpp"
 #include "graph/planner.hpp"
+#include "graph/program.hpp"
 #include "img/image.hpp"
 #include "img/sc_pipeline.hpp"
 #include "rng/lfsr.hpp"
@@ -347,16 +347,16 @@ TEST(ChunkedStream, LongStreamBoundedBuffering) {
 
 // --- batch / session invariance ------------------------------------------------
 
-graph::DataflowGraph batch_graph() {
-  graph::DataflowGraph g;
-  const graph::NodeId a = g.add_input("a", 0.6, 0);
-  const graph::NodeId b = g.add_input("b", 0.5, 0);
-  const graph::NodeId c = g.add_input("c", 0.3, 1);
-  const graph::NodeId d = g.add_input("d", 0.8, 1);
-  const graph::NodeId ab = g.add_op(graph::OpKind::kMultiply, a, b);
-  const graph::NodeId cd = g.add_op(graph::OpKind::kMultiply, c, d);
-  g.mark_output(g.add_op(graph::OpKind::kScaledAdd, ab, cd));
-  return g;
+graph::Program batch_graph() {
+  graph::GraphBuilder g;
+  const graph::Value a = g.input("a", 0.6, 0);
+  const graph::Value b = g.input("b", 0.5, 0);
+  const graph::Value c = g.input("c", 0.3, 1);
+  const graph::Value d = g.input("d", 0.8, 1);
+  const graph::Value ab = g.op("multiply", {a, b});
+  const graph::Value cd = g.op("multiply", {c, d});
+  g.output(g.op("scaled-add", {ab, cd}));
+  return g.build();
 }
 
 TEST(Session, MapPreservesIndexOrder) {
@@ -380,20 +380,30 @@ TEST(Session, MapPreservesIndexOrder) {
   EXPECT_EQ(session.stats().stream_bits, 4u * 512u);
 }
 
-TEST(ExecuteBatch, BitIdenticalAcrossThreadCounts) {
-  const graph::DataflowGraph g = batch_graph();
-  const graph::Plan plan =
-      graph::plan_insertions(g, graph::Strategy::kManipulation);
+TEST(GraphBatch, BitIdenticalAcrossThreadCounts) {
+  const graph::Program g = batch_graph();
+  const graph::ProgramPlan plan =
+      graph::plan_program(g, graph::Strategy::kManipulation);
 
   Session one({1, kDefaultChunkBits, 42});
   Session many({4, kDefaultChunkBits, 42});
-  const auto configs = graph::seeded_sweep({}, 24, one);
+  std::vector<graph::ExecConfig> configs(24);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    configs[i].seed = one.strided_seed_for(i);
+  }
   ASSERT_EQ(configs.size(), 24u);
   // Identical session base seeds derive identical sweeps.
-  EXPECT_EQ(configs[5].seed, graph::seeded_sweep({}, 24, many)[5].seed);
+  EXPECT_EQ(configs[5].seed, many.strided_seed_for(5));
 
-  const auto serial = graph::execute_batch(g, plan, configs, one);
-  const auto parallel = graph::execute_batch(g, plan, configs, many);
+  const auto run_batch = [&](Session& session) {
+    return session.map<graph::ExecutionResult>(
+        configs.size(), [&](std::size_t i) {
+          return graph::make_backend(graph::BackendKind::kKernel)
+              ->run(g, plan, configs[i]);
+        });
+  };
+  const auto serial = run_batch(one);
+  const auto parallel = run_batch(many);
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t j = 0; j < serial.size(); ++j) {
@@ -406,17 +416,25 @@ TEST(ExecuteBatch, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ExecuteBatch, MatchesSequentialExecute) {
-  const graph::DataflowGraph g = batch_graph();
-  const graph::Plan plan =
-      graph::plan_insertions(g, graph::Strategy::kRegeneration);
+TEST(GraphBatch, MatchesSequentialRuns) {
+  const graph::Program g = batch_graph();
+  const graph::ProgramPlan plan =
+      graph::plan_program(g, graph::Strategy::kRegeneration);
+  const auto kernel = graph::make_backend(graph::BackendKind::kKernel);
 
   Session session({3, kDefaultChunkBits, 7});
-  const auto configs = graph::seeded_sweep({}, 10, session);
-  const auto batched = graph::execute_batch(g, plan, configs, session);
+  std::vector<graph::ExecConfig> configs(10);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    configs[i].seed = session.strided_seed_for(i);
+  }
+  const auto batched = session.map<graph::ExecutionResult>(
+      configs.size(), [&](std::size_t i) {
+        return graph::make_backend(graph::BackendKind::kKernel)
+            ->run(g, plan, configs[i]);
+      });
 
   for (std::size_t j = 0; j < configs.size(); ++j) {
-    const graph::ExecutionResult direct = graph::execute(g, plan, configs[j]);
+    const graph::ExecutionResult direct = kernel->run(g, plan, configs[j]);
     ASSERT_EQ(batched[j].streams.size(), direct.streams.size());
     for (std::size_t s = 0; s < direct.streams.size(); ++s) {
       EXPECT_EQ(batched[j].streams[s], direct.streams[s]);

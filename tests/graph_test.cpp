@@ -8,11 +8,13 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <string>
+#include <vector>
 
 #include "bitstream/correlation.hpp"
-#include "graph/dataflow.hpp"
-#include "graph/executor.hpp"
+#include "graph/backend.hpp"
 #include "graph/planner.hpp"
+#include "graph/program.hpp"
 #include "hw/cost.hpp"
 
 namespace sc::graph {
@@ -20,57 +22,71 @@ namespace {
 
 /// a*b + c*d with inputs drawn from only two RNG groups - multiplies see
 /// correlated operands and need decorrelation.
-DataflowGraph product_sum_graph() {
-  DataflowGraph g;
-  const NodeId a = g.add_input("a", 0.6, /*rng_group=*/0);
-  const NodeId b = g.add_input("b", 0.5, 0);  // same group as a!
-  const NodeId c = g.add_input("c", 0.3, 1);
-  const NodeId d = g.add_input("d", 0.8, 1);
-  const NodeId ab = g.add_op(OpKind::kMultiply, a, b);
-  const NodeId cd = g.add_op(OpKind::kMultiply, c, d);
-  const NodeId sum = g.add_op(OpKind::kScaledAdd, ab, cd);
-  g.mark_output(sum);
-  return g;
+Program product_sum_graph() {
+  GraphBuilder g;
+  const Value a = g.input("a", 0.6, /*rng_group=*/0);
+  const Value b = g.input("b", 0.5, 0);  // same group as a!
+  const Value c = g.input("c", 0.3, 1);
+  const Value d = g.input("d", 0.8, 1);
+  const Value ab = g.op("multiply", {a, b});
+  const Value cd = g.op("multiply", {c, d});
+  const Value sum = g.op("scaled-add", {ab, cd});
+  g.output(sum);
+  return g.build();
 }
 
 /// |x*y - z| : a subtract that needs positive correlation between two
 /// streams with shared ancestry (the "computation-induced" case).
-DataflowGraph edge_like_graph() {
-  DataflowGraph g;
-  const NodeId x = g.add_input("x", 0.7, 0);
-  const NodeId y = g.add_input("y", 0.9, 1);
-  const NodeId z = g.add_input("z", 0.4, 2);
-  const NodeId xy = g.add_op(OpKind::kMultiply, x, y);
-  const NodeId diff = g.add_op(OpKind::kSubtractAbs, xy, z);
-  g.mark_output(diff);
-  return g;
+Program edge_like_graph() {
+  GraphBuilder g;
+  const Value x = g.input("x", 0.7, 0);
+  const Value y = g.input("y", 0.9, 1);
+  const Value z = g.input("z", 0.4, 2);
+  const Value xy = g.op("multiply", {x, y});
+  const Value diff = g.op("subtract", {xy, z});
+  g.output(diff);
+  return g.build();
+}
+
+/// The fix planned in front of a two-operand op (kNone when it has none).
+FixKind fix_of(const ProgramPlan& plan, NodeId op_node) {
+  const std::vector<const PairFix*> fixes = plan.fixes_for(op_node);
+  return fixes.empty() ? FixKind::kNone : fixes.front()->fix;
 }
 
 TEST(Dataflow, RequirementsMatchFig2) {
-  EXPECT_EQ(requirement_of(OpKind::kMultiply), Requirement::kUncorrelated);
-  EXPECT_EQ(requirement_of(OpKind::kScaledAdd), Requirement::kAgnostic);
-  EXPECT_EQ(requirement_of(OpKind::kSaturatingAdd), Requirement::kNegative);
-  EXPECT_EQ(requirement_of(OpKind::kSubtractAbs), Requirement::kPositive);
-  EXPECT_EQ(requirement_of(OpKind::kMax), Requirement::kPositive);
-  EXPECT_EQ(requirement_of(OpKind::kMin), Requirement::kPositive);
+  const auto requirement_of = [](const std::string& op) {
+    return registry().def(registry().id_of(op)).requirement;
+  };
+  EXPECT_EQ(requirement_of("multiply"), Requirement::kUncorrelated);
+  EXPECT_EQ(requirement_of("scaled-add"), Requirement::kAgnostic);
+  EXPECT_EQ(requirement_of("saturating-add"), Requirement::kNegative);
+  EXPECT_EQ(requirement_of("subtract"), Requirement::kPositive);
+  EXPECT_EQ(requirement_of("max"), Requirement::kPositive);
+  EXPECT_EQ(requirement_of("min"), Requirement::kPositive);
 }
 
 TEST(Dataflow, ExactValueSemantics) {
-  DataflowGraph g;
-  const NodeId a = g.add_input("a", 0.6, 0);
-  const NodeId b = g.add_input("b", 0.7, 1);
-  EXPECT_DOUBLE_EQ(g.exact_value(g.add_op(OpKind::kMultiply, a, b)), 0.42);
-  EXPECT_DOUBLE_EQ(g.exact_value(g.add_op(OpKind::kScaledAdd, a, b)), 0.65);
-  EXPECT_DOUBLE_EQ(g.exact_value(g.add_op(OpKind::kSaturatingAdd, a, b)),
-                   1.0);
-  EXPECT_NEAR(g.exact_value(g.add_op(OpKind::kSubtractAbs, a, b)), 0.1,
-              1e-12);
-  EXPECT_DOUBLE_EQ(g.exact_value(g.add_op(OpKind::kMax, a, b)), 0.7);
-  EXPECT_DOUBLE_EQ(g.exact_value(g.add_op(OpKind::kMin, a, b)), 0.6);
+  GraphBuilder g;
+  const Value a = g.input("a", 0.6, 0);
+  const Value b = g.input("b", 0.7, 1);
+  const Value multiply = g.op("multiply", {a, b});
+  const Value scaled_add = g.op("scaled-add", {a, b});
+  const Value saturating_add = g.op("saturating-add", {a, b});
+  const Value subtract = g.op("subtract", {a, b});
+  const Value max = g.op("max", {a, b});
+  const Value min = g.op("min", {a, b});
+  const Program p = g.build();
+  EXPECT_DOUBLE_EQ(p.exact_value(multiply.id), 0.42);
+  EXPECT_DOUBLE_EQ(p.exact_value(scaled_add.id), 0.65);
+  EXPECT_DOUBLE_EQ(p.exact_value(saturating_add.id), 1.0);
+  EXPECT_NEAR(p.exact_value(subtract.id), 0.1, 1e-12);
+  EXPECT_DOUBLE_EQ(p.exact_value(max.id), 0.7);
+  EXPECT_DOUBLE_EQ(p.exact_value(min.id), 0.6);
 }
 
 TEST(Dataflow, OpNodesInTopologicalOrder) {
-  const DataflowGraph g = product_sum_graph();
+  const Program g = product_sum_graph();
   const auto ops = g.op_nodes();
   ASSERT_EQ(ops.size(), 3u);
   EXPECT_LT(ops[0], ops[2]);
@@ -79,34 +95,35 @@ TEST(Dataflow, OpNodesInTopologicalOrder) {
 // --- classification -------------------------------------------------------------
 
 TEST(Classify, SameGroupInputsArePositive) {
-  DataflowGraph g;
-  const NodeId a = g.add_input("a", 0.5, 0);
-  const NodeId b = g.add_input("b", 0.7, 0);
-  EXPECT_EQ(classify(g, a, b), Relation::kPositive);
+  GraphBuilder g;
+  const Value a = g.input("a", 0.5, 0);
+  const Value b = g.input("b", 0.7, 0);
+  EXPECT_EQ(classify(g.build(), a.id, b.id), Relation::kPositive);
 }
 
 TEST(Classify, DifferentGroupInputsAreIndependent) {
-  DataflowGraph g;
-  const NodeId a = g.add_input("a", 0.5, 0);
-  const NodeId b = g.add_input("b", 0.7, 1);
-  EXPECT_EQ(classify(g, a, b), Relation::kIndependent);
+  GraphBuilder g;
+  const Value a = g.input("a", 0.5, 0);
+  const Value b = g.input("b", 0.7, 1);
+  EXPECT_EQ(classify(g.build(), a.id, b.id), Relation::kIndependent);
 }
 
 TEST(Classify, SharedAncestryIsUnknown) {
-  DataflowGraph g;
-  const NodeId a = g.add_input("a", 0.5, 0);
-  const NodeId b = g.add_input("b", 0.7, 1);
-  const NodeId ab = g.add_op(OpKind::kMultiply, a, b);
-  EXPECT_EQ(classify(g, ab, a), Relation::kUnknown);
+  GraphBuilder g;
+  const Value a = g.input("a", 0.5, 0);
+  const Value b = g.input("b", 0.7, 1);
+  const Value ab = g.op("multiply", {a, b});
   // A fresh group stays independent of the product.
-  const NodeId c = g.add_input("c", 0.2, 2);
-  EXPECT_EQ(classify(g, ab, c), Relation::kIndependent);
+  const Value c = g.input("c", 0.2, 2);
+  const Program p = g.build();
+  EXPECT_EQ(classify(p, ab.id, a.id), Relation::kUnknown);
+  EXPECT_EQ(classify(p, ab.id, c.id), Relation::kIndependent);
 }
 
 // --- planning --------------------------------------------------------------------
 
 TEST(Planner, NoStrategyRecordsViolations) {
-  const Plan plan = plan_insertions(product_sum_graph(), Strategy::kNone);
+  const ProgramPlan plan = plan_program(product_sum_graph(), Strategy::kNone);
   // Both multiplies use same-group operands -> 2 violations; the scaled
   // add is agnostic.
   EXPECT_EQ(plan.violations.size(), 2u);
@@ -115,47 +132,48 @@ TEST(Planner, NoStrategyRecordsViolations) {
 }
 
 TEST(Planner, ManipulationInsertsDecorrelatorsForMultiplies) {
-  const Plan plan =
-      plan_insertions(product_sum_graph(), Strategy::kManipulation);
+  const ProgramPlan plan =
+      plan_program(product_sum_graph(), Strategy::kManipulation);
   EXPECT_TRUE(plan.violations.empty());
   EXPECT_EQ(plan.inserted_units, 2u);
   const auto ops = product_sum_graph().op_nodes();
-  EXPECT_EQ(plan.fix_for(ops[0]), FixKind::kDecorrelator);
-  EXPECT_EQ(plan.fix_for(ops[1]), FixKind::kDecorrelator);
-  EXPECT_EQ(plan.fix_for(ops[2]), FixKind::kNone);  // scaled add agnostic
+  EXPECT_EQ(fix_of(plan, ops[0]), FixKind::kDecorrelator);
+  EXPECT_EQ(fix_of(plan, ops[1]), FixKind::kDecorrelator);
+  EXPECT_EQ(fix_of(plan, ops[2]), FixKind::kNone);  // scaled add agnostic
 }
 
 TEST(Planner, ManipulationInsertsSynchronizerForSubtract) {
-  const Plan plan =
-      plan_insertions(edge_like_graph(), Strategy::kManipulation);
+  const ProgramPlan plan =
+      plan_program(edge_like_graph(), Strategy::kManipulation);
   const auto ops = edge_like_graph().op_nodes();
-  EXPECT_EQ(plan.fix_for(ops[0]), FixKind::kNone);  // multiply: indep groups
-  EXPECT_EQ(plan.fix_for(ops[1]), FixKind::kSynchronizer);
+  EXPECT_EQ(fix_of(plan, ops[0]), FixKind::kNone);  // multiply: indep groups
+  EXPECT_EQ(fix_of(plan, ops[1]), FixKind::kSynchronizer);
 }
 
 TEST(Planner, RegenerationStrategyUsesConverters) {
-  const Plan plan =
-      plan_insertions(edge_like_graph(), Strategy::kRegeneration);
+  const ProgramPlan plan =
+      plan_program(edge_like_graph(), Strategy::kRegeneration);
   const auto ops = edge_like_graph().op_nodes();
-  EXPECT_EQ(plan.fix_for(ops[1]), FixKind::kRegenerateShared);
+  EXPECT_EQ(fix_of(plan, ops[1]), FixKind::kRegenerateShared);
 }
 
 TEST(Planner, SaturatingAddAlwaysNeedsNegativeFix) {
-  DataflowGraph g;
-  const NodeId a = g.add_input("a", 0.4, 0);
-  const NodeId b = g.add_input("b", 0.3, 1);
-  g.mark_output(g.add_op(OpKind::kSaturatingAdd, a, b));
-  const Plan manip = plan_insertions(g, Strategy::kManipulation);
+  GraphBuilder builder;
+  const Value a = builder.input("a", 0.4, 0);
+  const Value b = builder.input("b", 0.3, 1);
+  builder.output(builder.op("saturating-add", {a, b}));
+  const Program g = builder.build();
+  const ProgramPlan manip = plan_program(g, Strategy::kManipulation);
   EXPECT_EQ(manip.fixes.back().fix, FixKind::kDesynchronizer);
-  const Plan regen = plan_insertions(g, Strategy::kRegeneration);
+  const ProgramPlan regen = plan_program(g, Strategy::kRegeneration);
   EXPECT_EQ(regen.fixes.back().fix, FixKind::kRegenerateComplementary);
 }
 
 TEST(Planner, ManipulationIsCheaperThanRegeneration) {
   // The paper's core hardware claim, at the planning level, for any graph.
-  for (const DataflowGraph& g : {product_sum_graph(), edge_like_graph()}) {
-    const Plan manip = plan_insertions(g, Strategy::kManipulation);
-    const Plan regen = plan_insertions(g, Strategy::kRegeneration);
+  for (const Program& g : {product_sum_graph(), edge_like_graph()}) {
+    const ProgramPlan manip = plan_program(g, Strategy::kManipulation);
+    const ProgramPlan regen = plan_program(g, Strategy::kRegeneration);
     if (manip.inserted_units == 0) continue;
     const double manip_power = hw::evaluate(manip.overhead).power_uw;
     const double regen_power = hw::evaluate(regen.overhead).power_uw;
@@ -169,58 +187,66 @@ TEST(Executor, Width32ComparatorsProduceNonZeroStreams) {
   // Regression: the natural length was computed as `1u << width`, which is
   // UB at width 32 and wrapped input levels to 0, silently zeroing every
   // stream in the graph.
-  const DataflowGraph g = product_sum_graph();
+  const auto kernel = make_backend(BackendKind::kKernel);
+  const Program g = product_sum_graph();
   ExecConfig config;
   config.width = 32;
   config.stream_length = 512;
   const ExecutionResult result =
-      execute(g, plan_insertions(g, Strategy::kManipulation), config);
+      kernel->run(g, plan_program(g, Strategy::kManipulation), config);
   for (NodeId id = 0; id < g.node_count(); ++id) {
-    if (g.node(id).kind != Node::Kind::kInput) continue;
+    if (g.node(id).kind != ProgramNode::Kind::kInput) continue;
     EXPECT_NEAR(result.streams[id].value(), g.node(id).value, 0.1)
         << "input node " << id;
   }
 }
 
 TEST(Executor, UnfixedGraphComputesWrongValues) {
-  const DataflowGraph g = product_sum_graph();
-  const Plan plan = plan_insertions(g, Strategy::kNone);
-  const ExecutionResult result = execute(g, plan);
+  const auto kernel = make_backend(BackendKind::kKernel);
+  const Program g = product_sum_graph();
+  const ProgramPlan plan = plan_program(g, Strategy::kNone);
+  const ExecutionResult result = kernel->run(g, plan, {});
   // Same-group multiply computes min instead of product:
   // 0.5(min(.6,.5) + min(.3,.8)) = 0.4 vs exact 0.5*(0.3+0.24) = 0.27.
   EXPECT_GT(result.mean_abs_error, 0.08);
 }
 
 TEST(Executor, ManipulationPlanRestoresAccuracy) {
-  const DataflowGraph g = product_sum_graph();
+  const auto kernel = make_backend(BackendKind::kKernel);
+  const Program g = product_sum_graph();
   const ExecutionResult fixed =
-      execute(g, plan_insertions(g, Strategy::kManipulation));
+      kernel->run(g, plan_program(g, Strategy::kManipulation), {});
   EXPECT_LT(fixed.mean_abs_error, 0.05);
 }
 
 TEST(Executor, RegenerationPlanRestoresAccuracy) {
-  const DataflowGraph g = product_sum_graph();
+  const auto kernel = make_backend(BackendKind::kKernel);
+  const Program g = product_sum_graph();
   const ExecutionResult fixed =
-      execute(g, plan_insertions(g, Strategy::kRegeneration));
+      kernel->run(g, plan_program(g, Strategy::kRegeneration), {});
   EXPECT_LT(fixed.mean_abs_error, 0.05);
 }
 
 TEST(Executor, EdgeGraphSubtractNeedsTheSynchronizer) {
-  const DataflowGraph g = edge_like_graph();
+  const auto kernel = make_backend(BackendKind::kKernel);
+  const Program g = edge_like_graph();
   const double broken =
-      execute(g, plan_insertions(g, Strategy::kNone)).mean_abs_error;
+      kernel->run(g, plan_program(g, Strategy::kNone), {}).mean_abs_error;
   const double fixed =
-      execute(g, plan_insertions(g, Strategy::kManipulation)).mean_abs_error;
+      kernel->run(g, plan_program(g, Strategy::kManipulation), {})
+          .mean_abs_error;
   EXPECT_LT(fixed, broken * 0.5);
   EXPECT_LT(fixed, 0.05);
 }
 
 TEST(Executor, SaturatingAddViaDesynchronizer) {
-  DataflowGraph g;
-  const NodeId a = g.add_input("a", 0.55, 0);
-  const NodeId b = g.add_input("b", 0.6, 1);
-  g.mark_output(g.add_op(OpKind::kSaturatingAdd, a, b));
-  const Plan plan = plan_insertions(g, Strategy::kManipulation);
+  const auto kernel = make_backend(BackendKind::kKernel);
+  GraphBuilder builder;
+  const Value a = builder.input("a", 0.55, 0);
+  const Value b = builder.input("b", 0.6, 1);
+  builder.output(builder.op("saturating-add", {a, b}));
+  const Program g = builder.build();
+  const ProgramPlan plan = plan_program(g, Strategy::kManipulation);
   // Default depth-2 desynchronizer gets close; the LFSR streams' run
   // structure leaves a few paired 1s, and how many depends on the derived
   // trace seeds.  Averaging over several base seeds removes that seed
@@ -230,99 +256,80 @@ TEST(Executor, SaturatingAddViaDesynchronizer) {
   for (const std::uint32_t seed : seeds) {
     ExecConfig config;
     config.seed = seed;
-    total_error += std::abs(execute(g, plan, config).values[0] - 1.0);
+    total_error += std::abs(kernel->run(g, plan, config).values[0] - 1.0);
   }
   EXPECT_LT(total_error / std::size(seeds), 0.06);
   // Depth 8 absorbs the runs and saturates exactly.
   ExecConfig deep;
   deep.sync_depth = 8;
-  const ExecutionResult deeper = execute(g, plan, deep);
+  const ExecutionResult deeper = kernel->run(g, plan, deep);
   EXPECT_NEAR(deeper.values[0], 1.0, 0.01);
 }
 
 TEST(Executor, ComplementaryRegenerationProducesNegativeScc) {
-  DataflowGraph g;
-  const NodeId a = g.add_input("a", 0.4, 0);
-  const NodeId b = g.add_input("b", 0.45, 1);
-  const NodeId sum = g.add_op(OpKind::kSaturatingAdd, a, b);
-  g.mark_output(sum);
+  const auto kernel = make_backend(BackendKind::kKernel);
+  GraphBuilder builder;
+  const Value a = builder.input("a", 0.4, 0);
+  const Value b = builder.input("b", 0.45, 1);
+  const Value sum = builder.op("saturating-add", {a, b});
+  builder.output(sum);
+  const Program g = builder.build();
   const ExecutionResult fixed =
-      execute(g, plan_insertions(g, Strategy::kRegeneration));
+      kernel->run(g, plan_program(g, Strategy::kRegeneration), {});
   // min(1, 0.85) without saturation: only reachable at SCC ~ -1.
   EXPECT_NEAR(fixed.values[0], 0.85, 0.03);
 }
 
 TEST(Executor, SameGroupInputsAreBitIdenticalForEqualValues) {
-  DataflowGraph g;
-  const NodeId a = g.add_input("a", 0.5, 0);
-  const NodeId b = g.add_input("b", 0.5, 0);
-  g.mark_output(g.add_op(OpKind::kMin, a, b));
+  const auto kernel = make_backend(BackendKind::kKernel);
+  GraphBuilder builder;
+  const Value a = builder.input("a", 0.5, 0);
+  const Value b = builder.input("b", 0.5, 0);
+  builder.output(builder.op("min", {a, b}));
+  const Program g = builder.build();
   const ExecutionResult result =
-      execute(g, plan_insertions(g, Strategy::kNone));
-  EXPECT_EQ(result.streams[a], result.streams[b]);
+      kernel->run(g, plan_program(g, Strategy::kNone), {});
+  EXPECT_EQ(result.streams[a.id], result.streams[b.id]);
 }
 
 TEST(Executor, OutputsAlignWithMarkedNodes) {
-  DataflowGraph g;
-  const NodeId a = g.add_input("a", 0.25, 0);
-  const NodeId b = g.add_input("b", 0.5, 1);
-  const NodeId prod = g.add_op(OpKind::kMultiply, a, b);
-  g.mark_output(prod);
-  g.mark_output(a);
+  const auto kernel = make_backend(BackendKind::kKernel);
+  GraphBuilder builder;
+  const Value a = builder.input("a", 0.25, 0);
+  const Value b = builder.input("b", 0.5, 1);
+  const Value prod = builder.op("multiply", {a, b});
+  builder.output(prod);
+  builder.output(a);
+  const Program g = builder.build();
   const ExecutionResult result =
-      execute(g, plan_insertions(g, Strategy::kNone));
+      kernel->run(g, plan_program(g, Strategy::kNone), {});
   ASSERT_EQ(result.output_nodes.size(), 2u);
-  EXPECT_EQ(result.output_nodes[0], prod);
+  EXPECT_EQ(result.output_nodes[0], prod.id);
   EXPECT_NEAR(result.values[1], 0.25, 0.02);
   EXPECT_DOUBLE_EQ(result.exact[0], 0.125);
 }
 
 TEST(Executor, DeterministicForFixedSeed) {
-  const DataflowGraph g = edge_like_graph();
-  const Plan plan = plan_insertions(g, Strategy::kManipulation);
-  const ExecutionResult r1 = execute(g, plan);
-  const ExecutionResult r2 = execute(g, plan);
+  const auto kernel = make_backend(BackendKind::kKernel);
+  const Program g = edge_like_graph();
+  const ProgramPlan plan = plan_program(g, Strategy::kManipulation);
+  const ExecutionResult r1 = kernel->run(g, plan, {});
+  const ExecutionResult r2 = kernel->run(g, plan, {});
   EXPECT_EQ(r1.values, r2.values);
-}
-
-TEST(Executor, LegacyShimMatchesBackendOnConvertedProgram) {
-  // execute() is now a thin shim over the backend layer; the converted
-  // Program run on the explicit backends must be bit-identical to it.
-  const DataflowGraph g = product_sum_graph();
-  const Plan plan = plan_insertions(g, Strategy::kManipulation);
-  const Program program = to_program(g);
-  const ProgramPlan program_plan = to_program_plan(plan);
-
-  ExecConfig config;
-  const ExecutionResult legacy = execute(g, plan, config);
-  const ExecutionResult direct =
-      make_backend(BackendKind::kKernel)->run(program, program_plan, config);
-  ASSERT_EQ(legacy.streams.size(), direct.streams.size());
-  for (std::size_t s = 0; s < legacy.streams.size(); ++s) {
-    EXPECT_EQ(legacy.streams[s], direct.streams[s]) << "stream " << s;
-  }
-
-  config.use_kernels = false;
-  const ExecutionResult legacy_ref = execute(g, plan, config);
-  const ExecutionResult direct_ref =
-      make_backend(BackendKind::kReference)->run(program, program_plan,
-                                                 config);
-  for (std::size_t s = 0; s < legacy_ref.streams.size(); ++s) {
-    EXPECT_EQ(legacy_ref.streams[s], direct_ref.streams[s]) << "stream " << s;
-  }
 }
 
 // --- end-to-end strategy comparison (the paper's §IV shape on any graph) ----
 
 TEST(GraphIntegration, StrategyOrderingMatchesPaper) {
-  const DataflowGraph g = product_sum_graph();
-  const Plan none = plan_insertions(g, Strategy::kNone);
-  const Plan manip = plan_insertions(g, Strategy::kManipulation);
-  const Plan regen = plan_insertions(g, Strategy::kRegeneration);
+  const auto kernel = make_backend(BackendKind::kKernel);
+  const Program g = product_sum_graph();
+  const ProgramPlan none = plan_program(g, Strategy::kNone);
+  const ProgramPlan manip = plan_program(g, Strategy::kManipulation);
+  const ProgramPlan regen = plan_program(g, Strategy::kRegeneration);
 
-  const double err_none = execute(g, none).mean_abs_error;
-  const double err_manip = execute(g, manip).mean_abs_error;
-  const double err_regen = execute(g, regen).mean_abs_error;
+  const double err_none = kernel->run(g, none, {}).mean_abs_error;
+  const double err_manip = kernel->run(g, manip, {}).mean_abs_error;
+  const double err_regen = kernel->run(g, regen, {}).mean_abs_error;
 
   // Accuracy: both fixes beat no manipulation.
   EXPECT_LT(err_manip, err_none);

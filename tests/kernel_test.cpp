@@ -20,9 +20,9 @@
 #include "core/synchronizer.hpp"
 #include "core/tfm.hpp"
 #include "engine/chunked_stream.hpp"
-#include "graph/dataflow.hpp"
-#include "graph/executor.hpp"
+#include "graph/backend.hpp"
 #include "graph/planner.hpp"
+#include "graph/program.hpp"
 #include "kernel/apply.hpp"
 #include "kernel/fastmod.hpp"
 #include "kernel/kernels.hpp"
@@ -419,25 +419,26 @@ TEST(ChunkedKernel, SingleStreamAuto) {
 
 // --- graph executor --------------------------------------------------------
 
-TEST(ExecutorKernel, UseKernelsIsBitIdentical) {
+TEST(ExecutorKernel, KernelBackendIsBitIdenticalToReference) {
   using namespace sc::graph;
-  DataflowGraph g;
-  const NodeId a = g.add_input("a", 0.6, 0);
-  const NodeId b = g.add_input("b", 0.5, 0);
-  const NodeId c = g.add_input("c", 0.3, 1);
-  const NodeId d = g.add_input("d", 0.8, 1);
-  const NodeId ab = g.add_op(OpKind::kMultiply, a, b);
-  const NodeId cd = g.add_op(OpKind::kSubtractAbs, c, d);
-  g.mark_output(g.add_op(OpKind::kScaledAdd, ab, cd));
-  const Plan plan = plan_insertions(g, Strategy::kManipulation);
+  GraphBuilder g;
+  const Value a = g.input("a", 0.6, 0);
+  const Value b = g.input("b", 0.5, 0);
+  const Value c = g.input("c", 0.3, 1);
+  const Value d = g.input("d", 0.8, 1);
+  const Value ab = g.op("multiply", {a, b});
+  const Value cd = g.op("subtract", {c, d});
+  g.output(g.op("scaled-add", {ab, cd}));
+  const Program program = g.build();
+  const ProgramPlan plan = plan_program(program, Strategy::kManipulation);
 
-  ExecConfig with_kernels;
-  with_kernels.stream_length = 4096;
-  ExecConfig without_kernels = with_kernels;
-  without_kernels.use_kernels = false;
+  ExecConfig config;
+  config.stream_length = 4096;
 
-  const ExecutionResult fast = execute(g, plan, with_kernels);
-  const ExecutionResult ref = execute(g, plan, without_kernels);
+  const ExecutionResult fast =
+      make_backend(BackendKind::kKernel)->run(program, plan, config);
+  const ExecutionResult ref =
+      make_backend(BackendKind::kReference)->run(program, plan, config);
   ASSERT_EQ(fast.streams.size(), ref.streams.size());
   for (std::size_t i = 0; i < fast.streams.size(); ++i) {
     ASSERT_EQ(fast.streams[i], ref.streams[i]) << "node " << i;

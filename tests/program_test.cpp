@@ -308,19 +308,5 @@ TEST(ProgramPlanner, RobertsCrossDiagonalsGetSynchronizers) {
   }
 }
 
-TEST(ProgramPlanner, LegacyPlanConversionPreservesShape) {
-  DataflowGraph g;
-  const NodeId a = g.add_input("a", 0.6, 0);
-  const NodeId b = g.add_input("b", 0.5, 0);
-  g.mark_output(g.add_op(OpKind::kMultiply, a, b));
-  const Plan legacy = plan_insertions(g, Strategy::kManipulation);
-  const ProgramPlan converted = to_program_plan(legacy);
-  EXPECT_EQ(converted.inserted_units, legacy.inserted_units);
-  ASSERT_EQ(converted.fixes.size(), legacy.fixes.size());
-  EXPECT_EQ(converted.fixes[0].fix, FixKind::kDecorrelator);
-  EXPECT_EQ(converted.fixes[0].operand_a, 0u);
-  EXPECT_EQ(converted.fixes[0].operand_b, 1u);
-}
-
 }  // namespace
 }  // namespace sc::graph
