@@ -271,16 +271,18 @@ void pack_compare_trace_u8_avx512(const std::uint8_t* raw,
                                   std::uint64_t* words) {
   std::size_t i = 0;
   for (; i + 64 <= n; i += 64) {
-    std::uint64_t w = 0;
-    for (unsigned k = 0; k < 64; k += 32) {
+    __mmask32 half[2];
+    for (unsigned k = 0; k < 2; ++k) {
       const __m512i v = _mm512_cvtepu8_epi16(_mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(raw + i + k)));
-      const __m512i t = _mm512_loadu_si512(thresh + i + k);
-      w |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-               _mm512_cmpgt_epi16_mask(t, v)))
-           << k;
+          reinterpret_cast<const __m256i*>(raw + i + 32 * k)));
+      const __m512i t = _mm512_loadu_si512(thresh + i + 32 * k);
+      half[k] = _mm512_cmpgt_epi16_mask(t, v);
     }
-    words[i >> 6] |= w;
+    // Join the halves in the mask domain: widening each 32-bit mask to an
+    // integer first lets GCC 12 (-fsanitize=thread) spill it with a 32-bit
+    // kmovd and reload it with a 64-bit mov, ORing stale stack bytes into
+    // the high half of the word.
+    words[i >> 6] |= _cvtmask64_u64(_mm512_kunpackd(half[1], half[0]));
   }
   if (i < n) {
     pack_compare_trace_u8_scalar(raw + i, thresh + i, n - i, words + (i >> 6));
@@ -515,27 +517,6 @@ void mod_bytes(const std::uint32_t* vals, std::size_t n, std::uint32_t bound,
   (void)value_bound;
 #endif
   mod_bytes_scalar(vals, n, bound, out);
-}
-
-void or_copy_bits(std::uint64_t* dst, std::size_t dst_bit0,
-                  const std::uint64_t* src, std::size_t src_bit0,
-                  std::size_t nbits) {
-  while (nbits != 0) {
-    const std::size_t dw = dst_bit0 >> 6;
-    const auto doff = static_cast<unsigned>(dst_bit0 & 63);
-    const std::size_t take = std::size_t{64} - doff < nbits
-                                 ? std::size_t{64} - doff
-                                 : nbits;
-    const std::size_t sw = src_bit0 >> 6;
-    const auto soff = static_cast<unsigned>(src_bit0 & 63);
-    std::uint64_t bits = src[sw] >> soff;
-    if (soff != 0 && soff + take > 64) bits |= src[sw + 1] << (64 - soff);
-    if (take != 64) bits &= (std::uint64_t{1} << take) - 1;
-    dst[dw] |= bits << doff;
-    dst_bit0 += take;
-    src_bit0 += take;
-    nbits -= take;
-  }
 }
 
 void shuffle_words(std::uint64_t* words, const std::uint8_t* r, std::size_t n,

@@ -80,16 +80,6 @@ void pack_compare_trace_u8(const std::uint8_t* raw,
 void mod_bytes(const std::uint32_t* vals, std::size_t n, std::uint32_t bound,
                std::uint64_t value_bound, std::uint8_t* out);
 
-// ----------------------------------------------------------- bit copying
-
-/// ORs nbits bits read from src starting at absolute bit src_bit0 into
-/// dst starting at absolute bit dst_bit0 (bit i of a buffer lives at
-/// word i/64, bit i%64).  Destination bit positions must be clear.
-/// This is the ring-replay primitive: misaligned word-at-a-time copy.
-void or_copy_bits(std::uint64_t* dst, std::size_t dst_bit0,
-                  const std::uint64_t* src, std::size_t src_bit0,
-                  std::size_t nbits);
-
 // ------------------------------------------------------- shuffle datapath
 
 /// Advances one shuffle buffer `n` cycles, word-parallel, in place.

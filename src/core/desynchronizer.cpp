@@ -1,12 +1,14 @@
 #include "core/desynchronizer.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 namespace sc::core {
 
 Desynchronizer::Desynchronizer(Config config) : config_(config) {
-  assert(config_.depth >= 1);
+  if (config_.depth == 0) {
+    throw std::invalid_argument("core::Desynchronizer: depth must be >= 1");
+  }
   save_from_x_ = config_.prefer_x_first;
 }
 

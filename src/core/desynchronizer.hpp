@@ -33,7 +33,8 @@ namespace sc::core {
 class Desynchronizer final : public PairTransform {
  public:
   struct Config {
-    /// Maximum number of saved 1s held at once (D >= 1, across both sides).
+    /// Maximum number of saved 1s held at once (D >= 1, across both sides;
+    /// 0 makes the constructor throw std::invalid_argument).
     unsigned depth = 1;
     /// Enable end-of-stream flush (requires begin_stream() / apply()).
     bool flush = false;

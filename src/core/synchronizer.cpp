@@ -1,9 +1,9 @@
 #include "core/synchronizer.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
 
 namespace sc::core {
 
@@ -20,7 +20,9 @@ int credit_bound(unsigned depth) {
 }  // namespace
 
 Synchronizer::Synchronizer(Config config) : config_(config) {
-  assert(config_.depth >= 1);
+  if (config_.depth == 0) {
+    throw std::invalid_argument("core::Synchronizer: depth must be >= 1");
+  }
   const int depth = credit_bound(config_.depth);
   config_.initial_credit =
       std::clamp(config_.initial_credit, -depth, depth);

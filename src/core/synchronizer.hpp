@@ -34,7 +34,8 @@ namespace sc::core {
 class Synchronizer final : public PairTransform {
  public:
   struct Config {
-    /// Maximum number of unpaired bits saved per side (D >= 1).
+    /// Maximum number of unpaired bits saved per side (D >= 1; 0 makes
+    /// the constructor throw std::invalid_argument).
     unsigned depth = 1;
     /// Enable end-of-stream flush (requires begin_stream() / apply()).
     bool flush = false;

@@ -61,9 +61,9 @@ class ChunkSource {
 /// Comparator-SNG source: bit i is (source.next() < level), the paper's
 /// Fig. 2g generator, produced lazily so the stream never materializes.
 /// Each chunk is packed by one RandomSource::fill_compare call, so
-/// generation rides the source's word API (SIMD-packed block fills, or
-/// ring replay for LFSRs) and keeps pace with the word-parallel kernels
-/// downstream.
+/// generation rides the source's word API (SIMD-packed block fills, which
+/// an LFSR of up to 16 bits copies from its width's shared orbit table)
+/// and keeps pace with the word-parallel kernels downstream.
 class SngChunkSource final : public ChunkSource {
  public:
   /// \param source owned RNG; \param level in [0, 2^source->width()] —

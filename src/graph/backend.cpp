@@ -651,6 +651,9 @@ template <typename Inner>
 ExecutionResult run_with_optimizer(const Program& program,
                                    const ProgramPlan& plan,
                                    const ExecConfig& config, Inner inner) {
+  // Throws std::invalid_argument outside 3..32, before the analyzer or a
+  // backend computes 1 << width (a 64-bit shift by >= 64 is UB).
+  (void)rng::Lfsr::maximal_taps(config.width);
   if (config.analyze) analyze_or_throw(program, plan, config);
   if (!config.optimize) return inner(program, plan);
   opt::OptConfig opt_config;

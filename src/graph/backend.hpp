@@ -52,7 +52,7 @@ namespace sc::graph {
 /// Execution parameters.
 struct ExecConfig {
   std::size_t stream_length = 256;
-  unsigned width = 8;          ///< SNG comparator width
+  unsigned width = 8;          ///< SNG comparator width (3..32)
   std::uint32_t seed = 3;      ///< base seed of the derivation scheme
   unsigned sync_depth = 2;     ///< depth of inserted (de)synchronizers
   std::size_t shuffle_depth = 8;

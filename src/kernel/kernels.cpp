@@ -40,8 +40,9 @@ constexpr std::size_t kRngBlock = 4096;
 
 /// Largest TFM precision served by the word-parallel datapath: the aux
 /// source width equals the precision (tfm.hpp contract), so estimates fit
-/// 16-bit trace entries and aux draws fit a byte ring.  Higher precisions
-/// run the per-cycle table path.
+/// 16-bit trace entries and aux draws fit a byte (an LFSR serves them from
+/// its width's shared orbit byte table).  Higher precisions run the
+/// per-cycle table path.
 constexpr unsigned kMaxWordTfmPrecision = 8;
 
 /// Word-parallel eligibility for a shuffle depth: the slot-class PEXT/PDEP

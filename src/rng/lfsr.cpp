@@ -1,8 +1,8 @@
 #include "rng/lfsr.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
-#include "common/simd.hpp"
 #include <cstring>
 #include <map>
 #include <memory>
@@ -10,7 +10,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
+
+#include "common/simd.hpp"
 
 namespace sc::rng {
 namespace {
@@ -67,53 +70,94 @@ inline std::uint32_t fib_step(std::uint32_t state, std::uint32_t taps,
   return ((state << 1) | feedback) & mask;
 }
 
-/// Lanes advanced in parallel by fill(): the register update is linear
-/// over GF(2), so "advance kLeapLanes steps" is a matrix A^kLeapLanes that
-/// byte-sliced tables apply in 4 lookups + 3 XORs.  Eight lanes starting
-/// at consecutive offsets then emit the exact next()-sequence without the
-/// per-step feedback dependency chain, which is what makes block fills
-/// several times faster than serial stepping.
-constexpr unsigned kLeapLanes = 8;
+/// Widths whose state cycle is stored as an orbit table (2^16 - 1 states,
+/// 128 KiB of states plus 128 KiB of positions at the top width).
+constexpr unsigned kMaxOrbitWidth = 16;
 
-struct LeapTable {
-  std::uint32_t bytes[4][256];
-
-  [[nodiscard]] std::uint32_t advance(std::uint32_t state) const {
-    return bytes[0][state & 0xFFu] ^ bytes[1][(state >> 8) & 0xFFu] ^
-           bytes[2][(state >> 16) & 0xFFu] ^ bytes[3][state >> 24];
-  }
+/// One period of a width's state cycle starting at state 1, and each
+/// state's position on it (index[states[k]] == k).
+struct Orbit {
+  std::vector<std::uint16_t> states;
+  std::vector<std::uint16_t> index;
 };
 
-/// Jump-ahead tables per register width (taps and mask are functions of
-/// the width, so the cache key is just the width).
-const LeapTable& leap_table(unsigned width, std::uint32_t taps,
-                            std::uint32_t mask) {
-  static std::mutex mutex;
-  static std::map<unsigned, std::unique_ptr<const LeapTable>> cache;
-  std::lock_guard<std::mutex> lock(mutex);
-  auto it = cache.find(width);
-  if (it != cache.end()) return *it->second;
-
-  auto table = std::make_unique<LeapTable>();
-  std::uint32_t column[32] = {};
-  for (unsigned bit = 0; bit < width; ++bit) {
-    std::uint32_t s = std::uint32_t{1} << bit;
-    for (unsigned k = 0; k < kLeapLanes; ++k) s = fib_step(s, taps, mask);
-    column[bit] = s;
+Orbit build_orbit(unsigned width) {
+  const std::uint32_t taps = kTapTable[width];
+  const std::uint32_t mask = (std::uint32_t{1} << width) - 1;
+  Orbit orbit;
+  orbit.states.resize(mask);
+  orbit.index.assign(std::size_t{mask} + 1, 0);
+  std::uint32_t k = 0;
+  std::uint32_t s = 1;
+  do {
+    orbit.states[k] = static_cast<std::uint16_t>(s);
+    orbit.index[s] = static_cast<std::uint16_t>(k);
+    s = fib_step(s, taps, mask);
+  } while (s != 1 && ++k < mask);
+  // Maximal taps return to state 1 after exactly 2^w - 1 steps, having
+  // visited every nonzero state once.
+  if (s != 1 || k + 1 != mask) {
+    throw std::logic_error("rng::Lfsr: width-" + std::to_string(width) +
+                           " taps do not give one cycle of 2^w - 1 states");
   }
-  for (unsigned k = 0; k < 4; ++k) {
-    for (unsigned b = 0; b < 256; ++b) {
-      std::uint32_t v = 0;
-      for (unsigned j = 0; j < 8; ++j) {
-        const unsigned bit = k * 8 + j;
-        if (((b >> j) & 1u) != 0 && bit < width) v ^= column[bit];
-      }
-      table->bytes[k][b] = v;
+  return orbit;
+}
+
+/// The process-wide orbit of a width (<= kMaxOrbitWidth), built on first
+/// use.
+const Orbit& orbit(unsigned width) {
+  static std::array<std::once_flag, kMaxOrbitWidth + 1> once;
+  static std::array<Orbit, kMaxOrbitWidth + 1> orbits;
+  std::call_once(once[width], [width] { orbits[width] = build_orbit(width); });
+  return orbits[width];
+}
+
+/// Output rotation of a register state; exact for rotation 0 as well,
+/// since width <= kMaxOrbitWidth keeps every shift below 32.
+inline std::uint32_t rotate_out(std::uint32_t s, unsigned rotation,
+                                unsigned width, std::uint32_t mask) {
+  return ((s >> rotation) | (s << (width - rotation))) & mask;
+}
+
+/// Walks the n orbit positions that start at `state` in runs that stop at
+/// the wrap, calling copy(done, pos, take) for each run; returns the state
+/// n steps on.
+template <typename Copy>
+std::uint32_t walk(const Orbit& orbit, std::uint32_t state, std::size_t n,
+                   Copy&& copy) {
+  const std::size_t period = orbit.states.size();
+  std::size_t pos = orbit.index[state];
+  for (std::size_t done = 0; done < n;) {
+    const std::size_t take = std::min(n - done, period - pos);
+    copy(done, pos, take);
+    done += take;
+    pos += take;
+    if (pos == period) pos = 0;
+  }
+  return orbit.states[pos];
+}
+
+/// Shared table of rotate_out(states[k]) % bound along a width's orbit,
+/// one per (width, rotation, bound), built on first use; bound 256 keeps
+/// the raw value of registers up to 8 bits wide.
+const std::uint8_t* orbit_bytes(unsigned width, unsigned rotation,
+                                std::uint32_t bound) {
+  const Orbit& o = orbit(width);
+  static std::mutex mutex;
+  static std::map<std::tuple<unsigned, unsigned, std::uint32_t>,
+                  std::vector<std::uint8_t>>
+      tables;
+  std::lock_guard<std::mutex> lock(mutex);
+  std::vector<std::uint8_t>& table = tables[{width, rotation, bound}];
+  if (table.empty()) {
+    const std::uint32_t mask = (std::uint32_t{1} << width) - 1;
+    table.resize(o.states.size());
+    for (std::size_t k = 0; k < o.states.size(); ++k) {
+      table[k] = static_cast<std::uint8_t>(
+          rotate_out(o.states[k], rotation, width, mask) % bound);
     }
   }
-  const LeapTable& ref = *table;
-  cache.emplace(width, std::move(table));
-  return ref;
+  return table.data();
 }
 
 /// Returns `width` if kTapTable has taps for it (3..32); throws otherwise.
@@ -131,28 +175,6 @@ std::uint32_t Lfsr::maximal_taps(unsigned width) {
   return kTapTable[checked_width(width)];
 }
 
-/// Memoized period of the register: `vals` holds one full cycle of emitted
-/// values starting from the state the ring was built at, plus lazily-derived
-/// replay caches (packed comparator bits for one level, reduced address
-/// bytes for one bound, narrowed raw bytes).  The derived caches are keyed
-/// by the parameter they were built for and rebuilt on change — in practice
-/// each register instance serves one SNG level or one shuffle depth for its
-/// whole life, so each cache is built once.
-struct Lfsr::Ring {
-  std::vector<std::uint16_t> vals;  ///< one period, rotation applied
-  std::size_t period = 0;
-
-  std::vector<std::uint64_t> cmp;  ///< bit i = vals[i] < cmp_level
-  std::uint64_t cmp_level = 0;
-  bool cmp_ready = false;
-
-  std::vector<std::uint8_t> idx;  ///< vals[i] % idx_bound
-  std::uint32_t idx_bound = 0;
-
-  std::vector<std::uint8_t> bytes;  ///< vals narrowed (width <= 8 only)
-  bool bytes_ready = false;
-};
-
 Lfsr::Lfsr(unsigned width, std::uint32_t seed, unsigned rotation)
     : width_(checked_width(width)),
       rotation_(rotation % width_),
@@ -164,174 +186,35 @@ Lfsr::Lfsr(unsigned width, std::uint32_t seed, unsigned rotation)
   state_ = seed;
 }
 
-Lfsr::Lfsr(const Lfsr& other)
-    : width_(other.width_),
-      rotation_(other.rotation_),
-      taps_(other.taps_),
-      seed_(other.seed_),
-      state_(other.state_),
-      mask_(other.mask_),
-      ring_(other.ring_ ? std::make_unique<Ring>(*other.ring_) : nullptr),
-      word_demand_(other.word_demand_),
-      ring_failed_(other.ring_failed_),
-      ring_pos_(other.ring_pos_),
-      ring_pos_state_(other.ring_pos_state_),
-      ring_pos_valid_(other.ring_pos_valid_) {}
-
-Lfsr::~Lfsr() = default;
-
-bool Lfsr::ring_ready(std::size_t demand) {
-  if (ring_) return true;
-  if (ring_failed_ || width_ > 16) return false;
-  word_demand_ += demand;
-  if (word_demand_ < mask_) return false;
-  build_ring();
-  return ring_ != nullptr;
-}
-
-void Lfsr::build_ring() {
-  const std::uint32_t start = state_;
-  auto ring = std::make_unique<Ring>();
-  ring->vals.reserve(mask_);
-  std::uint32_t s = start;
-  do {
-    if (ring->vals.size() >= mask_ && s != start) {
-      // More states than the register has nonzero values without closing
-      // the cycle: the orbit is not purely periodic from here (cannot
-      // happen with the maximal-tap table, but guard rather than trust).
-      ring_failed_ = true;
-      return;
-    }
-    ring->vals.push_back(static_cast<std::uint16_t>(emit(s)));
-    s = fib_step(s, taps_, mask_);
-  } while (s != start);
-  ring->period = ring->vals.size();
-  ring_ = std::move(ring);
-  ring_pos_ = 0;
-  ring_pos_state_ = start;
-  ring_pos_valid_ = true;
-}
-
-bool Lfsr::sync_ring_pos() {
-  if (ring_pos_valid_ && ring_pos_state_ == state_) return true;
-  // The register was stepped (next()) or reset since the last word call:
-  // find the current state on the ring.  Emitted values are distinct on
-  // the orbit (states are distinct and the rotation is a bijection), so
-  // the scan is unambiguous.
-  const std::uint16_t want = static_cast<std::uint16_t>(emit(state_));
-  const auto& vals = ring_->vals;
-  for (std::size_t i = 0; i < vals.size(); ++i) {
-    if (vals[i] == want) {
-      ring_pos_ = i;
-      ring_pos_state_ = state_;
-      ring_pos_valid_ = true;
-      return true;
-    }
-  }
-  return false;  // off-orbit state: serve this call through the base path
-}
-
-void Lfsr::advance_ring(std::size_t n) {
-  ring_pos_ = (ring_pos_ + n) % ring_->period;
-  state_ = unemit(ring_->vals[ring_pos_]);
-  ring_pos_state_ = state_;
-  ring_pos_valid_ = true;
-}
-
-void Lfsr::fill_compare(std::uint64_t* words, std::size_t nbits,
-                        std::uint64_t level) {
-  if (nbits == 0) return;
-  if (!ring_ready(nbits) || !sync_ring_pos()) {
-    RandomSource::fill_compare(words, nbits, level);
-    return;
-  }
-  Ring& ring = *ring_;
-  if (level >= range()) {
-    // All-ones output; just move the cursor nbits values forward.
-    std::size_t w = 0;
-    for (; (w + 1) * 64 <= nbits; ++w) words[w] = ~std::uint64_t{0};
-    if (nbits % 64 != 0) words[w] |= (std::uint64_t{1} << (nbits % 64)) - 1;
-    advance_ring(nbits);
-    return;
-  }
-  if (!ring.cmp_ready || ring.cmp_level != level) {
-    ring.cmp.assign((ring.period + 63) / 64, 0);
-    for (std::size_t i = 0; i < ring.period; ++i) {
-      ring.cmp[i >> 6] |=
-          static_cast<std::uint64_t>(ring.vals[i] < level ? 1 : 0) << (i & 63);
-    }
-    ring.cmp_level = level;
-    ring.cmp_ready = true;
-  }
-  std::size_t done = 0;
-  std::size_t pos = ring_pos_;
-  while (done < nbits) {
-    const std::size_t take =
-        nbits - done < ring.period - pos ? nbits - done : ring.period - pos;
-    simd::or_copy_bits(words, done, ring.cmp.data(), pos, take);
-    pos += take;
-    if (pos == ring.period) pos = 0;
-    done += take;
-  }
-  advance_ring(nbits);
-}
-
 void Lfsr::fill_compare_trace(std::uint64_t* words, const std::uint16_t* thresh,
                               std::size_t nbits) {
-  if (nbits == 0) return;
-  if (width_ > 8 || !ring_ready(nbits) || !sync_ring_pos()) {
+  if (width_ > 8) {
     RandomSource::fill_compare_trace(words, thresh, nbits);
     return;
   }
-  Ring& ring = *ring_;
-  if (!ring.bytes_ready) {
-    ring.bytes.assign(ring.vals.begin(), ring.vals.end());
-    ring.bytes_ready = true;
-  }
   constexpr std::size_t kBlock = 4096;
   std::uint8_t tmp[kBlock];
-  std::size_t pos = ring_pos_;
   for (std::size_t i = 0; i < nbits; i += kBlock) {
-    const std::size_t n = nbits - i < kBlock ? nbits - i : kBlock;
-    std::size_t got = 0;
-    while (got < n) {
-      const std::size_t take =
-          n - got < ring.period - pos ? n - got : ring.period - pos;
-      std::memcpy(tmp + got, ring.bytes.data() + pos, take);
-      pos += take;
-      if (pos == ring.period) pos = 0;
-      got += take;
-    }
+    const std::size_t n = std::min(nbits - i, kBlock);
+    Lfsr::fill_indices(tmp, n, 256);  // bound 256 keeps the raw value
     simd::pack_compare_trace_u8(tmp, thresh + i, n, words + i / 64);
   }
-  advance_ring(nbits);
 }
 
 void Lfsr::fill_indices(std::uint8_t* out, std::size_t n, std::uint32_t bound) {
-  if (n == 0) return;
-  if (!ring_ready(n) || !sync_ring_pos()) {
+  if (width_ > kMaxOrbitWidth) {
     RandomSource::fill_indices(out, n, bound);
     return;
   }
-  Ring& ring = *ring_;
-  if (ring.idx_bound != bound) {
-    ring.idx.resize(ring.period);
-    for (std::size_t i = 0; i < ring.period; ++i) {
-      ring.idx[i] = static_cast<std::uint8_t>(ring.vals[i] % bound);
-    }
-    ring.idx_bound = bound;
+  if (bytes_bound_ != bound) {  // the table lock is taken once per bound
+    bytes_ = orbit_bytes(width_, rotation_, bound);
+    bytes_bound_ = bound;
   }
-  std::size_t done = 0;
-  std::size_t pos = ring_pos_;
-  while (done < n) {
-    const std::size_t take =
-        n - done < ring.period - pos ? n - done : ring.period - pos;
-    std::memcpy(out + done, ring.idx.data() + pos, take);
-    pos += take;
-    if (pos == ring.period) pos = 0;
-    done += take;
-  }
-  advance_ring(n);
+  const std::uint8_t* bytes = bytes_;
+  state_ = walk(orbit(width_), state_, n,
+                [&](std::size_t done, std::size_t pos, std::size_t take) {
+                  std::memcpy(out + done, bytes + pos, take);
+                });
 }
 
 std::uint32_t Lfsr::next() {
@@ -344,40 +227,26 @@ std::uint32_t Lfsr::next() {
 }
 
 void Lfsr::fill(std::uint32_t* out, std::size_t n) {
-  std::uint32_t state = state_;
-  const std::uint32_t taps = taps_;
-  const std::uint32_t mask = mask_;
+  if (width_ > kMaxOrbitWidth) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = next();
+    return;
+  }
+  const Orbit& o = orbit(width_);
+  const std::uint16_t* states = o.states.data();
   const unsigned rot = rotation_;
-  const unsigned inv = width_ - rot;
-  const auto emit = [rot, inv, mask](std::uint32_t s) {
-    return rot == 0 ? s : (((s >> rot) | (s << inv)) & mask);
-  };
-
-  std::size_t i = 0;
-  if (n >= 4 * kLeapLanes) {
-    // Jump-ahead path: lane j holds the register kLeapLanes*r + j steps
-    // ahead of state_, so each round emits kLeapLanes in-order values and
-    // advances every lane independently (no cross-lane dependency chain).
-    const LeapTable& leap = leap_table(width_, taps, mask);
-    std::uint32_t lane[kLeapLanes];
-    lane[0] = state;
-    for (unsigned j = 1; j < kLeapLanes; ++j) {
-      lane[j] = fib_step(lane[j - 1], taps, mask);
-    }
-    for (; i + kLeapLanes <= n; i += kLeapLanes) {
-      for (unsigned j = 0; j < kLeapLanes; ++j) out[i + j] = emit(lane[j]);
-      for (unsigned j = 0; j < kLeapLanes; ++j) {
-        lane[j] = leap.advance(lane[j]);
-      }
-    }
-    state = lane[0];  // register after i = (n / kLeapLanes) * kLeapLanes steps
-  }
-  // Serial path: short fills and the sub-lane tail.
-  for (; i < n; ++i) {
-    out[i] = emit(state);
-    state = fib_step(state, taps, mask);
-  }
-  state_ = state;
+  const unsigned width = width_;
+  const std::uint32_t mask = mask_;
+  state_ = walk(o, state_, n,
+                [&](std::size_t done, std::size_t pos, std::size_t take) {
+                  if (rot == 0) {  // widening copy: several times faster
+                    std::copy_n(states + pos, take, out + done);
+                    return;
+                  }
+                  for (std::size_t i = 0; i < take; ++i) {
+                    out[done + i] =
+                        rotate_out(states[pos + i], rot, width, mask);
+                  }
+                });
 }
 
 std::unique_ptr<RandomSource> Lfsr::clone() const {

@@ -39,8 +39,8 @@ class RandomSource {
   // Word API: the RNG hot paths of the word-parallel kernels.  Each call
   // is sequence-identical to drawing nbits/n values with next() and
   // post-processing them; the defaults (random_source.cpp) block-fill and
-  // route through the SIMD shim, and sources with replayable structure
-  // (rng::Lfsr) override them with word-at-a-time implementations.  The
+  // route through the SIMD shim, and rng::Lfsr overrides the index and
+  // trace calls with copies from its width's shared orbit tables.  The
   // packed outputs place bit i at words[i/64] bit i%64; callers pass
   // zeroed destinations (bits are OR-ed in) and word-aligned starts.
 

@@ -11,6 +11,7 @@
 #include <random>
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "engine/session.hpp"
@@ -230,30 +231,55 @@ TEST(Backends, EngineRunsLongStreamsWithoutMaterializing) {
 
 TEST(Backends, InvalidWidthsAndShuffleDepthsThrow) {
   // Run unchecked, these give plausible-looking wrong values in Release:
-  // multiply(0.6, 0.3) reads ~1.0 at widths 2 and 33, and a depth-0
-  // decorrelator is a wire.
+  // multiply(0.6, 0.3) reads ~1.0 at widths 2 and 33, a depth-0
+  // decorrelator is a wire, and so are depth-0 (de)synchronizers:
+  // max(0.6, 0.3) and saturating-add(0.6, 0.3) both read 0.73 at 4096
+  // bits (exact 0.6 and 0.9).  Widths >= 64 must throw before anything
+  // shifts by them (analyzer included).
   EXPECT_THROW(rng::Lfsr(0), std::invalid_argument);
 
-  GraphBuilder b;
-  const Value x = b.input("x", 0.6, 0);
-  const Value y = b.input("y", 0.3, 0);  // same group: needs a decorrelator
-  b.output(b.op("multiply", {x, y}));
-  const Program p = b.build();
-  const ProgramPlan plan = plan_program(p, Strategy::kManipulation);
+  // One op over x and y; y on x's RNG group or on its own.
+  const auto planned = [](const char* op, unsigned y_group, FixKind fix) {
+    GraphBuilder b;
+    const Value x = b.input("x", 0.6, 0);
+    const Value y = b.input("y", 0.3, y_group);
+    b.output(b.op(op, {x, y}));
+    Program p = b.build();
+    ProgramPlan plan = plan_program(p, Strategy::kManipulation);
+    EXPECT_TRUE(std::any_of(plan.fixes.begin(), plan.fixes.end(),
+                            [&](const PairFix& f) { return f.fix == fix; }))
+        << op;
+    return std::pair{std::move(p), std::move(plan)};
+  };
+  const auto [p, plan] = planned("multiply", 0, FixKind::kDecorrelator);
+  const auto [max_p, max_plan] = planned("max", 1, FixKind::kSynchronizer);
+  const auto [add_p, add_plan] =
+      planned("saturating-add", 1, FixKind::kDesynchronizer);
 
   for (const BackendKind kind :
        {BackendKind::kReference, BackendKind::kKernel, BackendKind::kEngine}) {
     const auto backend = make_backend(kind);
-    for (const unsigned width : {2u, 33u}) {
+    for (const unsigned width : {2u, 33u, 64u, 100u}) {
       ExecConfig config;
       config.width = width;
       EXPECT_THROW(backend->run(p, plan, config), std::invalid_argument)
           << backend->name() << " width " << width;
     }
+    ExecConfig analyzed;
+    analyzed.width = 64;
+    analyzed.analyze = true;
+    EXPECT_THROW(backend->run(p, plan, analyzed), std::invalid_argument)
+        << backend->name() << " analyzed width 64";
     ExecConfig config;
     config.shuffle_depth = 0;
     EXPECT_THROW(backend->run(p, plan, config), std::invalid_argument)
         << backend->name() << " shuffle depth 0";
+    config = ExecConfig{};
+    config.sync_depth = 0;
+    EXPECT_THROW(backend->run(max_p, max_plan, config), std::invalid_argument)
+        << backend->name() << " synchronizer depth 0";
+    EXPECT_THROW(backend->run(add_p, add_plan, config), std::invalid_argument)
+        << backend->name() << " desynchronizer depth 0";
   }
 }
 

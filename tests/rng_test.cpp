@@ -5,12 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
+#include <latch>
 #include <set>
+#include <thread>
 #include <vector>
 
-#include "bitstream/bitstream.hpp"
-#include "bitstream/correlation.hpp"
 #include "rng/counter_source.hpp"
 #include "rng/factory.hpp"
 #include "rng/halton.hpp"
@@ -95,48 +94,6 @@ TEST(Lfsr, ClonePreservesState) {
   for (int i = 0; i < 7; ++i) lfsr.next();
   auto copy = lfsr.clone();
   for (int i = 0; i < 20; ++i) EXPECT_EQ(copy->next(), lfsr.next());
-}
-
-TEST(Lfsr, FillJumpAheadLanesMatchSerialAndStayPairwiseUncorrelated) {
-  // fill()'s block path advances 8 jump-ahead lanes in parallel; lane j
-  // emits the subsequence {out[8k + j]}.  Two obligations, audited here
-  // because the fault subsystem leans on fill-driven generation
-  // (SngChunkSource blocks feed every faulted chunked run, and resilience
-  // sweeps compare faulted against clean streams bit-for-bit):
-  //  1. the interleaved lanes must reproduce the serial next() sequence
-  //     exactly — any lane drift would silently shift faulted bits;
-  //  2. the lane-decimated subsequences must carry no structured pairwise
-  //     correlation, or per-lane consumers would inherit it.  Thresholded
-  //     m-sequence shifts ideally correlate at -1/(2^w - 1); the bound
-  //     here leaves sampling slack while still catching a broken leap
-  //     table (lockstep lanes hit |SCC| = 1).
-  constexpr std::size_t kLanes = 8;       // fill()'s kLeapLanes
-  constexpr std::size_t kPerLane = 2048;
-  for (const unsigned width : {8u, 12u, 16u}) {
-    Lfsr block(width, 0xACE1);
-    Lfsr serial(width, 0xACE1);
-    std::vector<std::uint32_t> buffer(kLanes * kPerLane);
-    block.fill(buffer.data(), buffer.size());
-    for (std::size_t i = 0; i < buffer.size(); ++i) {
-      ASSERT_EQ(buffer[i], serial.next()) << "width " << width << " i " << i;
-    }
-
-    const std::uint32_t level =
-        static_cast<std::uint32_t>((std::uint64_t{1} << width) / 2);
-    std::vector<sc::Bitstream> lane_bits(kLanes);
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      lane_bits[lane] = sc::Bitstream(kPerLane);
-      for (std::size_t k = 0; k < kPerLane; ++k) {
-        if (buffer[kLanes * k + lane] < level) lane_bits[lane].set(k, true);
-      }
-    }
-    for (std::size_t a = 0; a < kLanes; ++a) {
-      for (std::size_t b = a + 1; b < kLanes; ++b) {
-        EXPECT_LT(std::abs(sc::scc(lane_bits[a], lane_bits[b])), 0.1)
-            << "width " << width << " lanes " << a << " x " << b;
-      }
-    }
-  }
 }
 
 TEST(Lfsr, MaximalTapsKnownValues) {
@@ -341,11 +298,56 @@ void ExpectFillMatchesNext(const RandomSource& proto, std::size_t total) {
 TEST(FillEquivalence, AllSourcesMatchSerialNext) {
   ExpectFillMatchesNext(Lfsr(11, 5), 9000);
   ExpectFillMatchesNext(Lfsr(8, 3, 3), 2000);  // rotated output taps
+  // The graph operating point: more than one period, so fills cross the
+  // wrap of the width's orbit table at odd offsets.
+  ExpectFillMatchesNext(Lfsr(12, 0x5A5), 9000);
+  ExpectFillMatchesNext(Lfsr(16, 0xACE1, 3), 70000);
   ExpectFillMatchesNext(CounterSource(9, 17), 3000);
   ExpectFillMatchesNext(Mt19937Source(16, 42), 3000);
   ExpectFillMatchesNext(VanDerCorput(10), 3000);
   ExpectFillMatchesNext(Halton(10, 3), 3000);
   ExpectFillMatchesNext(Sobol(12, 2), 3000);
+}
+
+TEST(FillEquivalence, LfsrConcurrentFirstUseMatchesSerialNext) {
+  // Registers of one width race to build its orbit table and the shared
+  // byte table for one bound (width 14 and bound 37 are used by no earlier
+  // test in this binary); each must still draw its own serial sequence.
+  constexpr unsigned kWidth = 14;
+  constexpr std::uint32_t kBound = 37;
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kDraws = 20000;
+  std::vector<std::vector<std::uint8_t>> got(kThreads,
+                                             std::vector<std::uint8_t>(kDraws));
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      Lfsr lfsr(kWidth, static_cast<std::uint32_t>(977 * t + 1), 5);
+      lfsr.fill_indices(got[t].data(), kDraws, kBound);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    Lfsr serial(kWidth, static_cast<std::uint32_t>(977 * t + 1), 5);
+    for (std::size_t i = 0; i < kDraws; ++i) {
+      ASSERT_EQ(got[t][i], serial.next() % kBound)
+          << "thread " << t << " draw " << i;
+    }
+  }
+}
+
+TEST(FillEquivalence, LfsrFillMatchesNextAtEveryWidth) {
+  // Widths up to 16 copy windows of the shared orbit table (past one full
+  // period here, so every width crosses its wrap); wider registers step.
+  for (unsigned width = 3; width <= 32; ++width) {
+    const std::size_t total =
+        width <= 16 ? (std::size_t{1} << width) + 100 : 5000;
+    for (const unsigned rotation : {0u, width / 3}) {
+      ExpectFillMatchesNext(Lfsr(width, 0xACE1, rotation), total);
+    }
+  }
 }
 
 TEST(FillEquivalence, FillResumesMidSequence) {
@@ -380,6 +382,9 @@ class WordApi : public ::testing::TestWithParam<const char*> {
     const std::string kind = GetParam();
     if (kind == "lfsr") return std::make_unique<Lfsr>(11, 5);
     if (kind == "lfsr-rot") return std::make_unique<Lfsr>(8, 3, 3);
+    if (kind == "lfsr12") return std::make_unique<Lfsr>(12, 0x5A5);
+    // Rotation 3 is the decorrelator's second buffer at the graph width.
+    if (kind == "lfsr16-rot") return std::make_unique<Lfsr>(16, 0xACE1, 3);
     if (kind == "counter") return std::make_unique<CounterSource>(9, 100);
     if (kind == "mt") return std::make_unique<Mt19937Source>(16, 7);
     if (kind == "vdc") return std::make_unique<VanDerCorput>(10);
@@ -392,9 +397,9 @@ TEST_P(WordApi, FillCompareMatchesSerialAcrossOddSplits) {
   const auto src = make();
   const auto ref = src->clone();
   const std::uint64_t level = src->range() / 3;
-  // Total deliberately exceeds an 11-bit LFSR period (2047) several times
-  // so the ring-replay path engages and wraps.
-  static constexpr std::size_t kSplits[] = {1, 63, 65, 4096, 7000};
+  // The total exceeds a 16-bit LFSR period (65535), so the odd-offset
+  // splits cross the wrap of every LFSR source's orbit table.
+  static constexpr std::size_t kSplits[] = {1, 63, 65, 4096, 7000, 60001};
   std::size_t total = 0;
   for (const std::size_t n : kSplits) total += n;
   std::vector<std::uint64_t> got((total + 63) / 64, 0);
@@ -429,9 +434,11 @@ TEST_P(WordApi, FillCompareFullScaleLevelIsAllOnesAndAdvances) {
 TEST_P(WordApi, FillIndicesMatchesSerialModulo) {
   const auto src = make();
   const auto ref = src->clone();
-  static constexpr std::uint32_t kBounds[] = {1, 2, 17, 255};
+  // Bound 9 is a depth-8 shuffle buffer's address range; the five draws
+  // together run past a 16-bit period.
+  static constexpr std::uint32_t kBounds[] = {1, 2, 9, 17, 255};
   for (const std::uint32_t bound : kBounds) {
-    std::vector<std::uint8_t> got(5000);
+    std::vector<std::uint8_t> got(14001);
     src->fill_indices(got.data(), got.size(), bound);
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i], static_cast<std::uint8_t>(ref->next() % bound))
@@ -443,7 +450,7 @@ TEST_P(WordApi, FillIndicesMatchesSerialModulo) {
 TEST_P(WordApi, FillCompareTraceMatchesSerialSignedCompare) {
   const auto src = make();
   const auto ref = src->clone();
-  const std::size_t n = 6000;
+  const std::size_t n = 70001;
   std::vector<std::uint16_t> thresh(n);
   for (std::size_t i = 0; i < n; ++i) {
     thresh[i] = static_cast<std::uint16_t>((i * 37) % 300);
@@ -459,7 +466,7 @@ TEST_P(WordApi, FillCompareTraceMatchesSerialSignedCompare) {
 
 TEST_P(WordApi, WordCallsInterleaveWithSerialDraws) {
   // Mixing next() between word calls must keep the shared sequence position
-  // (the LFSR ring replay has to resynchronize its cursor).
+  // (an LFSR's orbit window starts wherever next() left the register).
   const auto src = make();
   const auto ref = src->clone();
   const std::uint64_t level = src->range() / 2;
@@ -477,12 +484,13 @@ TEST_P(WordApi, WordCallsInterleaveWithSerialDraws) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSources, WordApi,
-                         ::testing::Values("lfsr", "lfsr-rot", "counter", "mt",
+                         ::testing::Values("lfsr", "lfsr-rot", "lfsr12",
+                                           "lfsr16-rot", "counter", "mt",
                                            "vdc", "halton", "sobol"));
 
-TEST(WordApi, LfsrClonePreservesRingPosition) {
-  // Drive the LFSR far past its period so the replay ring is built, then
-  // clone mid-ring: the copy must continue the identical sequence.
+TEST(WordApi, LfsrClonePreservesPosition) {
+  // Drive the LFSR past its period through the word API, then clone it
+  // mid-sequence: the copy must continue the identical sequence.
   Lfsr lfsr(8, 5);
   std::vector<std::uint64_t> words(20, 0);
   lfsr.fill_compare(words.data(), 1200, 100);
