@@ -14,6 +14,7 @@
 #include "bitstream/encoding.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "rng/lfsr.hpp"
 
 namespace sc::analysis {
 
@@ -305,7 +306,11 @@ class Analyzer {
  public:
   Analyzer(const graph::Program& program, const graph::ProgramPlan& plan,
            const AnalyzerConfig& config)
-      : program_(program), plan_(plan), config_(config) {}
+      : program_(program), plan_(plan), config_(config) {
+    // Throws std::invalid_argument outside 3..32, as every backend does,
+    // before compute_facts() shifts by the width.
+    (void)rng::Lfsr::maximal_taps(config.width);
+  }
 
   AnalysisReport run(bool diagnostics_wanted) {
     compute_facts();

@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "bitstream/encoding.hpp"
+#include "rng/lfsr.hpp"
 
 namespace sc::analysis {
 
@@ -132,6 +133,9 @@ class Interpreter {
   Interpreter(const AnalysisReport& facts, const graph::Program& program,
               const graph::ProgramPlan& plan, const AnalyzerConfig& config)
       : facts_(facts), program_(program), plan_(plan), config_(config) {
+    // Throws std::invalid_argument outside 3..32, before leaf_abs() and
+    // tgen_residual() shift by the width.
+    (void)rng::Lfsr::maximal_taps(config.width);
     for (std::size_t i = 0; i < plan_.fixes.size(); ++i) {
       const PairFix& fix = plan_.fixes[i];
       pair_fix_[{fix.op_node, fix.operand_a, fix.operand_b}] = fix.fix;

@@ -41,12 +41,29 @@ Bitstream toggle_add(const Bitstream& x, const Bitstream& y);
 /// Per-cycle form of toggle_add.
 class ToggleAdder {
  public:
+  /// Result of one transition: the T flip-flop's next value and the output.
+  struct Transition {
+    bool toggle;
+    bool out;
+  };
+
+  /// Pure step function: (toggle, x, y) -> (toggle', sum bit).  Word
+  /// paths build the adder's transition table from it.
+  static Transition transition(bool toggle, bool x, bool y) {
+    if (x == y) return {toggle, x};
+    return {!toggle, !toggle};
+  }
+
   bool step(bool x, bool y) {
-    if (x == y) return x;
-    toggle_ = !toggle_;
-    return toggle_;
+    const Transition t = transition(toggle_, x, y);
+    toggle_ = t.toggle;
+    return t.out;
   }
   void reset() { toggle_ = false; }
+
+  /// The flip-flop, exposed so word paths can advance it themselves.
+  [[nodiscard]] bool state() const { return toggle_; }
+  void set_state(bool toggle) { toggle_ = toggle; }
 
  private:
   bool toggle_ = false;  // starts emitting 1 on the first differing cycle

@@ -17,15 +17,29 @@ namespace sc::arith {
 /// Per-cycle CORDIV divider element.
 class Cordiv {
  public:
+  /// Result of one transition: the flip-flop's next value and the output.
+  struct Transition {
+    bool held;
+    bool out;
+  };
+
+  /// Pure step function: (held, x, y) -> (held', quotient bit).  Word
+  /// paths build the divider's transition table from it.
+  static Transition transition(bool held, bool x, bool y) {
+    return y ? Transition{x, x} : Transition{held, held};
+  }
+
   /// Consumes one (x, y) bit pair, emits one quotient bit.
   bool step(bool x, bool y) {
-    if (y) {
-      held_ = x;
-      return x;
-    }
-    return held_;
+    const Transition t = transition(held_, x, y);
+    held_ = t.held;
+    return t.out;
   }
   void reset() { held_ = false; }
+
+  /// The flip-flop, exposed so word paths can advance it themselves.
+  [[nodiscard]] bool state() const { return held_; }
+  void set_state(bool held) { held_ = held; }
 
  private:
   bool held_ = false;  // last quotient bit sampled under y = 1

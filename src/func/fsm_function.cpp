@@ -1,23 +1,19 @@
 #include "func/fsm_function.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace sc::func {
 
 SaturatingCounter::SaturatingCounter(unsigned states)
     : states_(states), state_(states / 2) {
-  assert(states >= 2 && states % 2 == 0);
-}
-
-unsigned SaturatingCounter::step(bool up) {
-  if (up) {
-    if (state_ + 1 < states_) ++state_;
-  } else {
-    if (state_ > 0) --state_;
+  if (states < 2 || states % 2 != 0) {
+    throw std::invalid_argument(
+        "SaturatingCounter: state count must be even and >= 2 (got " +
+        std::to_string(states) + ")");
   }
-  return state_;
 }
 
 void SaturatingCounter::reset() { state_ = states_ / 2; }
@@ -40,6 +36,14 @@ double sexp_value(double v, unsigned states, unsigned g) {
   (void)states;  // the state count shapes the approximation, not the target
   if (v <= 0.0) return 1.0;
   return std::clamp(std::exp(-2.0 * static_cast<double>(g) * v), 0.0, 1.0);
+}
+
+Sexp::Sexp(unsigned states, unsigned g) : counter_(states), g_(g) {
+  if (g > states) {
+    throw std::invalid_argument("Sexp: g = " + std::to_string(g) +
+                                " exceeds the state count " +
+                                std::to_string(states));
+  }
 }
 
 Bitstream sexp(const Bitstream& x, unsigned states, unsigned g) {

@@ -25,12 +25,23 @@ namespace sc::func {
 /// Input 1 counts up, input 0 counts down, clamped to [0, states-1].
 class SaturatingCounter {
  public:
+  /// Throws std::invalid_argument unless `states` is even and >= 2.
   explicit SaturatingCounter(unsigned states);
 
+  /// Pure step function: the state after consuming `up` from `state`.
+  /// Word paths build the function units' transition tables from it.
+  static unsigned transition(unsigned states, unsigned state, bool up) {
+    if (up) return state + 1 < states ? state + 1 : state;
+    return state > 0 ? state - 1 : state;
+  }
+
   /// Consumes one input bit, returns the new state.
-  unsigned step(bool up);
+  unsigned step(bool up) { return state_ = transition(states_, state_, up); }
 
   [[nodiscard]] unsigned state() const { return state_; }
+  /// Moves the counter to `state` (< states()), so word paths can
+  /// advance it themselves.
+  void set_state(unsigned state) { state_ = state; }
   [[nodiscard]] unsigned states() const { return states_; }
   void reset();
 
@@ -45,9 +56,13 @@ class SaturatingCounter {
 class Stanh {
  public:
   explicit Stanh(unsigned states) : counter_(states) {}
-  bool step(bool in) {
-    return counter_.step(in) >= counter_.states() / 2;
+  bool step(bool in) { return output(counter_.step(in)); }
+  /// Output bit of the counter state a step lands in.
+  [[nodiscard]] bool output(unsigned state) const {
+    return state >= counter_.states() / 2;
   }
+  [[nodiscard]] SaturatingCounter& counter() { return counter_; }
+  [[nodiscard]] const SaturatingCounter& counter() const { return counter_; }
   void reset() { counter_.reset(); }
 
  private:
@@ -61,10 +76,16 @@ Bitstream stanh(const Bitstream& x, unsigned states);
 /// p(out) ~ exp(-2 g v) for bipolar v > 0 (Brown & Card's sexp).
 class Sexp {
  public:
-  Sexp(unsigned states, unsigned g) : counter_(states), g_(g) {}
-  bool step(bool in) {
-    return counter_.step(in) < counter_.states() - g_;
+  /// Throws std::invalid_argument for an invalid state count (see
+  /// SaturatingCounter) or g > states.
+  Sexp(unsigned states, unsigned g);
+  bool step(bool in) { return output(counter_.step(in)); }
+  /// Output bit of the counter state a step lands in.
+  [[nodiscard]] bool output(unsigned state) const {
+    return state < counter_.states() - g_;
   }
+  [[nodiscard]] SaturatingCounter& counter() { return counter_; }
+  [[nodiscard]] const SaturatingCounter& counter() const { return counter_; }
   void reset() { counter_.reset(); }
 
  private:

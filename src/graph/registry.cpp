@@ -2,15 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
 #include "arith/add.hpp"
 #include "arith/divide.hpp"
 #include "bitstream/encoding.hpp"
+#include "common/simd.hpp"
 #include "func/bernstein.hpp"
 #include "func/fsm_function.hpp"
 #include "hw/designs.hpp"
+#include "kernel/pair_table.hpp"
 #include "rng/lfsr.hpp"
 
 namespace sc::graph {
@@ -53,11 +56,73 @@ void OpEvaluator::process(sc::span<const Bitstream* const> ins,
   const std::size_t n = out.size();
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t k = 0; k < ins.size(); ++k) bits[k] = ins[k]->get(i);
-    if (step(bits)) out.set(i, true);
+    out.set(i, step(bits));
   }
 }
 
 namespace {
+
+using Word = Bitstream::Word;
+
+/// Cycles per block of the RNG-fed word paths: the select and coefficient
+/// draws of one block live in stack buffers.
+constexpr std::size_t kBlockBits = 4096;
+constexpr std::size_t kBlockWords = kBlockBits / 64;
+
+/// Word path of the half-weight MUX evaluators: per block, draws the
+/// select stream with one fill_compare (bit i = next_i < level, exactly
+/// step()'s compare) and writes out word i = pick(i, select word i).
+template <typename PickFn>
+void mux_words(rng::RandomSource& source, std::uint64_t level, Bitstream& out,
+               PickFn&& pick) {
+  Word* w = out.word_data();
+  Word sel[kBlockWords];
+  for (std::size_t pos = 0; pos < out.size(); pos += kBlockBits) {
+    const std::size_t n = std::min(kBlockBits, out.size() - pos);
+    const std::size_t words = (n + 63) / 64;
+    std::fill_n(sel, words, Word{0});
+    source.fill_compare(sel, n, level);
+    for (std::size_t k = 0; k < words; ++k) {
+      w[pos / 64 + k] = pick(pos / 64 + k, sel[k]);
+    }
+  }
+}
+
+/// Word path of the table-driven FSM evaluators: operands 0 and 1 (operand
+/// 0 twice for unary units) through kernel::run_pair_table, the X output
+/// lane into `out`.  Returns the successor state.
+unsigned run_fsm_words(const kernel::PairNibbleTable& table, unsigned state,
+                       sc::span<const Bitstream* const> ins, Bitstream& out) {
+  return kernel::run_pair_table(table, state, ins[0]->words().data(),
+                                ins[ins.size() - 1]->words().data(),
+                                out.word_data(), nullptr, out.size());
+}
+
+using TablePtr = std::shared_ptr<const kernel::PairNibbleTable>;
+
+/// Nibble table of a one-flip-flop cell (arith::Cordiv,
+/// arith::ToggleAdder), from the cell's pure transition.
+template <typename Cell>
+TablePtr flip_flop_table() {
+  return std::make_shared<const kernel::PairNibbleTable>(
+      kernel::PairNibbleTable::build(2, [](unsigned s, bool x, bool y) {
+        const auto [next, out] = Cell::transition(s != 0, x, y);
+        return kernel::PairStep{next ? 1u : 0u, out, false};
+      }));
+}
+
+/// Nibble table of a saturating-counter function unit (func::Stanh,
+/// func::Sexp), from the counter's pure transition and the unit's output
+/// rule.  The units are unary, so the Y lanes carry nothing.
+template <typename Unit>
+TablePtr counter_table(const Unit& unit) {
+  const unsigned states = unit.counter().states();
+  return std::make_shared<const kernel::PairNibbleTable>(
+      kernel::PairNibbleTable::build(states, [&](unsigned s, bool x, bool) {
+        const unsigned next = func::SaturatingCounter::transition(states, s, x);
+        return kernel::PairStep{next, unit.output(next), false};
+      }));
+}
 
 // ------------------------------------------------------------ evaluators
 
@@ -137,8 +202,6 @@ class NotEvaluator final : public OpEvaluator {
 
 /// MUX scaled add/subtract: out = sel ? Y : X with a private half-weight
 /// select stream (optionally inverting the Y leg for bipolar subtract).
-/// No word-parallel override: the select RNG advances one draw per cycle,
-/// so the default step() loop is the single source of the sequence.
 class MuxEvaluator final : public OpEvaluator {
  public:
   MuxEvaluator(const OpContext& ctx, bool invert_y)
@@ -151,48 +214,71 @@ class MuxEvaluator final : public OpEvaluator {
     return sel ? y : in[0];
   }
 
+  void process(sc::span<const Bitstream* const> ins,
+               Bitstream& out) override {
+    const Word* x = ins[0]->words().data();
+    const Word* y = ins[1]->words().data();
+    const Word flip = invert_y_ ? ~Word{0} : Word{0};
+    mux_words(*source_, half_, out, [&](std::size_t i, Word sel) {
+      return (x[i] & ~sel) | ((y[i] ^ flip) & sel);
+    });
+  }
+
  private:
   rng::RandomSourcePtr source_;
   std::uint64_t half_;
   bool invert_y_;
 };
 
-/// CORDIV divider (paper Fig. 2e) — stateful, bit-serial by definition.
-class CordivEvaluator final : public OpEvaluator {
+/// Two-operand cell with one flip-flop of state: the CORDIV divider (paper
+/// Fig. 2e) and the deterministic CA toggle adder (paper ref [9] class).
+/// Bit-serial by definition; the word path walks the cell's nibble table
+/// and leaves the flip-flop where step() would have.
+template <typename Cell>
+class FlipFlopEvaluator final : public OpEvaluator {
  public:
+  explicit FlipFlopEvaluator(TablePtr table) : table_(std::move(table)) {}
+
   bool step(const bool* in) override { return cell_.step(in[0], in[1]); }
 
+  void process(sc::span<const Bitstream* const> ins,
+               Bitstream& out) override {
+    cell_.set_state(run_fsm_words(*table_, cell_.state() ? 1u : 0u, ins,
+                                  out) != 0);
+  }
+
  private:
-  arith::Cordiv cell_;
+  TablePtr table_;
+  Cell cell_;
 };
 
-/// Deterministic CA toggle adder (paper ref [9] class).
-class ToggleAddEvaluator final : public OpEvaluator {
+using CordivEvaluator = FlipFlopEvaluator<arith::Cordiv>;
+using ToggleAddEvaluator = FlipFlopEvaluator<arith::ToggleAdder>;
+
+/// Brown–Card saturating-counter FSM functions (stanh / sexp); the word
+/// path walks the unit's nibble table and leaves the counter where step()
+/// would have.
+template <typename Unit>
+class CounterFnEvaluator final : public OpEvaluator {
  public:
-  bool step(const bool* in) override { return cell_.step(in[0], in[1]); }
+  CounterFnEvaluator(const Unit& unit, TablePtr table)
+      : table_(std::move(table)), unit_(unit) {}
+
+  bool step(const bool* in) override { return unit_.step(in[0]); }
+
+  void process(sc::span<const Bitstream* const> ins,
+               Bitstream& out) override {
+    func::SaturatingCounter& counter = unit_.counter();
+    counter.set_state(run_fsm_words(*table_, counter.state(), ins, out));
+  }
 
  private:
-  arith::ToggleAdder cell_;
+  TablePtr table_;
+  Unit unit_;
 };
 
-/// Brown–Card saturating-counter FSM functions (stanh / sexp).
-class StanhEvaluator final : public OpEvaluator {
- public:
-  explicit StanhEvaluator(unsigned states) : fsm_(states) {}
-  bool step(const bool* in) override { return fsm_.step(in[0]); }
-
- private:
-  func::Stanh fsm_;
-};
-
-class SexpEvaluator final : public OpEvaluator {
- public:
-  SexpEvaluator(unsigned states, unsigned g) : fsm_(states, g) {}
-  bool step(const bool* in) override { return fsm_.step(in[0]); }
-
- private:
-  func::Sexp fsm_;
-};
+using StanhEvaluator = CounterFnEvaluator<func::Stanh>;
+using SexpEvaluator = CounterFnEvaluator<func::Sexp>;
 
 /// ReSC/Bernstein unit: per cycle, the popcount of the n operand bits (the
 /// copies of x) selects one of n+1 coefficient streams, each generated by
@@ -222,6 +308,48 @@ class BernsteinEvaluator final : public OpEvaluator {
     return out;
   }
 
+  /// Per block: a bit-sliced count of the copy operands, then one
+  /// fill_compare per coefficient stream, kept where the count selects it.
+  void process(sc::span<const Bitstream* const> ins,
+               Bitstream& out) override {
+    static_assert(kMaxArity <= 16, "copy counts must fit four bit planes");
+    const std::size_t copies = sources_.size() - 1;
+    Word* w = out.word_data();
+    Word count[4][kBlockWords];
+    Word coef[kBlockWords];
+    for (std::size_t pos = 0; pos < out.size(); pos += kBlockBits) {
+      const std::size_t n = std::min(kBlockBits, out.size() - pos);
+      const std::size_t words = (n + 63) / 64;
+      const std::size_t base = pos / 64;
+      // Plane b holds bit b of every cycle's count: a ripple-carry add of
+      // each operand word.
+      for (Word* plane : count) std::fill_n(plane, words, Word{0});
+      for (std::size_t k = 0; k < copies; ++k) {
+        const Word* in = ins[k]->words().data() + base;
+        for (std::size_t i = 0; i < words; ++i) {
+          Word carry = in[i];
+          for (Word* plane : count) {
+            const Word next = plane[i] & carry;
+            plane[i] ^= carry;
+            carry = next;
+          }
+        }
+      }
+      std::fill_n(w + base, words, Word{0});
+      for (std::size_t j = 0; j <= copies; ++j) {
+        std::fill_n(coef, words, Word{0});
+        sources_[j]->fill_compare(coef, n, levels_[j]);
+        for (std::size_t i = 0; i < words; ++i) {
+          Word picked = coef[i];
+          for (unsigned b = 0; b < 4; ++b) {
+            picked &= ((j >> b) & 1u) != 0 ? count[b][i] : ~count[b][i];
+          }
+          w[base + i] |= picked;
+        }
+      }
+    }
+  }
+
  private:
   std::vector<rng::RandomSourcePtr> sources_;
   std::vector<std::uint64_t> levels_;
@@ -239,6 +367,39 @@ class GaussianBlurEvaluator final : public OpEvaluator {
     // Low 4 select bits address the 16-slot weight expansion.
     const std::uint32_t r = source_->next() & 15u;
     return in[kSelectTable[r]];
+  }
+
+  /// kSelectTable is non-decreasing, so operand k is picked exactly when
+  /// the select lies in [first_k, first_{k+1}): per block, its mask is the
+  /// difference of two threshold masks [r < t], each one shim pack.
+  void process(sc::span<const Bitstream* const> ins,
+               Bitstream& out) override {
+    static_assert(std::is_sorted(std::begin(kSelectTable),
+                                 std::end(kSelectTable)));
+    Word* w = out.word_data();
+    std::uint32_t r[kBlockBits];
+    Word below[kBlockWords];
+    Word prev[kBlockWords];
+    for (std::size_t pos = 0; pos < out.size(); pos += kBlockBits) {
+      const std::size_t n = std::min(kBlockBits, out.size() - pos);
+      const std::size_t words = (n + 63) / 64;
+      const std::size_t base = pos / 64;
+      source_->fill(r, n);
+      for (std::size_t i = 0; i < n; ++i) r[i] &= 15u;
+      std::fill_n(w + base, words, Word{0});
+      std::fill_n(prev, words, Word{0});
+      std::uint32_t end = 0;
+      for (std::size_t k = 0; k < ins.size(); ++k) {
+        while (end < 16 && kSelectTable[end] == k) ++end;
+        std::fill_n(below, words, Word{0});
+        simd::pack_compare_lt(r, n, end, below);
+        const Word* in = ins[k]->words().data() + base;
+        for (std::size_t i = 0; i < words; ++i) {
+          w[base + i] |= in[i] & below[i] & ~prev[i];
+          prev[i] = below[i];
+        }
+      }
+    }
   }
 
   static constexpr double kWeights[9] = {1, 2, 1, 2, 4, 2, 1, 2, 1};
@@ -266,6 +427,17 @@ class RobertsCrossEvaluator final : public OpEvaluator {
     const bool g1 = in[0] != in[3];
     const bool g2 = in[1] != in[2];
     return (source_->next() < half_) ? g2 : g1;
+  }
+
+  void process(sc::span<const Bitstream* const> ins,
+               Bitstream& out) override {
+    const Word* p00 = ins[0]->words().data();
+    const Word* p01 = ins[1]->words().data();
+    const Word* p10 = ins[2]->words().data();
+    const Word* p11 = ins[3]->words().data();
+    mux_words(*source_, half_, out, [&](std::size_t i, Word sel) {
+      return ((p00[i] ^ p11[i]) & ~sel) | ((p01[i] ^ p10[i]) & sel);
+    });
   }
 
  private:
@@ -365,8 +537,9 @@ void register_builtins(OperatorRegistry& reg) {
     def.exact = [](sc::span<const double> v) {
       return v[1] > 0.0 ? std::min(1.0, v[0] / v[1]) : 0.0;
     };
-    def.make_evaluator = [](const OpContext&) {
-      return std::make_unique<CordivEvaluator>();
+    def.make_evaluator = [table = flip_flop_table<arith::Cordiv>()](
+                             const OpContext&) {
+      return std::make_unique<CordivEvaluator>(table);
     };
     def.netlist = [](unsigned) { return hw::cordiv_netlist(); };
     def.error_transfer = error_transfers::cordiv_divide();
@@ -380,8 +553,9 @@ void register_builtins(OperatorRegistry& reg) {
     def.arity = 2;
     def.requirement = Requirement::kAgnostic;
     def.exact = [](sc::span<const double> v) { return 0.5 * (v[0] + v[1]); };
-    def.make_evaluator = [](const OpContext&) {
-      return std::make_unique<ToggleAddEvaluator>();
+    def.make_evaluator = [table = flip_flop_table<arith::ToggleAdder>()](
+                             const OpContext&) {
+      return std::make_unique<ToggleAddEvaluator>(table);
     };
     def.netlist = [](unsigned) { return hw::toggle_adder_netlist(); };
     def.error_transfer = error_transfers::toggle_add();
@@ -442,8 +616,9 @@ void register_builtins(OperatorRegistry& reg) {
     def.exact = [](sc::span<const double> v) {
       return clamp01(0.5 * (func::stanh_value(2 * v[0] - 1, kStates) + 1));
     };
-    def.make_evaluator = [](const OpContext&) {
-      return std::make_unique<StanhEvaluator>(kStates);
+    const func::Stanh unit(kStates);
+    def.make_evaluator = [unit, table = counter_table(unit)](const OpContext&) {
+      return std::make_unique<StanhEvaluator>(unit, table);
     };
     def.netlist = [](unsigned) { return hw::fsm_unit_netlist(kStates); };
     def.error_transfer =
@@ -460,8 +635,9 @@ void register_builtins(OperatorRegistry& reg) {
     def.exact = [](sc::span<const double> v) {
       return clamp01(func::sexp_value(2 * v[0] - 1, kStates, kG));
     };
-    def.make_evaluator = [](const OpContext&) {
-      return std::make_unique<SexpEvaluator>(kStates, kG);
+    const func::Sexp unit(kStates, kG);
+    def.make_evaluator = [unit, table = counter_table(unit)](const OpContext&) {
+      return std::make_unique<SexpEvaluator>(unit, table);
     };
     def.netlist = [](unsigned) { return hw::fsm_unit_netlist(kStates); };
     def.error_transfer =

@@ -127,7 +127,8 @@ class OpEvaluator {
   /// Advances one chunk: `ins` holds one pointer per operand to an
   /// equal-length chunk (pointers, so backends can pass unmodified
   /// producer buffers without copying), `out` is preallocated to the same
-  /// length.  Default loops step(); backends drive the reference
+  /// length, and every bit of it is written (its prior contents are
+  /// undefined).  Default loops step(); backends drive the reference
   /// semantics with a non-virtual `OpEvaluator::process` call.
   virtual void process(sc::span<const Bitstream* const> ins, Bitstream& out);
 };

@@ -6,9 +6,12 @@
 /// a byte of each stream advances with two table lookups instead of eight
 /// virtual step() calls.  A companion one-cycle table handles lengths that
 /// are not a multiple of 4.  Tables are built once per FSM configuration
-/// from the pure transition functions the core layer exposes
-/// (e.g. core::Synchronizer::transition) and shared through the caches in
-/// kernels.cpp.
+/// from the pure transition functions the core and operator layers expose
+/// (e.g. core::Synchronizer::transition, arith::Cordiv::transition) and
+/// shared, one per configuration, by every word path of that FSM.
+/// run_pair_table is the one word loop over them: the kernel layer's pair
+/// kernels run it in place, the graph layer's FSM evaluators run it from
+/// operand words into an output stream.
 ///
 /// Entry layout (std::uint32_t):
 ///   bits 0..3   output X nibble (bit i = cycle i's X output)
@@ -90,5 +93,16 @@ class PairNibbleTable {
   std::vector<Entry> nibble_;  // states * 256 four-cycle entries
   std::vector<Entry> bit_;     // states * 4 one-cycle entries
 };
+
+/// Advances `bits` cycles through a nibble table from `state`, reading
+/// packed input words and writing packed output words (bit i at word i/64,
+/// bit i%64).  Outputs may alias their inputs (in-place), and `y_out` may
+/// be null for FSMs whose Y output lane is unused.  Output bits at
+/// positions >= `bits` in the final word are preserved.  Returns the
+/// successor state.
+unsigned run_pair_table(const PairNibbleTable& table, unsigned state,
+                        const std::uint64_t* x_in, const std::uint64_t* y_in,
+                        std::uint64_t* x_out, std::uint64_t* y_out,
+                        std::size_t bits);
 
 }  // namespace sc::kernel

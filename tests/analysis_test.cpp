@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
+#include "analysis/error_model.hpp"
 #include "analysis/provenance.hpp"
 #include "analysis/text_format.hpp"
 #include "graph/backend.hpp"
@@ -160,6 +161,28 @@ TEST(Analyzer, UnfixedRequirementViolationIsAnError) {
   EXPECT_EQ(clean.pairs[0].operands, SccClass::kCorrelated);
   EXPECT_EQ(clean.pairs[0].at_gate, SccClass::kIndependent);
   EXPECT_TRUE(clean.pairs[0].satisfied);
+}
+
+TEST(Analyzer, WidthsEveryBackendRejectsThrow) {
+  // Unchecked, width 64 shifted 1 by 64 (sc_lint printed "deterministic
+  // bias bound nan") and widths 2, 33 and 100 linted clean.
+  const Program program = two_group_multiply(0, 1);
+  const ProgramPlan plan = plan_program(program, Strategy::kManipulation);
+  for (const unsigned width : {2u, 33u, 64u, 100u}) {
+    AnalyzerConfig config;
+    config.width = width;
+    EXPECT_THROW(analyze(program, plan, config), std::invalid_argument)
+        << width;
+    EXPECT_THROW(plan_accuracy(program, plan, config), std::invalid_argument)
+        << width;
+    EXPECT_THROW(plan_fragility(program, plan, config), std::invalid_argument)
+        << width;
+  }
+  for (const unsigned width : {3u, 32u}) {
+    AnalyzerConfig config;
+    config.width = width;
+    EXPECT_NO_THROW(analyze(program, plan, config)) << width;
+  }
 }
 
 TEST(Analyzer, ThresholdPropagationProvesInversion) {

@@ -382,6 +382,34 @@ TEST(WindowProgram, PipelineStagesComposeAndPlanLikeThePaper) {
   EXPECT_LE(fixed, broken + 0.01);  // never worse than unmanaged
 }
 
+TEST(WindowProgram, AllBackendsAgreeBitForBit) {
+  // The blur and Roberts-cross word paths against the reference backend's
+  // step() loop, whole-stream and chunked (a 64-bit chunk per process()
+  // call, and the 4096-bit RNG block), at the operating point's 2^16 bits
+  // and at a length with an odd tail.
+  std::array<double, 16> pixels{};
+  for (std::size_t i = 0; i < 16; ++i) {
+    pixels[i] = (i % 4) * 0.25 + (i / 4) * 0.05;
+  }
+  const Program p = img::window_program(pixels);
+  const ProgramPlan plan = plan_program(p, Strategy::kManipulation);
+  const auto reference = make_backend(BackendKind::kReference);
+  const auto kernel = make_backend(BackendKind::kKernel);
+  for (const std::size_t length : {std::size_t{1} << 16, std::size_t{4097}}) {
+    ExecConfig config;
+    config.stream_length = length;
+    config.width = 16;
+    const ExecutionResult r = reference->run(p, plan, config);
+    const std::string label = "length " + std::to_string(length);
+    expect_identical(r, kernel->run(p, plan, config), label + " kernel");
+    for (const std::size_t chunk_bits : {64u, 4096u}) {
+      engine::Session session({1, chunk_bits, 0x5eed});
+      expect_identical(r, make_engine_backend(session)->run(p, plan, config),
+                       label + " engine chunk " + std::to_string(chunk_bits));
+    }
+  }
+}
+
 TEST(Backends, FactoryNamesAreStable) {
   EXPECT_EQ(make_backend(BackendKind::kReference)->name(), "reference");
   EXPECT_EQ(make_backend(BackendKind::kKernel)->name(), "kernel");

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "bitstream/correlation.hpp"
 #include "convert/sng.hpp"
@@ -35,6 +36,27 @@ TEST(SaturatingCounter, StartsMidScaleAndClamps) {
   EXPECT_EQ(counter.state(), 0u);
   counter.reset();
   EXPECT_EQ(counter.state(), 4u);
+}
+
+TEST(SaturatingCounter, InvalidStateCountsThrow) {
+  // Unchecked in Release, stanh(x, 0) and stanh(x, 1) read 1.0 for any
+  // input and stanh(x, 7) gives a plausible-looking 0.52 at x = 0.487.
+  const Bitstream x = bernoulli_stream(125, 4096);
+  for (const unsigned states : {0u, 1u, 3u, 7u}) {
+    EXPECT_THROW(SaturatingCounter{states}, std::invalid_argument) << states;
+    EXPECT_THROW(stanh(x, states), std::invalid_argument) << states;
+  }
+  EXPECT_NO_THROW(SaturatingCounter{2});
+}
+
+TEST(SaturatingCounter, TransitionIsTheStepRule) {
+  SaturatingCounter counter(6);
+  for (unsigned state = 0; state < 6; ++state) {
+    for (const bool up : {false, true}) {
+      counter.set_state(state);
+      EXPECT_EQ(counter.step(up), SaturatingCounter::transition(6, state, up));
+    }
+  }
 }
 
 // --- stanh ------------------------------------------------------------------------
@@ -92,6 +114,17 @@ TEST(Sexp, DecaysWithPositiveInput) {
 TEST(Sexp, NearOneForNegativeInput) {
   const Bitstream x = bernoulli_stream(64, 2048);  // v = -0.5
   EXPECT_GT(sexp(x, 16, 2).value(), 0.9);
+}
+
+TEST(Sexp, InvalidParametersThrow) {
+  // g > states used to wrap `states - g` and emit all ones.
+  const Bitstream x = bernoulli_stream(125, 4096);
+  EXPECT_THROW(sexp(x, 8, 9), std::invalid_argument);
+  EXPECT_THROW(Sexp(8, 9), std::invalid_argument);
+  EXPECT_THROW(sexp(x, 7, 1), std::invalid_argument);
+  EXPECT_THROW(sexp(x, 0, 0), std::invalid_argument);
+  // g = states is the valid extreme: the output is always 0.
+  EXPECT_EQ(sexp(x, 8, 8).count_ones(), 0u);
 }
 
 // --- Bernstein utilities --------------------------------------------------------------

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -305,6 +307,133 @@ TEST(ProgramPlanner, RobertsCrossDiagonalsGetSynchronizers) {
     EXPECT_EQ(fix.fix, FixKind::kSynchronizer);
     EXPECT_TRUE((fix.operand_a == 0 && fix.operand_b == 3) ||
                 (fix.operand_a == 1 && fix.operand_b == 2));
+  }
+}
+
+// --- evaluator word paths -------------------------------------------------
+
+using Streams = std::vector<Bitstream>;
+
+/// Bits [offset, offset + take) of `s`.
+Bitstream slice(const Bitstream& s, std::size_t offset, std::size_t take) {
+  Bitstream out(take);
+  for (std::size_t i = 0; i < take; ++i) out.set(i, s.get(offset + i));
+  return out;
+}
+
+/// Operand streams of `length` bits, each at its own random density.
+Streams random_operands(unsigned arity, std::size_t length,
+                        std::mt19937_64& gen) {
+  Streams out;
+  for (unsigned k = 0; k < arity; ++k) {
+    std::bernoulli_distribution bit(
+        std::uniform_real_distribution<double>(0.0, 1.0)(gen));
+    Bitstream s(length);
+    for (std::size_t i = 0; i < length; ++i) s.set(i, bit(gen));
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+/// Runs a fresh evaluator through `step()` for the first `serial` cycles,
+/// then through the virtual process() over consecutive chunks of the given
+/// sizes (the last chunk takes what is left).  Chunk outputs start
+/// all-ones, so a word path must write every word it owns, and must leave
+/// the bits past the chunk's end clear.
+Bitstream drive(const OperatorDef& def, const OpContext& ctx,
+                const Streams& ins, std::size_t serial,
+                const std::vector<std::size_t>& chunks) {
+  const std::unique_ptr<OpEvaluator> eval = def.make_evaluator(ctx);
+  const std::size_t n = ins[0].size();
+  eval->begin(n);
+  Bitstream out(n);
+  bool bits[kMaxArity];
+  for (std::size_t i = 0; i < serial; ++i) {
+    for (std::size_t k = 0; k < ins.size(); ++k) bits[k] = ins[k].get(i);
+    out.set(i, eval->step(bits));
+  }
+  std::size_t c = 0;
+  for (std::size_t pos = serial; pos < n;) {
+    const std::size_t take =
+        c < chunks.size() ? std::min(chunks[c++], n - pos) : n - pos;
+    Streams chunk_ins;
+    for (const Bitstream& s : ins) chunk_ins.push_back(slice(s, pos, take));
+    std::vector<const Bitstream*> ptrs;
+    for (const Bitstream& s : chunk_ins) ptrs.push_back(&s);
+    Bitstream chunk(take, true);
+    eval->process(sc::span<const Bitstream* const>(ptrs.data(), ptrs.size()),
+                  chunk);
+    if (take % 64 != 0) {
+      EXPECT_EQ(chunk.words().back() >> (take % 64), 0u)
+          << def.name << ": bits set past the chunk's end";
+    }
+    for (std::size_t i = 0; i < take; ++i) out.set(pos + i, chunk.get(i));
+    pos += take;
+  }
+  return out;
+}
+
+/// Every word path against the reference semantics: the non-virtual
+/// OpEvaluator::process (the step() loop the reference backend runs) over
+/// the whole stream, versus the virtual process() whole, in 64-bit chunks,
+/// in random multiple-of-64 chunks with an odd tail, and after k serial
+/// step() cycles.  Lengths cross the 4096-cycle RNG block and the
+/// width-16 LFSR period.
+void expect_word_path_matches_step(const OperatorDef& def) {
+  for (const unsigned width : {4u, 8u, 12u, 16u, 32u}) {
+    for (const std::size_t length :
+         {1u, 63u, 64u, 65u, 4095u, 4097u, 70001u}) {
+      const std::string label = def.name + " width " + std::to_string(width) +
+                                " length " + std::to_string(length);
+      std::mt19937_64 gen(width * 1000003u + length);
+      const Streams ins = random_operands(def.arity, length, gen);
+      const OpContext ctx{length, width, /*node=*/7, /*base_seed=*/0x5eed};
+
+      const std::unique_ptr<OpEvaluator> ref = def.make_evaluator(ctx);
+      ref->begin(length);
+      std::vector<const Bitstream*> ptrs;
+      for (const Bitstream& s : ins) ptrs.push_back(&s);
+      Bitstream expected(length, true);
+      ref->OpEvaluator::process(
+          sc::span<const Bitstream* const>(ptrs.data(), ptrs.size()),
+          expected);
+
+      std::vector<std::size_t> random_chunks;
+      for (std::size_t sum = 0; sum + 64 <= length;) {
+        random_chunks.push_back(64 * (1 + gen() % 80));
+        sum += random_chunks.back();
+      }
+      const std::size_t serial = gen() % (length + 1);
+
+      EXPECT_TRUE(drive(def, ctx, ins, 0, {}) == expected) << label
+                                                           << " whole";
+      EXPECT_TRUE(drive(def, ctx, ins, 0,
+                        std::vector<std::size_t>(length / 64 + 1, 64)) ==
+                  expected)
+          << label << " 64-bit chunks";
+      EXPECT_TRUE(drive(def, ctx, ins, 0, random_chunks) == expected)
+          << label << " random chunks";
+      EXPECT_TRUE(drive(def, ctx, ins, serial, {}) == expected)
+          << label << " " << serial << " step() cycles first";
+    }
+  }
+}
+
+TEST(OpEvaluator, EveryBuiltinWordPathMatchesStep) {
+  for (const std::string& name : registry().names()) {
+    expect_word_path_matches_step(*registry().find(name));
+  }
+}
+
+TEST(OpEvaluator, BernsteinWordPathMatchesStepUpToMaxArity) {
+  // Degree 15 is the widest unit a registry accepts (15 copies plus 16
+  // coefficient streams reach kMaxArity).
+  OperatorRegistry reg;
+  for (const std::size_t degree : {1u, 2u, 7u, 15u}) {
+    // f(t) = t has coefficients j / degree: zero and full-scale levels.
+    const std::string name = "bernstein-id-" + std::to_string(degree);
+    register_bernstein(reg, name, [](double t) { return t; }, degree);
+    expect_word_path_matches_step(*reg.find(name));
   }
 }
 

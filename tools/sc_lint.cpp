@@ -21,6 +21,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -64,10 +65,10 @@ options:
                          regeneration, none
   --optimize             run the opt:: pipeline first and lint the result
   --seed <n>             base seed of the derivation scheme (default 3)
-  --width <n>            SNG comparator width (default 8)
+  --width <n>            SNG comparator width, 3..32 (default 8)
   --length <n>           stream length in bits (default 256)
-  --sync-depth <n>       inserted (de)synchronizer depth (default 2)
-  --shuffle-depth <n>    inserted decorrelator depth (default 8)
+  --sync-depth <n>       inserted (de)synchronizer depth, >= 1 (default 2)
+  --shuffle-depth <n>    inserted decorrelator depth, >= 1 (default 8)
   --target-rmse <x>      requested per-output RMSE: emits
                          insufficient-stream-length when the predicted
                          error bound at --length exceeds it (default off)
@@ -164,6 +165,17 @@ int parse_options(int argc, char** argv, Options& options) {
       }
       return true;
     };
+    // Values every backend rejects are usage errors here too.
+    const auto next_in_range = [&](std::uint64_t& out, std::uint64_t lo,
+                                   std::uint64_t hi) {
+      if (!next_unsigned(out)) return false;
+      if (out < lo || out > hi) {
+        std::cerr << "sc_lint: " << arg << " must be in " << lo << ".." << hi
+                  << " (got " << out << ")\n";
+        return false;
+      }
+      return true;
+    };
     std::uint64_t number = 0;
     if (arg == "-h" || arg == "--help") {
       std::cout << kUsage;
@@ -204,16 +216,20 @@ int parse_options(int argc, char** argv, Options& options) {
       if (!next_unsigned(number)) return 2;
       options.analyzer.seed = static_cast<std::uint32_t>(number);
     } else if (arg == "--width") {
-      if (!next_unsigned(number)) return 2;
+      if (!next_in_range(number, 3, 32)) return 2;
       options.analyzer.width = static_cast<unsigned>(number);
     } else if (arg == "--length") {
       if (!next_unsigned(number)) return 2;
       options.analyzer.stream_length = static_cast<std::size_t>(number);
     } else if (arg == "--sync-depth") {
-      if (!next_unsigned(number)) return 2;
+      if (!next_in_range(number, 1, std::numeric_limits<unsigned>::max())) {
+        return 2;
+      }
       options.analyzer.sync_depth = static_cast<unsigned>(number);
     } else if (arg == "--shuffle-depth") {
-      if (!next_unsigned(number)) return 2;
+      if (!next_in_range(number, 1, std::numeric_limits<std::size_t>::max())) {
+        return 2;
+      }
       options.analyzer.shuffle_depth = static_cast<std::size_t>(number);
     } else if (arg == "--target-rmse") {
       std::string text;
