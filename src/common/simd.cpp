@@ -521,7 +521,8 @@ void mod_bytes(const std::uint32_t* vals, std::size_t n, std::uint32_t bound,
 
 void shuffle_words(std::uint64_t* words, const std::uint8_t* r, std::size_t n,
                    unsigned depth, std::uint64_t* slots) {
-  switch (active_tier()) {
+  // Depth 64 runs the per-bit loop at every tier (see the header).
+  switch (depth < 64 ? active_tier() : Tier::kScalar) {
 #if SC_SIMD_X86
     case Tier::kAvx512:
       return shuffle_words_avx512(words, r, n, depth, slots);

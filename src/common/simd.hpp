@@ -13,11 +13,12 @@
 ///   SC_SIMD=avx2                cap at the AVX2 tier (x86 only)
 ///   SC_SIMD=avx512 | on | auto  no cap (the default)
 ///
-/// The forced-scalar override is the differential-testing escape hatch:
-/// with SC_SIMD=off the RNG-coupled kernels fall back to their per-cycle
-/// table/direct paths, so golden corpora and conformance fixtures can be
-/// replayed against both datapaths.  The variable is read once, at the
-/// first dispatch, and cached for the process lifetime.
+/// The override only picks the tier: every kernel and evaluator runs the
+/// same word datapath at every tier.  With SC_SIMD=off each primitive
+/// runs its scalar loop, so the conformance suites check the scalar side
+/// of every primitive against the same bit-serial oracles.  The variable
+/// is read once, at the first dispatch, and cached for the process
+/// lifetime.
 
 #pragma once
 
@@ -40,11 +41,6 @@ Tier active_tier();
 
 /// Human-readable name of a tier ("scalar", "neon", "avx2", "avx512").
 const char* tier_name(Tier tier);
-
-/// True when the word-parallel kernel datapaths should engage (any tier
-/// above scalar).  SC_SIMD=off turns this off, which routes every
-/// RNG-coupled kernel back to its per-cycle scalar reference path.
-inline bool word_parallel_enabled() { return active_tier() != Tier::kScalar; }
 
 // ------------------------------------------------------------ bit packing
 
@@ -87,9 +83,9 @@ void mod_bytes(const std::uint32_t* vals, std::size_t n, std::uint32_t bound,
 /// bits at positions >= n in the final word are preserved.  r[i] is the
 /// cycle-i address draw, already reduced to [0, depth].  *slots is the
 /// slot-contents bitmask (bit s = slot s) and is updated to the final
-/// state — the same encoding core::ShuffleBuffer uses.  depth in [1, 63].
+/// state — the same encoding core::ShuffleBuffer uses.  depth in [1, 64].
 ///
-/// Exact semantics per cycle (identical to the ShuffleBuffer transition):
+/// Exact semantics per cycle (identical to core::ShuffleBuffer::step):
 ///   r == depth: out = in, slots unchanged;
 ///   r <  depth: out = slots[r], slots[r] = in.
 ///
@@ -97,8 +93,10 @@ void mod_bytes(const std::uint32_t* vals, std::size_t n, std::uint32_t bound,
 /// r == s form a chain where each output is the previous input of the
 /// same class (a depth-1 FIFO per class), which is one PEXT, one shifted
 /// OR-in of the carry, and one PDEP per slot per word — no per-bit
-/// dependency chain and no gather/scatter.  The scalar tier is the plain
-/// per-bit update.
+/// dependency chain and no gather/scatter.  That is depth + 1 passes per
+/// word, so their cost grows with depth while the plain per-bit update's
+/// does not: they serve depths 1..63, and depth 64 runs the per-bit
+/// update at every tier (as does the scalar tier at every depth).
 void shuffle_words(std::uint64_t* words, const std::uint8_t* r, std::size_t n,
                    unsigned depth, std::uint64_t* slots);
 

@@ -44,19 +44,6 @@ unsigned ShuffleBuffer::saved_ones() const {
   return ones;
 }
 
-ShuffleBuffer::Transition ShuffleBuffer::transition(std::uint64_t slots,
-                                                    std::size_t depth,
-                                                    std::size_t r, bool in) {
-  assert(r <= depth);
-  if (r == depth) {
-    return {slots, in};  // pass-through slot
-  }
-  const bool out = (slots >> r) & 1u;
-  slots = (slots & ~(std::uint64_t{1} << r)) |
-          (static_cast<std::uint64_t>(in) << r);
-  return {slots, out};
-}
-
 std::uint64_t ShuffleBuffer::slots_mask() const {
   assert(slots_.size() <= 64);
   std::uint64_t mask = 0;

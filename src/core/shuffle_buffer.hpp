@@ -42,20 +42,7 @@ class ShuffleBuffer final : public StreamTransform {
 
   [[nodiscard]] std::size_t depth() const { return slots_.size(); }
 
-  /// Result of one pure transition for a given address draw.
-  struct Transition {
-    std::uint64_t slots;
-    bool out;
-  };
-
-  /// Pure step function for an already reduced address r in [0, depth]
-  /// (r == depth is the pass-through slot), over the slot contents packed
-  /// as a bitmask (slot i = bit i; depth <= 64).  Exposed for the
-  /// table-driven kernels (src/kernel/).
-  static Transition transition(std::uint64_t slots, std::size_t depth,
-                               std::size_t r, bool in);
-
-  /// Slot contents packed as a bitmask (depth <= 64 only).
+  /// Slot contents packed as a bitmask, slot i = bit i (depth <= 64 only).
   [[nodiscard]] std::uint64_t slots_mask() const;
   void set_slots_mask(std::uint64_t mask);
 

@@ -30,17 +30,19 @@ namespace sc::core {
 class TrackingForecastMemory final : public StreamTransform {
  public:
   struct Config {
-    /// Fixed-point fraction bits of the probability estimate; the estimate
-    /// lives in [0, 2^precision].
+    /// Fixed-point fraction bits of the probability estimate (1..30); the
+    /// estimate lives in [0, 2^precision].
     unsigned precision = 8;
-    /// EMA shift: beta = 2^-shift.
+    /// EMA shift: beta = 2^-shift (0..31).
     unsigned shift = 3;
     /// Initial estimate as a fraction of full scale (0.5 = mid-scale).
     double initial = 0.5;
   };
 
   /// \param source aux RNG for output regeneration; owned.  Its width must
-  ///               equal config.precision.
+  ///               equal config.precision.  A null source, a width
+  ///               mismatch, or a precision or shift out of range throws
+  ///               std::invalid_argument.
   TrackingForecastMemory(Config config, rng::RandomSourcePtr source);
 
   bool step(bool in) override;

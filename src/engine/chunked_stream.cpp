@@ -196,65 +196,4 @@ ChunkedRunStats run_chunked_pair(ChunkSource& source_x, ChunkSource& source_y,
   return stats;
 }
 
-std::vector<ChunkedRunStats> run_chunked_lanes(
-    const std::vector<PairLane>& lanes, std::size_t chunk_bits,
-    KernelPolicy policy) {
-  if (chunk_bits == 0) throw std::invalid_argument("chunk_bits must be > 0");
-  for (const PairLane& lane : lanes) {
-    if (lane.source_x == nullptr || lane.source_y == nullptr ||
-        lane.sink == nullptr) {
-      throw std::invalid_argument("PairLane sources and sink must be set");
-    }
-    if (lane.source_x->length() != lane.source_y->length()) {
-      throw std::invalid_argument("pair sources must have equal length");
-    }
-  }
-
-  struct LaneState {
-    std::unique_ptr<kernel::ChunkedPairApplier> applier;
-    bool done = false;
-  };
-  std::vector<LaneState> states(lanes.size());
-  std::vector<ChunkedRunStats> stats(lanes.size());
-  for (std::size_t l = 0; l < lanes.size(); ++l) {
-    if (lanes[l].transform != nullptr) {
-      states[l].applier = std::make_unique<kernel::ChunkedPairApplier>(
-          *lanes[l].transform, policy == KernelPolicy::kAuto);
-      states[l].applier->begin(lanes[l].source_x->length());
-    }
-  }
-
-  // Two chunk buffers shared by every lane: the peak live buffering is one
-  // chunk pair regardless of the lane count.
-  Bitstream chunk_x;
-  Bitstream chunk_y;
-  std::size_t live = lanes.size();
-  while (live != 0) {
-    for (std::size_t l = 0; l < lanes.size(); ++l) {
-      LaneState& st = states[l];
-      if (st.done) continue;
-      const std::size_t nx = lanes[l].source_x->next_chunk(chunk_x, chunk_bits);
-      const std::size_t ny = lanes[l].source_y->next_chunk(chunk_y, chunk_bits);
-      if (nx != ny) {
-        throw std::logic_error(
-            "ChunkSource produced a short chunk; next_chunk must return "
-            "exactly min(max_bits, remaining)");
-      }
-      if (nx == 0) {
-        if (st.applier != nullptr) st.applier->finish();
-        st.done = true;
-        --live;
-        continue;
-      }
-      if (st.applier != nullptr) st.applier->advance(chunk_x, chunk_y);
-      stats[l].bits += nx;
-      ++stats[l].chunks;
-      stats[l].peak_buffer_bits = std::max(
-          stats[l].peak_buffer_bits, chunk_x.size() + chunk_y.size());
-      lanes[l].sink->consume(chunk_x, chunk_y);
-    }
-  }
-  return stats;
-}
-
 }  // namespace sc::engine

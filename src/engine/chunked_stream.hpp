@@ -24,7 +24,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "bitstream/bitstream.hpp"
 #include "bitstream/correlation.hpp"
@@ -206,30 +205,5 @@ ChunkedRunStats run_chunked_pair(ChunkSource& source_x, ChunkSource& source_y,
                                  PairChunkSink& sink,
                                  std::size_t chunk_bits = kDefaultChunkBits,
                                  KernelPolicy policy = KernelPolicy::kAuto);
-
-/// One independent pair job for the batched driver below.  All pointers
-/// are non-owning and must outlive the run; `transform` may be nullptr
-/// for a pass-through lane.  The two sources must have equal length, but
-/// different lanes may have different lengths.
-struct PairLane {
-  ChunkSource* source_x = nullptr;
-  ChunkSource* source_y = nullptr;
-  core::PairTransform* transform = nullptr;
-  PairChunkSink* sink = nullptr;
-};
-
-/// Batched multi-stream driver: advances every lane one chunk per round,
-/// round-robin, until all lanes are exhausted.  Each lane is bit-identical
-/// to its own run_chunked_pair call (per-lane FSM state carries across
-/// chunks through a dedicated kernel applier; begin_stream sees the lane's
-/// total length before its first chunk).  The two chunk buffers are shared
-/// across lanes, so peak engine-side buffering stays O(chunk) no matter
-/// how many jobs are in flight — this is what lets one invocation sweep
-/// several independent streams through the word-parallel kernels while
-/// the RNG blocks and tables stay hot in cache.
-std::vector<ChunkedRunStats> run_chunked_lanes(
-    const std::vector<PairLane>& lanes,
-    std::size_t chunk_bits = kDefaultChunkBits,
-    KernelPolicy policy = KernelPolicy::kAuto);
 
 }  // namespace sc::engine

@@ -1,7 +1,6 @@
 #include "img/sc_pipeline.hpp"
 
 #include <array>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -63,8 +62,8 @@ void process_tile(const Image& input, Variant variant,
                   Generators& gen, Image& output) {
   const std::size_t n = config.stream_length;
   const std::size_t t = config.tile;
-  const std::uint32_t natural =
-      static_cast<std::uint32_t>(1u << config.sng_width);
+  // 64-bit: a width-32 generator's natural length 2^32 does not fit uint32.
+  const std::uint64_t natural = std::uint64_t{1} << config.sng_width;
 
   const std::ptrdiff_t c0 = static_cast<std::ptrdiff_t>(tx * t);
   const std::ptrdiff_t r0 = static_cast<std::ptrdiff_t>(ty * t);
@@ -86,7 +85,7 @@ void process_tile(const Image& input, Variant variant,
       const double pixel =
           input.at_clamped(c0 - 1 + static_cast<std::ptrdiff_t>(ix),
                            r0 - 1 + static_cast<std::ptrdiff_t>(iy));
-      const std::uint32_t level = unipolar_level(pixel, natural);
+      const std::uint64_t level = unipolar_level64(pixel, natural);
       const std::size_t bank = (ix + iy) % gen.banks.size();
       Bitstream s(n);
       for (std::size_t i = 0; i < n; ++i) {
@@ -126,7 +125,7 @@ void process_tile(const Image& input, Variant variant,
   // --- edge detection ------------------------------------------------
   Bitstream ed_sel(n);
   {
-    const std::uint32_t half = natural / 2;
+    const std::uint64_t half = natural / 2;
     for (std::size_t i = 0; i < n; ++i) {
       if (gen.ed_select.next() < half) ed_sel.set(i, true);
     }
@@ -158,6 +157,21 @@ void process_tile(const Image& input, Variant variant,
       const Bitstream ed = Bitstream::mux(diff_ad, diff_bc, ed_sel);
       output.at(ox, oy) = ed.value();
     }
+  }
+}
+
+/// Rejects inputs both entry points would divide by or index with: tile
+/// 0 and input_banks 0 divide by zero, and an empty image has no pixel
+/// to clamp to.
+void validate(const Image& input, const PipelineConfig& config) {
+  if (input.empty()) {
+    throw std::invalid_argument("img pipeline: input image is empty");
+  }
+  if (config.tile == 0) {
+    throw std::invalid_argument("img pipeline: tile must be >= 1");
+  }
+  if (config.input_banks == 0) {
+    throw std::invalid_argument("img pipeline: input_banks must be >= 1");
   }
 }
 
@@ -273,7 +287,7 @@ hw::Netlist pipeline_overhead_netlist(Variant variant,
 
 PipelineResult run_pipeline(const Image& input, Variant variant,
                             const PipelineConfig& config) {
-  assert(!input.empty());
+  validate(input, config);
   const std::size_t t = config.tile;
 
   PipelineResult result;
@@ -301,7 +315,7 @@ PipelineResult run_pipeline(const Image& input, Variant variant,
 PipelineResult run_pipeline_tiled(const Image& input, Variant variant,
                                   const PipelineConfig& config,
                                   engine::Session& session) {
-  assert(!input.empty());
+  validate(input, config);
   const std::size_t t = config.tile;
 
   PipelineResult result;

@@ -14,15 +14,17 @@
 ///    within the final `depth` announced cycles (|saved bits| <= depth),
 ///    so the kernel runs the table up to that window and hands the tail to
 ///    the bit-serial FSM — output stays bit-identical.
-///  * Decorrelator: each shuffle buffer's occupancy is a <= depth-bit
-///    mask; a (mask, address, in) -> (mask', out) table advances one cycle
-///    per lookup with no virtual calls, the auxiliary RNG prefilled a
-///    block at a time (RandomSource::fill) and reduced with an exact
-///    divide-free modulo (fastmod.hpp).  Depths above the table cap use
-///    the same blocked loop with direct mask updates.
-///  * TFM pair: the fixed-point estimate is the whole state; a
-///    (estimate, in) -> estimate' table plus a prefilled RNG block turns
-///    each cycle into one lookup and one compare.
+///  * Shuffle buffer, decorrelator, chain link: a buffer's occupancy is a
+///    <= 64-bit slot mask.  Address draws come pre-reduced a block at a
+///    time from the buffer's own source (RandomSource::fill_indices), and
+///    whole words advance through the SIMD shim's slot-class shuffle
+///    (simd::shuffle_words).  A decorrelator is two independent buffers,
+///    so it runs two single-buffer kernels.
+///  * TFM: the fixed-point estimate is the whole state.  A nibble-jump
+///    table advances four estimate updates per lookup into a trace, and
+///    the output regenerates a word at a time as (aux draw < trace entry)
+///    through the aux source's word API (fill_compare_trace).  The pair
+///    kernel walks both estimate chains in one fused loop.
 ///
 /// A kernel is compiled *for the current state* of a live transform by
 /// make_pair_kernel / make_stream_kernel: it reads the FSM state at
@@ -70,11 +72,11 @@ class StreamKernel {
 /// nullptr when the concrete type/configuration has no table-driven path.
 /// Supported: core::Synchronizer, core::Desynchronizer, core::Decorrelator
 /// and core::DecorrelatorChainLink (buffer depth <= 64), core::TfmPair
-/// (precision <= 16).
+/// (precision <= 8).
 std::unique_ptr<PairKernel> make_pair_kernel(core::PairTransform& transform);
 
 /// Single-stream version.  Supported: core::ShuffleBuffer (depth <= 64),
-/// core::TrackingForecastMemory (precision <= 16).
+/// core::TrackingForecastMemory (precision <= 8).
 std::unique_ptr<StreamKernel> make_stream_kernel(
     core::StreamTransform& transform);
 

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 
 #include "bitstream/correlation.hpp"
 #include "bitstream/synthesis.hpp"
@@ -239,6 +240,29 @@ TEST(Tfm, EstimateSaturatesWithinScale) {
   for (int i = 0; i < 512; ++i) tfm.step(false);
   EXPECT_GE(tfm.estimate(), 0.0);
   EXPECT_LT(tfm.estimate(), 0.05);
+}
+
+TEST(Tfm, InvalidConfigsThrow) {
+  using Config = TrackingForecastMemory::Config;
+  const auto make = [](Config config, unsigned width) {
+    return TrackingForecastMemory(config, std::make_unique<rng::Lfsr>(width));
+  };
+  EXPECT_THROW(TrackingForecastMemory(tfm_config(), nullptr),
+               std::invalid_argument);
+  // The aux width must equal the precision: wider pins the output near 0,
+  // narrower near 1.
+  EXPECT_THROW(make({8, 3, 0.5}, 16), std::invalid_argument);
+  EXPECT_THROW(make({8, 3, 0.5}, 4), std::invalid_argument);
+  EXPECT_THROW(TfmPair(tfm_config(), aux(31), std::make_unique<rng::Lfsr>(9)),
+               std::invalid_argument);
+  // 1 << precision overflows past 30; >> shift is undefined past 31.
+  EXPECT_THROW(make({0, 3, 0.5}, 8), std::invalid_argument);
+  EXPECT_THROW(make({31, 3, 0.5}, 31), std::invalid_argument);
+  EXPECT_THROW(make({32, 3, 0.5}, 32), std::invalid_argument);
+  EXPECT_THROW(make({8, 32, 0.5}, 8), std::invalid_argument);
+  // The bounds themselves are valid.
+  EXPECT_NO_THROW(make({30, 31, 0.5}, 30));
+  EXPECT_NO_THROW(make({3, 0, 0.5}, 3));
 }
 
 // --- comparative ranking (paper Table II takeaway) ---------------------------------------

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -244,79 +243,6 @@ TEST(ChunkedStream, PairStatsSinkMatchesWholeStreamMetrics) {
   EXPECT_DOUBLE_EQ(sink.value_x(), x.value());
   EXPECT_DOUBLE_EQ(sink.value_y(), y.value());
   EXPECT_DOUBLE_EQ(sink.scc(), scc(x, y));
-}
-
-TEST(ChunkedStream, LanesMatchIndependentPairRuns) {
-  // The batched driver must be bit-identical, lane for lane, to running
-  // each job through its own run_chunked_pair — mixed lengths, transforms
-  // of different kinds, and a pass-through lane, all sharing chunk buffers.
-  const Bitstream x0 = test::lfsr_stream(150, 3, 2048);
-  const Bitstream y0 = test::lfsr_stream(150, 3, 2048);
-  const Bitstream x1 = test::vdc_stream(170, 777);   // odd, non-word-aligned
-  const Bitstream y1 = test::halton3_stream(90, 777);
-  const Bitstream x2 = test::lfsr_stream(80, 21, 300);
-  const Bitstream y2 = test::lfsr_stream(200, 9, 300);
-
-  const auto make_decorr = [] {
-    return core::Decorrelator(8, std::make_unique<rng::Lfsr>(8, 11),
-                              std::make_unique<rng::Lfsr>(8, 12, 3));
-  };
-
-  // Reference: three independent chunked runs.
-  std::array<CollectPairSink, 3> expected;
-  std::array<ChunkedRunStats, 3> expected_stats;
-  {
-    core::Decorrelator d = make_decorr();
-    BitstreamChunkSource sx(x0), sy(y0);
-    expected_stats[0] = run_chunked_pair(sx, sy, &d, expected[0], 256);
-  }
-  {
-    core::Synchronizer s({2, true});
-    BitstreamChunkSource sx(x1), sy(y1);
-    expected_stats[1] = run_chunked_pair(sx, sy, &s, expected[1], 256);
-  }
-  {
-    BitstreamChunkSource sx(x2), sy(y2);
-    expected_stats[2] = run_chunked_pair(sx, sy, nullptr, expected[2], 256);
-  }
-
-  // Batched: same three jobs, one driver invocation.
-  core::Decorrelator d = make_decorr();
-  core::Synchronizer s({2, true});
-  BitstreamChunkSource sx0(x0), sy0(y0);
-  BitstreamChunkSource sx1(x1), sy1(y1);
-  BitstreamChunkSource sx2(x2), sy2(y2);
-  std::array<CollectPairSink, 3> got;
-  const std::vector<ChunkedRunStats> stats = run_chunked_lanes(
-      {{&sx0, &sy0, &d, &got[0]},
-       {&sx1, &sy1, &s, &got[1]},
-       {&sx2, &sy2, nullptr, &got[2]}},
-      /*chunk_bits=*/256);
-
-  ASSERT_EQ(stats.size(), 3u);
-  for (std::size_t l = 0; l < 3; ++l) {
-    EXPECT_EQ(got[l].stream_x(), expected[l].stream_x()) << "lane " << l;
-    EXPECT_EQ(got[l].stream_y(), expected[l].stream_y()) << "lane " << l;
-    EXPECT_EQ(stats[l].bits, expected_stats[l].bits) << "lane " << l;
-    EXPECT_EQ(stats[l].chunks, expected_stats[l].chunks) << "lane " << l;
-    EXPECT_LE(stats[l].peak_buffer_bits, 2 * 256u) << "lane " << l;
-  }
-}
-
-TEST(ChunkedStream, LanesValidateArguments) {
-  const Bitstream x = test::lfsr_stream(100, 9, 64);
-  const Bitstream y = test::lfsr_stream(100, 9, 65);  // length mismatch
-  BitstreamChunkSource sx(x), sy(y);
-  CollectPairSink sink;
-  EXPECT_THROW(run_chunked_lanes({{&sx, &sy, nullptr, &sink}}),
-               std::invalid_argument);
-  EXPECT_THROW(run_chunked_lanes({{nullptr, &sx, nullptr, &sink}}),
-               std::invalid_argument);
-  BitstreamChunkSource sx2(x);
-  EXPECT_THROW(run_chunked_lanes({{&sx, &sx2, nullptr, &sink}}, 0),
-               std::invalid_argument);
-  // An empty lane list is a valid no-op.
-  EXPECT_TRUE(run_chunked_lanes({}).empty());
 }
 
 // --- long-stream processing ----------------------------------------------------

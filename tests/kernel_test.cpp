@@ -24,7 +24,6 @@
 #include "graph/planner.hpp"
 #include "graph/program.hpp"
 #include "kernel/apply.hpp"
-#include "kernel/fastmod.hpp"
 #include "kernel/kernels.hpp"
 #include "rng/lfsr.hpp"
 #include "rng/mt_source.hpp"
@@ -65,24 +64,6 @@ void expect_equivalent(core::PairTransform& serial, core::PairTransform& fast,
     const core::BitPair pf = fast.step(a, b);
     ASSERT_EQ(ps.x, pf.x) << "continuation cycle " << i;
     ASSERT_EQ(ps.y, pf.y) << "continuation cycle " << i;
-  }
-}
-
-// --- fastmod ---------------------------------------------------------------
-
-TEST(FastMod, MatchesHardwareModuloExactly) {
-  std::mt19937 gen(7);
-  std::uniform_int_distribution<std::uint32_t> value;
-  for (std::uint32_t d = 1; d <= 70; ++d) {
-    const FastMod mod(d);
-    for (std::uint32_t x = 0; x < 3 * d + 2; ++x) {
-      ASSERT_EQ(mod(x), x % d) << "x=" << x << " d=" << d;
-    }
-    for (int i = 0; i < 1000; ++i) {
-      const std::uint32_t x = value(gen);
-      ASSERT_EQ(mod(x), x % d) << "x=" << x << " d=" << d;
-    }
-    ASSERT_EQ(mod(0xFFFFFFFFu), 0xFFFFFFFFu % d);
   }
 }
 
@@ -155,11 +136,11 @@ core::Decorrelator decorrelator_fixture(std::size_t depth,
       std::make_unique<rng::Lfsr>(10, seed + 17, /*rotation=*/3));
 }
 
-TEST(DecorrelatorKernel, MatchesBitSerialTableAndDirectPaths) {
+TEST(DecorrelatorKernel, MatchesBitSerial) {
   std::mt19937 gen(303);
-  // Depths 16 and 33 exceed the table cap and exercise the direct
-  // mask-update path; the rest go through the cached transition table.
-  for (const std::size_t depth : {1u, 4u, 8u, 12u, 16u, 33u}) {
+  // 63 is the SIMD tiers' deepest slot-class shuffle; 64 runs the shim's
+  // scalar loop at every tier.
+  for (const std::size_t depth : {1u, 4u, 8u, 12u, 16u, 33u, 63u, 64u}) {
     for (const std::size_t n : kLengths) {
       core::Decorrelator serial = decorrelator_fixture(depth, 0xBEE);
       core::Decorrelator fast = decorrelator_fixture(depth, 0xBEE);
@@ -201,7 +182,7 @@ const std::size_t kWordBoundaryLengths[] = {4095, 4096, 4097, 8191, 8192,
 
 TEST(WordKernels, DecorrelatorBitIdenticalAcrossWordAndBlockBoundaries) {
   std::mt19937 gen(707);
-  for (const std::size_t depth : {1u, 8u, 16u}) {
+  for (const std::size_t depth : {1u, 8u, 16u, 63u, 64u}) {
     for (const std::size_t n : kWordBoundaryLengths) {
       core::Decorrelator serial = decorrelator_fixture(depth, 0xACE);
       core::Decorrelator fast = decorrelator_fixture(depth, 0xACE);
@@ -229,15 +210,16 @@ TEST(WordKernels, ChainLinkBitIdenticalAcrossWordAndBlockBoundaries) {
 
 TEST(WordKernels, TfmPairBitIdenticalAcrossWordAndBlockBoundaries) {
   std::mt19937 gen(909);
-  // Precision 8 rides the nibble-jump word path; 10 exceeds the word-path
-  // cap and must fall back to the per-cycle table bit-identically.
-  for (const unsigned precision : {8u, 10u}) {
+  // Precision 8 is the kernel cap; 9 and 10 have no kernel and must fall
+  // back to the bit-serial FSM.
+  for (const unsigned precision : {8u, 9u, 10u}) {
     const core::TrackingForecastMemory::Config config{precision, 3, 0.5};
     for (const std::size_t n : kWordBoundaryLengths) {
       core::TfmPair serial(config, std::make_unique<rng::Lfsr>(precision, 5),
                            std::make_unique<rng::Lfsr>(precision, 9));
       core::TfmPair fast(config, std::make_unique<rng::Lfsr>(precision, 5),
                          std::make_unique<rng::Lfsr>(precision, 9));
+      ASSERT_EQ(make_pair_kernel(fast) != nullptr, precision <= 8);
       const Bitstream x = random_stream(gen, n, 0.6);
       const Bitstream y = random_stream(gen, n, 0.25);
       expect_equivalent(serial, fast, x, y);
@@ -297,12 +279,13 @@ TEST(WordKernels, ShuffleBufferBitIdenticalAcrossWordAndBlockBoundaries) {
 
 TEST(WordKernels, TfmStreamBitIdenticalAcrossWordAndBlockBoundaries) {
   std::mt19937 gen(1212);
-  for (const unsigned precision : {8u, 10u}) {
+  for (const unsigned precision : {8u, 9u, 10u}) {
     for (const std::size_t n : kWordBoundaryLengths) {
       core::TrackingForecastMemory serial(
           {precision, 3, 0.5}, std::make_unique<rng::Lfsr>(precision, 77));
       core::TrackingForecastMemory fast(
           {precision, 3, 0.5}, std::make_unique<rng::Lfsr>(precision, 77));
+      ASSERT_EQ(make_stream_kernel(fast) != nullptr, precision <= 8);
       const Bitstream in = random_stream(gen, n, 0.4);
       ASSERT_EQ(core::apply(serial, in), kernel::apply(fast, in))
           << "precision=" << precision << " n=" << n;

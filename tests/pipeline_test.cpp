@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <stdexcept>
+
+#include "engine/session.hpp"
 #include "hw/cost.hpp"
 #include "hw/designs.hpp"
 #include "img/image.hpp"
@@ -190,6 +194,53 @@ TEST(Pipeline, OverheadNetlistsMatchUnitCounts) {
       pipeline_overhead_netlist(Variant::kRegeneration, config);
   // 121 regenerators (16 flops each: counter + hold) + shared 8-bit LFSR.
   EXPECT_EQ(regen_overhead.count(hw::Cell::kDff), 121u * 16u + 8u);
+}
+
+TEST(Pipeline, InvalidConfigsThrowFromBothEntryPoints) {
+  engine::Session session({1});
+  PipelineConfig no_tile = small_config();
+  no_tile.tile = 0;
+  PipelineConfig no_banks = small_config();
+  no_banks.input_banks = 0;
+  for (const Variant variant : {Variant::kNoManipulation,
+                                Variant::kRegeneration,
+                                Variant::kSynchronizer}) {
+    EXPECT_THROW(run_pipeline(test_scene(), variant, no_tile),
+                 std::invalid_argument);
+    EXPECT_THROW(run_pipeline_tiled(test_scene(), variant, no_tile, session),
+                 std::invalid_argument);
+    EXPECT_THROW(run_pipeline(test_scene(), variant, no_banks),
+                 std::invalid_argument);
+    EXPECT_THROW(run_pipeline_tiled(test_scene(), variant, no_banks, session),
+                 std::invalid_argument);
+    EXPECT_THROW(run_pipeline(Image(), variant, small_config()),
+                 std::invalid_argument);
+    EXPECT_THROW(run_pipeline_tiled(Image(), variant, small_config(), session),
+                 std::invalid_argument);
+  }
+}
+
+TEST(Pipeline, FullWidthGeneratorsProduceAFrame) {
+  // At sng_width 32 the natural length is 2^32: a level computed in 32
+  // bits wraps to 0, and every frame comes out blank.
+  const Image input = Image::checkerboard(40, 40, 8);
+  PipelineConfig config = small_config();
+  config.sng_width = 32;
+  engine::Session session({1});
+  const auto mean = [](const Image& image) {
+    const std::vector<double>& px = image.pixels();
+    return std::accumulate(px.begin(), px.end(), 0.0) /
+           static_cast<double>(px.size());
+  };
+  for (const Variant variant : {Variant::kNoManipulation,
+                                Variant::kRegeneration,
+                                Variant::kSynchronizer}) {
+    const auto serial = run_pipeline(input, variant, config);
+    const auto tiled = run_pipeline_tiled(input, variant, config, session);
+    const double want = mean(serial.reference);
+    EXPECT_GT(mean(serial.output), 0.5 * want) << to_string(variant);
+    EXPECT_GT(mean(tiled.output), 0.5 * want) << to_string(variant);
+  }
 }
 
 }  // namespace
