@@ -1,13 +1,14 @@
 /// \file bench_kernel_fsm.cpp
-/// Bit-serial vs table-driven throughput of the correlation circuits.
+/// Bit-serial vs word-path throughput of the correlation circuits.
 ///
 /// Runs each FSM (synchronizer, desynchronizer, decorrelator, TFM pair)
 /// over the same chunked long-stream workload twice — once with
-/// KernelPolicy::kSerial (one virtual step() per cycle, the reference
-/// path) and once with KernelPolicy::kAuto (the src/kernel/ table-driven
-/// word-parallel path) — and reports Mbit/s per circuit, the speedup, and
-/// whether the two runs produced identical overlap statistics (they must:
-/// the kernels are bit-identical by construction and by test).
+/// KernelPolicy::kSerial (the base process(): one virtual step() per
+/// cycle, the reference path) and once with KernelPolicy::kAuto (the
+/// circuit's process() override: table-driven or word-parallel) — and
+/// reports Mbit/s per circuit, the speedup, and whether the two runs
+/// produced identical overlap statistics (they must: the word paths are
+/// bit-identical by construction and by test).
 ///
 /// Harness bench (bench_harness.hpp): median-of-reps timing with warmup,
 /// sc-bench-v1 JSON.  Cases: kernel_fsm/<circuit>/{serial,kernel}

@@ -1,9 +1,18 @@
 #include "bitstream/bitstream.hpp"
 
 #include <bit>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace sc {
+
+void require_same_size(const char* where, std::size_t a, std::size_t b) {
+  if (a != b) {
+    throw std::invalid_argument(std::string(where) + ": stream sizes differ (" +
+                                std::to_string(a) + " vs " +
+                                std::to_string(b) + ")");
+  }
+}
 
 Bitstream::Bitstream(std::size_t length, bool fill)
     : words_(words_for(length), fill ? ~Word{0} : Word{0}), size_(length) {
@@ -81,21 +90,21 @@ void Bitstream::clear_tail() noexcept {
 }
 
 Bitstream operator&(const Bitstream& x, const Bitstream& y) {
-  assert(x.size() == y.size());
+  require_same_size("sc::Bitstream operator&", x.size(), y.size());
   Bitstream out = x;
   out &= y;
   return out;
 }
 
 Bitstream operator|(const Bitstream& x, const Bitstream& y) {
-  assert(x.size() == y.size());
+  require_same_size("sc::Bitstream operator|", x.size(), y.size());
   Bitstream out = x;
   out |= y;
   return out;
 }
 
 Bitstream operator^(const Bitstream& x, const Bitstream& y) {
-  assert(x.size() == y.size());
+  require_same_size("sc::Bitstream operator^", x.size(), y.size());
   Bitstream out = x;
   out ^= y;
   return out;
@@ -109,26 +118,27 @@ Bitstream operator~(const Bitstream& x) {
 }
 
 Bitstream& Bitstream::operator&=(const Bitstream& y) {
-  assert(size_ == y.size_);
+  require_same_size("sc::Bitstream operator&=", size_, y.size_);
   for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= y.words_[i];
   return *this;
 }
 
 Bitstream& Bitstream::operator|=(const Bitstream& y) {
-  assert(size_ == y.size_);
+  require_same_size("sc::Bitstream operator|=", size_, y.size_);
   for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= y.words_[i];
   return *this;
 }
 
 Bitstream& Bitstream::operator^=(const Bitstream& y) {
-  assert(size_ == y.size_);
+  require_same_size("sc::Bitstream operator^=", size_, y.size_);
   for (std::size_t i = 0; i < words_.size(); ++i) words_[i] ^= y.words_[i];
   return *this;
 }
 
 Bitstream Bitstream::mux(const Bitstream& x, const Bitstream& y,
                          const Bitstream& sel) {
-  assert(x.size() == y.size() && x.size() == sel.size());
+  require_same_size("sc::Bitstream mux", x.size(), y.size());
+  require_same_size("sc::Bitstream mux", x.size(), sel.size());
   Bitstream out(x.size());
   for (std::size_t i = 0; i < out.words_.size(); ++i) {
     out.words_[i] =

@@ -95,7 +95,7 @@ class Bitstream {
 
   /// Direct read access to the packed words (tail bits are guaranteed clear).
   const std::vector<Word>& words() const noexcept { return words_; }
-  /// Mutable word pointer for word-parallel writers (the kernel layer).
+  /// Mutable word pointer for word-parallel writers (process() word paths).
   /// Callers must keep the tail-bits-clear invariant: bits at positions
   /// >= size() in the last word stay zero.
   Word* word_data() noexcept { return words_.data(); }
@@ -109,7 +109,8 @@ class Bitstream {
     return !(*this == other);
   }
 
-  /// Word-parallel combinational gates.  Operand sizes must match.
+  /// Word-parallel combinational gates.  Operand sizes must match
+  /// (std::invalid_argument otherwise), here and in the compound forms.
   friend Bitstream operator&(const Bitstream& x, const Bitstream& y);
   friend Bitstream operator|(const Bitstream& x, const Bitstream& y);
   friend Bitstream operator^(const Bitstream& x, const Bitstream& y);
@@ -121,8 +122,9 @@ class Bitstream {
   Bitstream& operator^=(const Bitstream& y);
 
   /// Two-input multiplexer: out[i] = sel[i] ? y[i] : x[i].
-  /// All three streams must have the same length.  With an uncorrelated
-  /// half-weight select stream this is the classic SC scaled adder.
+  /// All three streams must have the same length (std::invalid_argument
+  /// otherwise).  With an uncorrelated half-weight select stream this is
+  /// the classic SC scaled adder.
   static Bitstream mux(const Bitstream& x, const Bitstream& y,
                        const Bitstream& sel);
 
@@ -146,5 +148,11 @@ class Bitstream {
   std::vector<Word> words_;
   std::size_t size_ = 0;
 };
+
+/// Throws std::invalid_argument naming `where` and both sizes unless
+/// a == b.  Every entry point that walks two streams word by word calls
+/// it in every build mode: an assert would compile away under NDEBUG and
+/// leave the loop reading past the shorter stream.
+void require_same_size(const char* where, std::size_t a, std::size_t b);
 
 }  // namespace sc

@@ -3,20 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <stdexcept>
-#include <string>
 
 namespace sc {
 
 OverlapCounts overlap(const Bitstream& x, const Bitstream& y) {
-  if (x.size() != y.size()) {
-    // An assert here vanishes under NDEBUG and the word loop then indexes
-    // past the shorter vector; mismatched lengths are a caller bug, so
-    // fail deterministically in every build mode.
-    throw std::invalid_argument("sc::overlap: stream sizes differ (" +
-                                std::to_string(x.size()) + " vs " +
-                                std::to_string(y.size()) + ")");
-  }
+  require_same_size("sc::overlap", x.size(), y.size());
   OverlapCounts counts;
   const auto& xw = x.words();
   const auto& yw = y.words();

@@ -3,7 +3,7 @@
 ///
 /// Every helper here is *exact*: the vector implementations are drop-in
 /// replacements for the scalar loops they accelerate, bit-identical for
-/// every input (the kernel layer's equivalence contract extends through
+/// every input (the word paths' equivalence contract extends through
 /// this shim).  Dispatch picks the widest tier the host supports at first
 /// use — AVX-512 (F/BW/VL/DQ + BMI2), AVX2 + BMI2 + POPCNT, NEON on
 /// aarch64, or plain scalar — and the `SC_SIMD` environment variable

@@ -1,5 +1,7 @@
 #include "core/decorrelator.hpp"
 
+#include <algorithm>
+
 namespace sc::core {
 
 Decorrelator::Decorrelator(std::size_t depth, rng::RandomSourcePtr source_x,
@@ -9,6 +11,11 @@ Decorrelator::Decorrelator(std::size_t depth, rng::RandomSourcePtr source_x,
 
 BitPair Decorrelator::step(bool x, bool y) {
   return BitPair{buffer_x_.step(x), buffer_y_.step(y)};
+}
+
+void Decorrelator::process(Word* x, Word* y, std::size_t bits) {
+  buffer_x_.process(x, bits);
+  buffer_y_.process(y, bits);
 }
 
 void Decorrelator::reset() {
@@ -26,6 +33,16 @@ DecorrelatorChainLink::DecorrelatorChainLink(std::size_t depth,
 
 BitPair DecorrelatorChainLink::step(bool x, bool /*y*/) {
   return BitPair{x, buffer_.step(x)};
+}
+
+void DecorrelatorChainLink::process(Word* x, Word* y, std::size_t bits) {
+  const std::size_t words = bits / 64;
+  std::copy(x, x + words, y);
+  if (bits % 64 != 0) {
+    const Word low = (Word{1} << (bits % 64)) - 1;
+    y[words] = (x[words] & low) | (y[words] & ~low);
+  }
+  buffer_.process(y, bits);
 }
 
 void DecorrelatorChainLink::reset() { buffer_.reset(); }

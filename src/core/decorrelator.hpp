@@ -30,14 +30,13 @@ class Decorrelator final : public PairTransform {
                rng::RandomSourcePtr source_y);
 
   BitPair step(bool x, bool y) override;
+  /// The buffers are independent (separate sources and slots), so each
+  /// stream runs its own buffer's word path.
+  void process(Word* x, Word* y, std::size_t bits) override;
   void reset() override;
   [[nodiscard]] unsigned saved_ones() const override;
 
   [[nodiscard]] std::size_t depth() const { return buffer_x_.depth(); }
-
-  /// The underlying buffers, exposed for the table-driven kernel layer.
-  ShuffleBuffer& buffer_x() { return buffer_x_; }
-  ShuffleBuffer& buffer_y() { return buffer_y_; }
 
  private:
   ShuffleBuffer buffer_x_;
@@ -60,13 +59,13 @@ class DecorrelatorChainLink final : public PairTransform {
   DecorrelatorChainLink(std::size_t depth, rng::RandomSourcePtr source);
 
   BitPair step(bool x, bool y) override;
+  /// Copies x's bits into y (y's bits past `bits` kept), then runs the
+  /// buffer's word path over y.
+  void process(Word* x, Word* y, std::size_t bits) override;
   void reset() override;
   [[nodiscard]] unsigned saved_ones() const override;
 
   [[nodiscard]] std::size_t depth() const { return buffer_.depth(); }
-
-  /// The underlying buffer, exposed for the table-driven kernel layer.
-  ShuffleBuffer& buffer() { return buffer_; }
 
  private:
   ShuffleBuffer buffer_;

@@ -1,9 +1,41 @@
 #include "core/desynchronizer.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
+#include "kernel/pair_table.hpp"
+
 namespace sc::core {
+
+namespace {
+
+/// The depth's shared nibble table, or nullptr past
+/// kernel::kMaxTableStates.  State index =
+/// ((saved_x * (depth + 1) + saved_y) << 1) | save_from_x; combinations
+/// with saved_x + saved_y > depth are encodable but unreachable, and the
+/// pure transition is total over them regardless.
+const kernel::PairNibbleTable* nibble_table(unsigned depth) {
+  const std::uint64_t side = std::uint64_t{depth} + 1;
+  const std::uint64_t states = 2 * side * side;  // 64-bit: no wrap past cap
+  if (states > kernel::kMaxTableStates) return nullptr;
+  static kernel::TableCache<unsigned, kernel::PairNibbleTable> cache;
+  return &cache.get(depth, [depth, side, states] {
+    const auto side32 = static_cast<unsigned>(side);
+    return kernel::PairNibbleTable::build(
+        static_cast<unsigned>(states),
+        [depth, side32](unsigned s, bool x, bool y) {
+          const unsigned pair = s >> 1;
+          const Desynchronizer::Transition t = Desynchronizer::transition(
+              depth, pair / side32, pair % side32, (s & 1u) != 0, x, y);
+          return kernel::PairStep{((t.saved_x * side32 + t.saved_y) << 1) |
+                                      (t.save_from_x ? 1u : 0u),
+                                  t.out_x, t.out_y};
+        });
+  });
+}
+
+}  // namespace
 
 Desynchronizer::Desynchronizer(Config config) : config_(config) {
   if (config_.depth == 0) {
@@ -26,17 +58,6 @@ void Desynchronizer::begin_stream(std::size_t length) {
   save_from_x_ = config_.prefer_x_first;
   remaining_ = length;
   length_known_ = true;
-}
-
-void Desynchronizer::set_state(const State& state) {
-  // Clamped like Synchronizer::set_state: a release build must not accept
-  // counters that break saved_x + saved_y <= depth (the kernel layer
-  // derives table indices from them).
-  saved_x_ = std::min(state.saved_x, config_.depth);
-  saved_y_ = std::min(state.saved_y, config_.depth - saved_x_);
-  save_from_x_ = state.save_from_x;
-  remaining_ = state.remaining;
-  length_known_ = state.length_known;
 }
 
 Desynchronizer::Transition Desynchronizer::transition(unsigned depth,
@@ -95,6 +116,25 @@ BitPair Desynchronizer::step(bool x, bool y) {
   saved_y_ = t.saved_y;
   save_from_x_ = t.save_from_x;
   return BitPair{t.out_x, t.out_y};
+}
+
+void Desynchronizer::process(Word* x, Word* y, std::size_t bits) {
+  if (table_ == nullptr) table_ = nibble_table(config_.depth);
+  std::size_t done = 0;
+  if (table_ != nullptr) {
+    done = kernel::pre_flush_cycles(config_.flush && length_known_,
+                                    remaining_, config_.depth, bits);
+    const unsigned side = config_.depth + 1;
+    const unsigned state = kernel::run_pair_table(
+        *table_,
+        ((saved_x_ * side + saved_y_) << 1) | (save_from_x_ ? 1u : 0u), x, y,
+        x, y, done);
+    saved_x_ = (state >> 1) / side;
+    saved_y_ = (state >> 1) % side;
+    save_from_x_ = (state & 1u) != 0;
+    remaining_ -= std::min(done, remaining_);
+  }
+  step_words(x, y, done, bits);
 }
 
 }  // namespace sc::core

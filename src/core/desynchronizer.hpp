@@ -27,6 +27,10 @@
 
 #include "core/pair_transform.hpp"
 
+namespace sc::kernel {
+class PairNibbleTable;
+}  // namespace sc::kernel
+
 namespace sc::core {
 
 /// Desynchronizer FSM with save depth D (paper Fig. 3b for D = 1).
@@ -53,26 +57,22 @@ class Desynchronizer final : public PairTransform {
     bool out_y;
   };
 
-  /// Pure non-flush step function, exposed for the table-driven kernels
-  /// (src/kernel/): maps (saved counters, alternation flag, input pair) to
-  /// the successor state and output pair.
+  /// Pure non-flush step function: maps (saved counters, alternation
+  /// flag, input pair) to the successor state and output pair.  step() is
+  /// this plus the flush bookkeeping; process() enumerates it into its
+  /// nibble table.
   static Transition transition(unsigned depth, unsigned saved_x,
                                unsigned saved_y, bool save_from_x, bool x,
                                bool y);
-
-  /// Complete mutable FSM state for external (kernel-layer) drivers.
-  struct State {
-    unsigned saved_x = 0;
-    unsigned saved_y = 0;
-    bool save_from_x = true;
-    std::size_t remaining = 0;  ///< cycles left of the announced length
-    bool length_known = false;  ///< begin_stream() was called this run
-  };
 
   Desynchronizer() : Desynchronizer(Config{}) {}
   explicit Desynchronizer(Config config);
 
   BitPair step(bool x, bool y) override;
+  /// Word path: the depth's shared nibble table, as in the synchronizer.
+  /// The state count is 2 (depth + 1)^2, so depths past 44 step every
+  /// cycle.
+  void process(Word* x, Word* y, std::size_t bits) override;
   void reset() override;
   [[nodiscard]] unsigned saved_ones() const override { return saved_x_ + saved_y_; }
   void begin_stream(std::size_t length) override;
@@ -80,11 +80,6 @@ class Desynchronizer final : public PairTransform {
   const Config& config() const { return config_; }
   [[nodiscard]] unsigned saved_x() const { return saved_x_; }
   [[nodiscard]] unsigned saved_y() const { return saved_y_; }
-
-  [[nodiscard]] State state() const {
-    return {saved_x_, saved_y_, save_from_x_, remaining_, length_known_};
-  }
-  void set_state(const State& state);
 
  private:
   Config config_;
@@ -94,6 +89,7 @@ class Desynchronizer final : public PairTransform {
   std::size_t remaining_ = 0;
   bool length_known_ = false;  // distinguishes "no length announced" from
                                // "announced length fully consumed"
+  const kernel::PairNibbleTable* table_ = nullptr;  // first process()
 };
 
 }  // namespace sc::core

@@ -8,12 +8,15 @@
 /// StreamTransform is the single-stream interface (shuffle buffer, delay
 /// line, single TFM).
 ///
+/// step() is the reference semantics.  process() advances packed words;
+/// its base implementation loops step(), and circuits with a word path
+/// (table-driven or word-parallel) override it bit-identically.
+///
 /// Whole-stream helpers `apply(...)` run a transform over packed bitstreams
 /// and are the forms tests and benchmarks use.
 
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <utility>
 
@@ -31,10 +34,22 @@ struct BitPair {
 /// Stateful transform of a pair of streams, one bit pair per cycle.
 class PairTransform {
  public:
+  using Word = Bitstream::Word;
+
   virtual ~PairTransform() = default;
 
   /// Consumes the cycle's input bits, produces the cycle's output bits.
   virtual BitPair step(bool x, bool y) = 0;
+
+  /// Transforms the next `bits` cycles in place over packed words (cycle
+  /// i at word i / 64, bit i % 64); bits at positions >= `bits` in the
+  /// final word are preserved.  State carries across calls and mixes
+  /// freely with step().  The base implementation steps every cycle and
+  /// is the reference: callers that want it call `PairTransform::process`
+  /// non-virtually, and overrides must match it bit for bit.
+  virtual void process(Word* x, Word* y, std::size_t bits) {
+    step_words(x, y, 0, bits);
+  }
 
   /// Returns to the initial state.
   virtual void reset() = 0;
@@ -48,42 +63,61 @@ class PairTransform {
   /// Transforms with end-of-stream flush behaviour (synchronizer /
   /// desynchronizer with Config::flush) use it; others ignore it.
   virtual void begin_stream(std::size_t /*length*/) {}
+
+ protected:
+  /// Steps cycles [first, last) of packed words in place.
+  void step_words(Word* x, Word* y, std::size_t first, std::size_t last) {
+    for (std::size_t i = first; i < last; ++i) {
+      Word& xw = x[i / 64];
+      Word& yw = y[i / 64];
+      const Word m = Word{1} << (i % 64);
+      const BitPair out = step((xw & m) != 0, (yw & m) != 0);
+      xw = out.x ? xw | m : xw & ~m;
+      yw = out.y ? yw | m : yw & ~m;
+    }
+  }
 };
 
 /// Stateful transform of a single stream, one bit per cycle.
 class StreamTransform {
  public:
+  using Word = Bitstream::Word;
+
   virtual ~StreamTransform() = default;
   virtual bool step(bool in) = 0;
+  /// Single-stream PairTransform::process: steps every cycle by default.
+  virtual void process(Word* x, std::size_t bits) {
+    for (std::size_t i = 0; i < bits; ++i) {
+      Word& w = x[i / 64];
+      const Word m = Word{1} << (i % 64);
+      w = step((w & m) != 0) ? w | m : w & ~m;
+    }
+  }
   virtual void reset() = 0;
   [[nodiscard]] virtual unsigned saved_ones() const { return 0; }
   virtual void begin_stream(std::size_t /*length*/) {}
 };
 
-/// Runs a pair transform over two equal-length streams.
-/// Calls begin_stream(), then steps every cycle.  Does not reset first.
+/// Runs a pair transform over two equal-length streams (unequal lengths
+/// throw std::invalid_argument).  Calls begin_stream(), then the
+/// bit-serial reference `PairTransform::process`.  Does not reset first.
+/// Inline, so callers that own a concrete circuit (the image pipeline's
+/// per-pixel synchronizers) step it through direct calls.
 inline sc::StreamPair apply(PairTransform& transform, const Bitstream& x,
                             const Bitstream& y) {
-  assert(x.size() == y.size());
-  const std::size_t n = x.size();
-  sc::StreamPair out{Bitstream(n), Bitstream(n)};
-  transform.begin_stream(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const BitPair bits = transform.step(x.get(i), y.get(i));
-    if (bits.x) out.x.set(i, true);
-    if (bits.y) out.y.set(i, true);
-  }
+  require_same_size("sc::core::apply", x.size(), y.size());
+  sc::StreamPair out{x, y};
+  transform.begin_stream(x.size());
+  transform.PairTransform::process(out.x.word_data(), out.y.word_data(),
+                                   x.size());
   return out;
 }
 
-/// Runs a single-stream transform over a stream.
+/// Runs a single-stream transform over a stream, bit-serially.
 inline Bitstream apply(StreamTransform& transform, const Bitstream& x) {
-  const std::size_t n = x.size();
-  Bitstream out(n);
-  transform.begin_stream(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (transform.step(x.get(i))) out.set(i, true);
-  }
+  Bitstream out = x;
+  transform.begin_stream(x.size());
+  transform.StreamTransform::process(out.word_data(), x.size());
   return out;
 }
 

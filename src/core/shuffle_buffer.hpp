@@ -36,24 +36,24 @@ class ShuffleBuffer final : public StreamTransform {
   ShuffleBuffer(std::size_t depth, rng::RandomSourcePtr source);
 
   bool step(bool in) override;
+  /// Word path (depth <= 64): address draws block-filled and pre-reduced
+  /// by RandomSource::fill_indices, whole words through the SIMD shim's
+  /// slot-class shuffle (simd::shuffle_words).  Deeper buffers step every
+  /// cycle.
+  void process(Word* x, std::size_t bits) override;
   void reset() override;
   /// 1s currently resident in the buffer.
   [[nodiscard]] unsigned saved_ones() const override;
 
-  [[nodiscard]] std::size_t depth() const { return slots_.size(); }
-
-  /// Slot contents packed as a bitmask, slot i = bit i (depth <= 64 only).
-  [[nodiscard]] std::uint64_t slots_mask() const;
-  void set_slots_mask(std::uint64_t mask);
-
-  /// The auxiliary address source (kernels draw from it directly so its
-  /// sequence position stays shared with the bit-serial path).
-  rng::RandomSource& source() { return *source_; }
+  [[nodiscard]] std::size_t depth() const { return depth_; }
 
  private:
   void initialize_slots();
 
-  std::vector<char> slots_;  // char instead of bool for addressable slots
+  std::size_t depth_;
+  // Slot s is bit s % 64 of word s / 64: up to depth 64 this is the
+  // one-word slot mask simd::shuffle_words advances.
+  std::vector<std::uint64_t> slots_;
   rng::RandomSourcePtr source_;
 };
 

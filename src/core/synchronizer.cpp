@@ -1,9 +1,12 @@
 #include "core/synchronizer.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
+
+#include "kernel/pair_table.hpp"
 
 namespace sc::core {
 
@@ -15,6 +18,26 @@ namespace {
 int credit_bound(unsigned depth) {
   return static_cast<int>(
       std::min<unsigned>(depth, std::numeric_limits<int>::max()));
+}
+
+/// The depth's shared nibble table (state index = credit + depth), or
+/// nullptr past kernel::kMaxTableStates.
+const kernel::PairNibbleTable* nibble_table(unsigned depth) {
+  // Counted in 64 bits: a wrapped count would pass the cap and build an
+  // undersized table.
+  const std::uint64_t states = 2 * std::uint64_t{depth} + 1;
+  if (states > kernel::kMaxTableStates) return nullptr;
+  static kernel::TableCache<unsigned, kernel::PairNibbleTable> cache;
+  return &cache.get(depth, [depth, states] {
+    return kernel::PairNibbleTable::build(
+        static_cast<unsigned>(states), [depth](unsigned s, bool x, bool y) {
+          const auto offset = static_cast<int>(depth);
+          const Synchronizer::Transition t = Synchronizer::transition(
+              depth, static_cast<int>(s) - offset, x, y);
+          return kernel::PairStep{static_cast<unsigned>(t.credit + offset),
+                                  t.out_x, t.out_y};
+        });
+  });
 }
 
 }  // namespace
@@ -43,13 +66,6 @@ void Synchronizer::begin_stream(std::size_t length) {
   credit_ = config_.initial_credit;
   remaining_ = length;
   length_known_ = true;
-}
-
-void Synchronizer::set_state(const State& state) {
-  const int depth = credit_bound(config_.depth);
-  credit_ = std::clamp(state.credit, -depth, depth);
-  remaining_ = state.remaining;
-  length_known_ = state.length_known;
 }
 
 Synchronizer::Transition Synchronizer::transition(unsigned depth_bits,
@@ -106,6 +122,22 @@ BitPair Synchronizer::step(bool x, bool y) {
   const Transition t = transition(config_.depth, credit_, x, y);
   credit_ = t.credit;
   return BitPair{t.out_x, t.out_y};
+}
+
+void Synchronizer::process(Word* x, Word* y, std::size_t bits) {
+  if (table_ == nullptr) table_ = nibble_table(config_.depth);
+  std::size_t done = 0;
+  if (table_ != nullptr) {
+    done = kernel::pre_flush_cycles(config_.flush && length_known_,
+                                    remaining_, config_.depth, bits);
+    const auto offset = static_cast<int>(config_.depth);
+    credit_ = static_cast<int>(kernel::run_pair_table(
+                  *table_, static_cast<unsigned>(credit_ + offset), x, y, x,
+                  y, done)) -
+              offset;
+    remaining_ -= std::min(done, remaining_);
+  }
+  step_words(x, y, done, bits);
 }
 
 }  // namespace sc::core

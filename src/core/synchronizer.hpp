@@ -28,6 +28,10 @@
 
 #include "core/pair_transform.hpp"
 
+namespace sc::kernel {
+class PairNibbleTable;
+}  // namespace sc::kernel
+
 namespace sc::core {
 
 /// Synchronizer FSM with save depth D (paper Fig. 3a for D = 1).
@@ -54,24 +58,19 @@ class Synchronizer final : public PairTransform {
   };
 
   /// Pure non-flush step function: (credit, x, y) -> (credit', output pair).
-  /// step() is this plus the flush bookkeeping; the table-driven kernels
-  /// (src/kernel/) enumerate it over all credits and input pairs to build
-  /// their transition tables.
+  /// step() is this plus the flush bookkeeping; process() enumerates it
+  /// over all credits and input pairs into its nibble table.
   static Transition transition(unsigned depth, int credit, bool x, bool y);
-
-  /// Complete mutable FSM state, exposed so external drivers (the kernel
-  /// layer) can run the transition function themselves and write the
-  /// advanced state back.
-  struct State {
-    int credit = 0;
-    std::size_t remaining = 0;  ///< cycles left of the announced length
-    bool length_known = false;  ///< begin_stream() was called this run
-  };
 
   Synchronizer() : Synchronizer(Config{}) {}
   explicit Synchronizer(Config config);
 
   BitPair step(bool x, bool y) override;
+  /// Word path: the depth's shared nibble table (kernel/pair_table.hpp),
+  /// four cycles per lookup, with step() for the flush window.  Depths
+  /// past 2047 (2 depth + 1 credits exceed kernel::kMaxTableStates) step
+  /// every cycle.
+  void process(Word* x, Word* y, std::size_t bits) override;
   void reset() override;
   [[nodiscard]] unsigned saved_ones() const override;
   void begin_stream(std::size_t length) override;
@@ -80,16 +79,16 @@ class Synchronizer final : public PairTransform {
   /// Signed saved-bit credit: > 0 means saved X 1s, < 0 means saved Y 1s.
   [[nodiscard]] int credit() const { return credit_; }
 
-  [[nodiscard]] State state() const { return {credit_, remaining_, length_known_}; }
-  /// Overwrites the FSM state (credit is clamped to [-depth, depth]).
-  void set_state(const State& state);
-
  private:
   Config config_;
   int credit_ = 0;
   std::size_t remaining_ = 0;  // cycles left in the stream (flush mode)
   bool length_known_ = false;  // distinguishes "no length announced" from
                                // "announced length fully consumed"
+  // Fetched on the first process(), not at construction: most
+  // synchronizers (the image pipeline builds one per pixel pair) only
+  // step.
+  const kernel::PairNibbleTable* table_ = nullptr;
 };
 
 }  // namespace sc::core

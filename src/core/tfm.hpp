@@ -46,35 +46,33 @@ class TrackingForecastMemory final : public StreamTransform {
   TrackingForecastMemory(Config config, rng::RandomSourcePtr source);
 
   bool step(bool in) override;
+  /// Word path (precision <= 8): a nibble-jump table advances four
+  /// estimate updates per lookup into a trace, and the output regenerates
+  /// a word at a time as (aux draw < trace entry) through the aux
+  /// source's word API (fill_compare_trace).  Higher precisions step
+  /// every cycle.
+  void process(Word* x, std::size_t bits) override;
   void reset() override;
 
   /// Current probability estimate in [0, 1].
   [[nodiscard]] double estimate() const;
 
-  /// Pure EMA update, exposed for the table-driven kernels (src/kernel/):
-  /// the estimate after consuming `in`, before output regeneration.
-  static std::int32_t next_estimate(std::int32_t estimate, bool in,
-                                    unsigned shift, std::int32_t scale) {
-    const std::int32_t target = in ? scale : 0;
-    // C++20 guarantees arithmetic right shift of negatives; (target -
-    // estimate) stays in [-scale, scale] regardless.
-    return estimate + ((target - estimate) >> shift);
-  }
-
   const Config& config() const { return config_; }
-  /// Fixed-point estimate in [0, 2^precision] (exact kernel state).
-  [[nodiscard]] std::int32_t estimate_fixed() const { return estimate_; }
-  void set_estimate_fixed(std::int32_t estimate) { estimate_ = estimate; }
   [[nodiscard]] std::int32_t scale() const { return scale_; }
-  /// The regeneration RNG (kernels draw from it directly).
-  rng::RandomSource& aux_source() { return *source_; }
 
  private:
+  friend class TfmPair;  // fuses the two estimate walks of a pair
+
+  /// The configuration's shared nibble-jump table, fetched on first use;
+  /// nullptr above precision 8.
+  const std::uint64_t* jump_table();
+
   Config config_;
   rng::RandomSourcePtr source_;
   std::int32_t scale_;     // 2^precision
   std::int32_t initial_;   // initial estimate in fixed point
   std::int32_t estimate_;  // current estimate in fixed point
+  const std::uint64_t* jump_ = nullptr;
 };
 
 /// Pair of independent TFMs as a decorrelating pair transform
@@ -85,11 +83,11 @@ class TfmPair final : public PairTransform {
           rng::RandomSourcePtr source_y);
 
   BitPair step(bool x, bool y) override;
+  /// Both TFMs' word paths fused: one pass walks both inputs (the two
+  /// estimate chains are independent, so their jump loads overlap), then
+  /// each stream regenerates through its own aux source.
+  void process(Word* x, Word* y, std::size_t bits) override;
   void reset() override;
-
-  /// The underlying TFMs, exposed for the table-driven kernel layer.
-  TrackingForecastMemory& tfm_x() { return tfm_x_; }
-  TrackingForecastMemory& tfm_y() { return tfm_y_; }
 
  private:
   TrackingForecastMemory tfm_x_;

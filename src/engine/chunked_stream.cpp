@@ -1,11 +1,7 @@
 #include "engine/chunked_stream.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
-
-#include "kernel/apply.hpp"
-#include "kernel/kernels.hpp"
 
 namespace sc::engine {
 
@@ -14,7 +10,9 @@ namespace sc::engine {
 SngChunkSource::SngChunkSource(rng::RandomSourcePtr source,
                                std::uint64_t level, std::size_t length)
     : source_(std::move(source)), level_(level), length_(length) {
-  assert(source_ != nullptr);
+  if (source_ == nullptr) {
+    throw std::invalid_argument("engine::SngChunkSource: null source");
+  }
 }
 
 std::size_t SngChunkSource::next_chunk(Bitstream& chunk,
@@ -126,29 +124,21 @@ ChunkedRunStats run_chunked(ChunkSource& source,
   if (chunk_bits == 0) throw std::invalid_argument("chunk_bits must be > 0");
 
   ChunkedRunStats stats;
-  std::unique_ptr<kernel::StreamKernel> kern;
-  if (transform != nullptr) {
-    transform->begin_stream(source.length());
-    if (policy == KernelPolicy::kAuto) {
-      kern = kernel::make_stream_kernel(*transform);
-    }
-  }
+  if (transform != nullptr) transform->begin_stream(source.length());
 
   Bitstream chunk;
   while (source.next_chunk(chunk, chunk_bits) > 0) {
-    if (kern != nullptr) {
-      kern->process(chunk.word_data(), chunk.size());
+    if (transform != nullptr && policy == KernelPolicy::kAuto) {
+      transform->process(chunk.word_data(), chunk.size());
     } else if (transform != nullptr) {
-      for (std::size_t i = 0; i < chunk.size(); ++i) {
-        chunk.set(i, transform->step(chunk.get(i)));
-      }
+      transform->core::StreamTransform::process(chunk.word_data(),
+                                                chunk.size());
     }
     stats.bits += chunk.size();
     ++stats.chunks;
     stats.peak_buffer_bits = std::max(stats.peak_buffer_bits, chunk.size());
     sink.consume(chunk);
   }
-  if (kern != nullptr) kern->finish();
   return stats;
 }
 
@@ -162,14 +152,7 @@ ChunkedRunStats run_chunked_pair(ChunkSource& source_x, ChunkSource& source_y,
   }
 
   ChunkedRunStats stats;
-  // The shared chunk driver (also used by the graph engine backend) owns
-  // the begin/kernel/advance/finish protocol.
-  std::unique_ptr<kernel::ChunkedPairApplier> applier;
-  if (transform != nullptr) {
-    applier = std::make_unique<kernel::ChunkedPairApplier>(
-        *transform, policy == KernelPolicy::kAuto);
-    applier->begin(source_x.length());
-  }
+  if (transform != nullptr) transform->begin_stream(source_x.length());
 
   Bitstream chunk_x;
   Bitstream chunk_y;
@@ -184,7 +167,12 @@ ChunkedRunStats run_chunked_pair(ChunkSource& source_x, ChunkSource& source_y,
           "exactly min(max_bits, remaining)");
     }
     if (nx == 0) break;
-    if (applier != nullptr) applier->advance(chunk_x, chunk_y);
+    if (transform != nullptr && policy == KernelPolicy::kAuto) {
+      transform->process(chunk_x.word_data(), chunk_y.word_data(), nx);
+    } else if (transform != nullptr) {
+      transform->core::PairTransform::process(chunk_x.word_data(),
+                                              chunk_y.word_data(), nx);
+    }
     stats.bits += nx;
     ++stats.chunks;
     stats.peak_buffer_bits =
@@ -192,7 +180,6 @@ ChunkedRunStats run_chunked_pair(ChunkSource& source_x, ChunkSource& source_y,
     sink.consume(chunk_x, chunk_y);
     (void)ny;
   }
-  if (applier != nullptr) applier->finish();
   return stats;
 }
 

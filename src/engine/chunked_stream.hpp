@@ -65,7 +65,8 @@ class ChunkSource {
 /// and keeps pace with the word-parallel kernels downstream.
 class SngChunkSource final : public ChunkSource {
  public:
-  /// \param source owned RNG; \param level in [0, 2^source->width()] —
+  /// \param source owned RNG (null throws std::invalid_argument);
+  /// \param level in [0, 2^source->width()] —
   /// 64-bit so a width-32 source's full-scale level 2^32 does not wrap
   /// (same class of bug as Sng::natural_length_);
   /// \param length total bits to produce.
@@ -180,12 +181,13 @@ struct ChunkedRunStats {
 
 /// How the drivers advance the FSM across each chunk.
 enum class KernelPolicy {
-  /// Table-driven word-parallel kernels (src/kernel/) when the transform
-  /// has one, bit-serial step() otherwise.  Output is bit-identical either
-  /// way; this is the default whole-stream path.
+  /// The transform's process() override (its table-driven or
+  /// word-parallel path) where it has one, step() per cycle otherwise.
+  /// Output is bit-identical either way; this is the default.
   kAuto,
-  /// Always one virtual step() per cycle — the reference implementation,
-  /// kept selectable for differential tests and benchmarks.
+  /// Always the base process(): one virtual step() per cycle — the
+  /// reference implementation, kept selectable for differential tests
+  /// and benchmarks.
   kSerial,
 };
 

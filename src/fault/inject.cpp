@@ -15,10 +15,9 @@ namespace {
 /// Decorator that wipes the inner fix FSM to its power-on state at the
 /// matching cycles (fault.hpp's SEU model).  Carries its own cycle counter
 /// across step() calls, so chunked drivers corrupt the same absolute cycle
-/// as whole-stream ones.  Deliberately offers no table-driven kernel: the
-/// kernel layer's make_pair_kernel does not recognise it and every backend
-/// falls back to the bit-serial path, which is what keeps the corruption
-/// cycle exact everywhere.
+/// as whole-stream ones.  Deliberately does not override process(): every
+/// backend then runs the base step() loop, which is what keeps the
+/// corruption cycle exact everywhere.
 class FsmCorruptingTransform final : public core::PairTransform {
  public:
   FsmCorruptingTransform(std::unique_ptr<core::PairTransform> inner,

@@ -13,10 +13,9 @@
 ///    same bits because every decision hashes the absolute index.
 ///
 ///  * wrap_fsm_faults decorates a planned fix's PairTransform with the
-///    op's matching FsmFaults.  The wrapper has no table-driven kernel, so
-///    every backend drives it bit-serially (the kernel layer's documented
-///    fallback) and the corruption lands on the same cycle everywhere,
-///    chunk boundaries included.
+///    op's matching FsmFaults.  The wrapper does not override process(),
+///    so every backend drives it bit-serially and the corruption lands on
+///    the same cycle everywhere, chunk boundaries included.
 ///
 /// Thread-safety: a ResolvedFaultPlan is immutable after resolve(); the
 /// engine backend reads it concurrently from its pool workers.

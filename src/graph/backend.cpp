@@ -19,7 +19,6 @@
 #include "engine/session.hpp"
 #include "fault/inject.hpp"
 #include "graph/seeds.hpp"
-#include "kernel/apply.hpp"
 #include "obs/probe.hpp"
 #include "obs/telemetry.hpp"
 #include "opt/optimize.hpp"
@@ -141,54 +140,22 @@ void apply_regeneration(FixKind kind, Bitstream& a, Bitstream& b,
 
 // ------------------------------------------------------------ telemetry
 
-/// RNG draws a run makes, modeled exactly from the executed plan: every
-/// group trace, per-cycle fix RNG (decorrelator 2/cycle, chain link
-/// 1/cycle), regeneration re-encode, and operator-private slot draws one
-/// value per cycle from its generator — so the count is a pure function
-/// of (program, plan, n) and costs nothing on the hot path.
-std::uint64_t modeled_rng_draws(const Program& program,
-                                const ProgramPlan& plan, std::size_t n) {
-  std::uint64_t per_cycle = 0;
-  std::map<unsigned, bool> groups;
-  for (NodeId id = 0; id < program.node_count(); ++id) {
-    const ProgramNode& node = program.node(id);
-    if (node.kind != ProgramNode::Kind::kOp) {
-      if (groups.emplace(node.rng_group, true).second) ++per_cycle;
-      continue;
-    }
-    per_cycle += program.def_of(id).rng_slots;
-  }
-  for (const PairFix& fix : plan.fixes) {
-    switch (fix.fix) {
-      case FixKind::kDecorrelator:
-      case FixKind::kRegenerateDistinct:
-        per_cycle += 2;
-        break;
-      case FixKind::kDecorrelatorChain:
-      case FixKind::kRegenerateShared:
-      case FixKind::kRegenerateComplementary:
-        per_cycle += 1;
-        break;
-      default:
-        break;  // synchronizer / desynchronizer draw no RNG
-    }
-  }
-  return per_cycle * static_cast<std::uint64_t>(n);
-}
-
 /// Per-run execution counters shared by the whole-stream and chunked
 /// paths.
 void record_run_metrics(obs::Telemetry* telemetry, const char* backend,
                         const Program& program, const ProgramPlan& plan,
-                        std::size_t n) {
+                        const ExecConfig& config) {
   if (telemetry == nullptr) return;
+  const auto n = static_cast<std::uint64_t>(config.stream_length);
   obs::MetricsRegistry& metrics = telemetry->metrics();
   metrics.counter("backend.runs").inc();
   metrics.counter(std::string("backend.") + backend + ".runs").inc();
-  metrics.counter("backend.bits_processed")
-      .add(static_cast<std::uint64_t>(n) * program.node_count());
+  metrics.counter("backend.bits_processed").add(n * program.node_count());
+  // Every derived seed seeds one generator that draws one value per
+  // cycle (group traces, operator-private slots, fix aux sources), so the
+  // draw count is exact and costs nothing on the hot path.
   metrics.counter("backend.rng_draws")
-      .add(modeled_rng_draws(program, plan, n));
+      .add(derived_seeds(program, plan, config).size() * n);
 }
 
 /// Resolves the telemetry's probe specs against the *executed* program
@@ -346,10 +313,16 @@ ExecutionResult run_whole(const Program& program, const ProgramPlan& plan,
           fault::wrap_fsm_faults(
               make_fix_transform(fix.fix, config, tag, fix_lane(fix)), faults,
               id, static_cast<unsigned>(position));
-      const sc::StreamPair out = kernel_path ? kernel::apply(*transform, a, b)
-                                             : core::apply(*transform, a, b);
-      a = out.x;
-      b = out.y;
+      // In place on the node's own slot copies.  As with the evaluators,
+      // the non-virtual base call is the bit-serial reference and the
+      // override is the circuit's word path.
+      transform->begin_stream(n);
+      if (kernel_path) {
+        transform->process(a.word_data(), b.word_data(), n);
+      } else {
+        transform->core::PairTransform::process(a.word_data(), b.word_data(),
+                                                n);
+      }
     }
 
     // --- the operator itself ----------------------------------------------
@@ -375,7 +348,7 @@ ExecutionResult run_whole(const Program& program, const ProgramPlan& plan,
 
   reduce_outputs(program, result, measured);
   if (telemetry != nullptr) {
-    record_run_metrics(telemetry, backend_name, program, plan, n);
+    record_run_metrics(telemetry, backend_name, program, plan, config);
     // Probes tap the finished (post-fault) streams; feeding them whole
     // yields the same windows as the chunked engine's live taps.
     obs::ProbeSet probes = make_probe_set(telemetry, program);
@@ -408,9 +381,8 @@ void copy_chunk_into(Bitstream& dst, const Bitstream& chunk,
 struct ChunkNodeState {
   // Inputs/constants: lazy SNG source.
   std::unique_ptr<engine::SngChunkSource> source;
-  // Ops: planned fixes (as chunk appliers) and the evaluator.
+  // Ops: planned fixes and the evaluator.
   std::vector<std::unique_ptr<core::PairTransform>> fix_transforms;
-  std::vector<std::unique_ptr<kernel::ChunkedPairApplier>> fix_appliers;
   std::vector<const PairFix*> fixes;
   std::unique_ptr<OpEvaluator> evaluator;
   std::vector<unsigned> fixed_slots;  ///< operand slots the fixes mutate
@@ -481,18 +453,15 @@ ExecutionResult run_chunked(const Program& program, const ProgramPlan& plan,
         level_of[id] = level;
         state.fixes = plan.fixes_for(id);
         for (std::size_t lane = 0; lane < state.fixes.size(); ++lane) {
-          // Wrapped fix FSMs (fault plans) have no table kernel; the
-          // applier below steps them bit-serially with state carried
-          // across chunks, landing the corruption on the same absolute
-          // cycle as the whole-stream backends.
+          // Wrapped fix FSMs (fault plans) have no word path; their
+          // process() steps every cycle with state carried across chunks,
+          // landing the corruption on the same absolute cycle as the
+          // whole-stream backends.
           state.fix_transforms.push_back(fault::wrap_fsm_faults(
               make_fix_transform(state.fixes[lane]->fix, config,
                                  node.seed_tag, fix_lane(*state.fixes[lane])),
               faults, id, static_cast<unsigned>(lane)));
-          auto applier = std::make_unique<kernel::ChunkedPairApplier>(
-              *state.fix_transforms.back());
-          applier->begin(n);
-          state.fix_appliers.push_back(std::move(applier));
+          state.fix_transforms.back()->begin_stream(n);
         }
         state.evaluator = program.def_of(id).make_evaluator(
             context_for(program, id, config));
@@ -537,12 +506,12 @@ ExecutionResult run_chunked(const Program& program, const ProgramPlan& plan,
         return state.scratch[static_cast<std::size_t>(
             it - state.fixed_slots.begin())];
       };
-      for (std::size_t lane = 0; lane < state.fix_appliers.size(); ++lane) {
+      for (std::size_t lane = 0; lane < state.fixes.size(); ++lane) {
         obs::Span fix_span(tracer, "fix." + to_string(state.fixes[lane]->fix),
                            "node.fix");
-        state.fix_appliers[lane]->advance(
-            scratch_of(state.fixes[lane]->operand_a),
-            scratch_of(state.fixes[lane]->operand_b));
+        state.fix_transforms[lane]->process(
+            scratch_of(state.fixes[lane]->operand_a).word_data(),
+            scratch_of(state.fixes[lane]->operand_b).word_data(), take);
       }
       state.chunk.assign_zero(take);
       state.evaluator->process(
@@ -588,9 +557,6 @@ ExecutionResult run_chunked(const Program& program, const ProgramPlan& plan,
     ++stats.chunks;
   }
   stats.peak_buffer_bits = program.node_count() * chunk_bits;
-  for (ChunkNodeState& state : states) {
-    for (auto& applier : state.fix_appliers) applier->finish();
-  }
   if (session != nullptr) {
     session->note_chunked(stats);
   }
@@ -607,7 +573,7 @@ ExecutionResult run_chunked(const Program& program, const ProgramPlan& plan,
         .set(static_cast<double>(stats.peak_buffer_bits));
   }
   if (telemetry != nullptr) {
-    record_run_metrics(telemetry, "engine", program, plan, n);
+    record_run_metrics(telemetry, "engine", program, plan, config);
     probes.publish(*telemetry);
   }
 

@@ -4,11 +4,12 @@
 /// An ExecutorBackend turns (Program, ProgramPlan, ExecConfig) into a
 /// bit-true ExecutionResult.  Three implementations ship:
 ///
-///  * ReferenceBackend — everything bit-serial: operators step one cycle
-///    at a time, planned fixes run the per-cycle FSMs (core::apply).  The
-///    semantics oracle.
-///  * KernelBackend — whole-stream with the table-driven kernel layer
-///    (src/kernel/) for fixes and the operators' word-parallel paths.
+///  * ReferenceBackend — everything bit-serial: operators and planned
+///    fixes step one cycle at a time (the base OpEvaluator::process and
+///    PairTransform::process, called non-virtually).  The semantics
+///    oracle.
+///  * KernelBackend — whole-stream through the fixes' and operators'
+///    process() overrides (table-driven or word-parallel paths).
 ///  * EngineBackend — chunked streaming: node streams advance one
 ///    fixed-size chunk at a time with FSM/evaluator state carried across
 ///    chunk boundaries, so arbitrarily long streams execute in O(nodes x
@@ -146,6 +147,8 @@ std::unique_ptr<ExecutorBackend> make_engine_backend(engine::Session& session);
 /// fold is where a birthday or remap collision could silently run two
 /// "independent" generators on one schedule.  The regression test asserts
 /// pairwise distinctness on large plans under the default base seed.
+/// Each seed drives one generator that draws one value per cycle, so
+/// size() * stream_length is the run's backend.rng_draws metric.
 std::vector<std::uint32_t> derived_seeds(const Program& program,
                                          const ProgramPlan& plan,
                                          const ExecConfig& config);

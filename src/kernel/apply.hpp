@@ -1,20 +1,20 @@
 /// \file apply.hpp
-/// Whole-stream helpers that route through the table-driven kernels.
+/// Whole-stream and chunked helpers that run the circuits' word paths.
 ///
-/// Drop-in replacements for the core::apply helpers: same signature, same
-/// begin_stream-then-run semantics, bit-identical output.  When the
-/// transform has a kernel (make_pair_kernel / make_stream_kernel) the
-/// streams advance word-parallel; otherwise these fall back to the
-/// bit-serial core::apply path.
+/// Same signature and begin_stream-then-run semantics as the core::apply
+/// pair helpers, bit-identical output.  core::apply calls the bit-serial
+/// reference `PairTransform::process` non-virtually; these make the
+/// virtual call, so each circuit runs its own process() override
+/// (table-driven or word-parallel) and transforms without one step every
+/// cycle.
 
 #pragma once
 
-#include <memory>
+#include <cstddef>
 
 #include "bitstream/bitstream.hpp"
 #include "bitstream/synthesis.hpp"
 #include "core/pair_transform.hpp"
-#include "kernel/kernels.hpp"
 
 namespace sc::kernel {
 
@@ -22,39 +22,23 @@ namespace sc::kernel {
 sc::StreamPair apply(core::PairTransform& transform, const Bitstream& x,
                      const Bitstream& y);
 
-inline sc::StreamPair apply(core::PairTransform& transform,
-                            const sc::StreamPair& in) {
-  // Qualified: ADL would otherwise also find core::apply and tie.
-  return sc::kernel::apply(transform, in.x, in.y);
-}
-
-/// Runs a single-stream transform over a stream (see core::apply).
-Bitstream apply(core::StreamTransform& transform, const Bitstream& x);
-
 /// Drives a PairTransform across consecutive chunks of one logical stream
 /// pair without ever materializing it: begin() announces the total length
-/// (exactly as the whole-stream helpers do) and, when the transform has a
-/// table-driven kernel, compiles it once for the current FSM state;
-/// advance() transforms each chunk pair in place, state carrying across
-/// calls; finish() writes the kernel's state back into the transform.
-/// Output is bit-identical to a whole-stream apply over the concatenated
-/// chunks.  Shared by engine::run_chunked_pair and the graph engine
-/// backend.
+/// (exactly as the whole-stream helpers do), advance() transforms each
+/// chunk pair in place with state carrying across calls.  Output is
+/// bit-identical to a whole-stream apply over the concatenated chunks.
 class ChunkedPairApplier {
  public:
-  /// \param use_kernels false forces the bit-serial step() path.
-  explicit ChunkedPairApplier(core::PairTransform& transform,
-                              bool use_kernels = true)
-      : transform_(&transform), use_kernels_(use_kernels) {}
+  explicit ChunkedPairApplier(core::PairTransform& transform)
+      : transform_(&transform) {}
 
   void begin(std::size_t total_length);
   void advance(Bitstream& x, Bitstream& y);
-  void finish();
+  /// The transform already holds its state; nothing is left to do.
+  void finish() {}
 
  private:
   core::PairTransform* transform_;
-  bool use_kernels_;
-  std::unique_ptr<PairKernel> kernel_;
 };
 
 }  // namespace sc::kernel

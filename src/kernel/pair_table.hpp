@@ -8,10 +8,11 @@
 /// are not a multiple of 4.  Tables are built once per FSM configuration
 /// from the pure transition functions the core and operator layers expose
 /// (e.g. core::Synchronizer::transition, arith::Cordiv::transition) and
-/// shared, one per configuration, by every word path of that FSM.
-/// run_pair_table is the one word loop over them: the kernel layer's pair
-/// kernels run it in place, the graph layer's FSM evaluators run it from
-/// operand words into an output stream.
+/// shared, one per configuration, by every word path of that FSM
+/// (TableCache).  run_pair_table is the one word loop over them: the
+/// synchronizer's and desynchronizer's process() run it in place, the
+/// graph layer's FSM evaluators run it from operand words into an output
+/// stream.
 ///
 /// Entry layout (std::uint32_t):
 ///   bits 0..3   output X nibble (bit i = cycle i's X output)
@@ -21,11 +22,19 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <vector>
 
 namespace sc::kernel {
+
+/// Largest state count the pair FSMs table: the nibble table is
+/// states * 1 KiB, so the cap bounds one table at 4 MiB.  Configurations
+/// past it run their bit-serial step().
+constexpr unsigned kMaxTableStates = 4096;
 
 /// One pure pair-FSM step, as the table builder consumes it.
 struct PairStep {
@@ -93,6 +102,36 @@ class PairNibbleTable {
   std::vector<Entry> nibble_;  // states * 256 four-cycle entries
   std::vector<Entry> bit_;     // states * 4 one-cycle entries
 };
+
+/// Process-wide memo of immutable tables, one per key, built on first
+/// request and never evicted, so returned references stay valid for the
+/// process lifetime.
+template <typename Key, typename Table>
+class TableCache {
+ public:
+  template <typename BuildFn>
+  const Table& get(const Key& key, BuildFn&& build) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = tables_.find(key);
+    if (it == tables_.end()) it = tables_.emplace(key, build()).first;
+    return it->second;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::map<Key, Table> tables_;
+};
+
+/// How many of the next `bits` cycles a flush-capable pair FSM may run
+/// through its (non-flush) table.  The force condition needs saved bits
+/// >= remaining cycles and at most `depth` bits are ever saved, so it
+/// cannot fire while more than `depth` announced cycles remain; the
+/// cycles from there on go to step().
+inline std::size_t pre_flush_cycles(bool flushing, std::size_t remaining,
+                                    unsigned depth, std::size_t bits) {
+  if (!flushing) return bits;
+  return remaining > depth ? std::min(bits, remaining - depth) : 0;
+}
 
 /// Advances `bits` cycles through a nibble table from `state`, reading
 /// packed input words and writing packed output words (bit i at word i/64,

@@ -30,8 +30,8 @@ class RandomSource {
 
   /// Fills out[0..n) with the next n values — identical to n next() calls.
   /// The default loops over next(); sources with cheap update rules
-  /// override it with a non-virtual loop so block consumers (the kernel
-  /// layer) pay one virtual call per block instead of one per cycle.
+  /// override it with a non-virtual loop so block consumers (the word
+  /// paths) pay one virtual call per block instead of one per cycle.
   virtual void fill(std::uint32_t* out, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) out[i] = next();
   }

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "bitstream/bitstream.hpp"
 #include "bitstream/encoding.hpp"
@@ -154,6 +156,32 @@ TEST(Bitstream, CompoundAssignmentOperators) {
   EXPECT_EQ(a.to_string(), "1010");
   a ^= b;
   EXPECT_EQ(a.to_string(), "0000");
+}
+
+TEST(Bitstream, GatesWithMismatchedSizesThrow) {
+  // The gates loop over one operand's words and index the other's: an
+  // assert-only guard would read past the shorter stream under NDEBUG.
+  const Bitstream long_ones(4096, true);
+  const Bitstream short_ones(64, true);
+  for (const auto& [a, b] : {std::pair{&long_ones, &short_ones},
+                             std::pair{&short_ones, &long_ones}}) {
+    EXPECT_THROW((void)(*a & *b), std::invalid_argument);
+    EXPECT_THROW((void)(*a | *b), std::invalid_argument);
+    EXPECT_THROW((void)(*a ^ *b), std::invalid_argument);
+    Bitstream target = *a;
+    EXPECT_THROW(target &= *b, std::invalid_argument);
+    EXPECT_THROW(target |= *b, std::invalid_argument);
+    EXPECT_THROW(target ^= *b, std::invalid_argument);
+    EXPECT_EQ(target, *a);  // a rejected gate leaves its target alone
+  }
+  // Each mux operand alone can be the odd one out.
+  const Bitstream& l = long_ones;
+  const Bitstream& s = short_ones;
+  EXPECT_THROW(Bitstream::mux(s, l, l), std::invalid_argument);
+  EXPECT_THROW(Bitstream::mux(l, s, l), std::invalid_argument);
+  EXPECT_THROW(Bitstream::mux(l, l, s), std::invalid_argument);
+  EXPECT_THROW(Bitstream::mux(s, s, l), std::invalid_argument);
+  EXPECT_EQ(Bitstream::mux(l, l, l), l);
 }
 
 TEST(Bitstream, EqualityComparesContentAndLength) {

@@ -30,6 +30,14 @@ std::unique_ptr<rng::Lfsr> aux(std::uint32_t seed) {
 
 // --- shuffle buffer -----------------------------------------------------------
 
+TEST(ShuffleBuffer, InvalidConfigsThrow) {
+  // A null source would be dereferenced on the first step() in Release.
+  EXPECT_THROW(ShuffleBuffer(8, nullptr), std::invalid_argument);
+  EXPECT_THROW(ShuffleBuffer(0, aux(3)), std::invalid_argument);
+  EXPECT_THROW(Decorrelator(8, aux(3), nullptr), std::invalid_argument);
+  EXPECT_THROW(DecorrelatorChainLink(8, nullptr), std::invalid_argument);
+}
+
 TEST(ShuffleBuffer, InitializedHalfOnes) {
   ShuffleBuffer buf(8, aux(3));
   EXPECT_EQ(buf.saved_ones(), 4u);

@@ -127,6 +127,12 @@ TEST(JobSeed, StridedSeedsDistinctInLowWidthBits) {
 
 // --- chunk sources -------------------------------------------------------------
 
+TEST(ChunkedStream, SngSourceRejectsNullSource) {
+  // Checked at construction: in Release the first next_chunk() would
+  // dereference it.
+  EXPECT_THROW(SngChunkSource(nullptr, 128, 256), std::invalid_argument);
+}
+
 TEST(ChunkedStream, SngSourceFullScaleLevelAtWidth32) {
   // Regression companion to Sng's natural-length fix: the engine SNG
   // source takes a 64-bit level so 2^32 (p = 1.0 at width 32) does not

@@ -1,15 +1,21 @@
-/// Differential tests for the table-driven kernel layer (src/kernel/):
-/// every kernel must be bit-identical to the bit-serial FSM it replaces —
-/// across configurations, seeds, stream lengths that are not multiples of
-/// 8 (or 64), chunk boundaries, and state written back for bit-serial
-/// continuation after a kernel run.
+/// Differential tests for the circuits' word paths (the process()
+/// overrides in src/core/, driven through kernel::apply, a single-stream
+/// helper and the chunked engine): every override must be bit-identical
+/// to the bit-serial step() loop it replaces — across configurations,
+/// seeds, stream lengths that are not multiples of 8 (or 64), chunk
+/// boundaries, runs that mix step() and process() on one circuit, and
+/// bit-serial continuation afterwards.  The RNG-coupled circuits' draw
+/// counts also pin which side of its cap each configuration runs on, so
+/// an override that quietly falls back to step() fails.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bitstream/bitstream.hpp"
@@ -24,7 +30,6 @@
 #include "graph/planner.hpp"
 #include "graph/program.hpp"
 #include "kernel/apply.hpp"
-#include "kernel/kernels.hpp"
 #include "rng/lfsr.hpp"
 #include "rng/mt_source.hpp"
 
@@ -45,11 +50,21 @@ Bitstream random_stream(std::mt19937& gen, std::size_t n, double p) {
   return out;
 }
 
+/// Single-stream counterpart of kernel::apply: begin_stream, then the
+/// virtual process() call, so the circuit runs its word path.
+Bitstream apply_word_path(core::StreamTransform& transform,
+                          const Bitstream& x) {
+  Bitstream out = x;
+  transform.begin_stream(x.size());
+  transform.process(out.word_data(), x.size());
+  return out;
+}
+
 /// Applies two identically configured transforms — one through core::apply
-/// (bit-serial reference), one through kernel::apply — and requires
-/// bit-identical outputs, matching residual state, and matching bit-serial
-/// continuation after the run (which proves the state writeback is exact,
-/// including RNG sequence positions).
+/// (bit-serial reference), one through kernel::apply (the word path) — and
+/// requires bit-identical outputs, matching residual state, and matching
+/// bit-serial continuation after the run (which proves the word path
+/// leaves the circuit's state exact, including RNG sequence positions).
 void expect_equivalent(core::PairTransform& serial, core::PairTransform& fast,
                        const Bitstream& x, const Bitstream& y) {
   const sc::StreamPair ref = core::apply(serial, x, y);
@@ -69,26 +84,39 @@ void expect_equivalent(core::PairTransform& serial, core::PairTransform& fast,
 
 // --- synchronizer ----------------------------------------------------------
 
-TEST(SynchronizerKernel, EligibleConfigsCompile) {
-  core::Synchronizer sync({4, true, 1});
-  EXPECT_NE(make_pair_kernel(sync), nullptr);
-}
-
-TEST(PairKernelFactory, OversizedDepthsFallBackInsteadOfWrapping) {
+TEST(WordPath, OversizedDepthsStepInsteadOfWrapping) {
   // State counts are computed in 64 bits: depths whose count wraps a
-  // 32-bit integer must return "no kernel", not an undersized table.
-  core::Synchronizer sync({0x80000000u, false, 0});
-  EXPECT_EQ(make_pair_kernel(sync), nullptr);
-  core::Desynchronizer desync({65535u, false, true});
-  EXPECT_EQ(make_pair_kernel(desync), nullptr);
-  core::Desynchronizer desync2({92683u, false, true});
-  EXPECT_EQ(make_pair_kernel(desync2), nullptr);
+  // 32-bit integer must step every cycle, not walk an undersized table.
+  std::mt19937 gen(99);
+  const Bitstream x = random_stream(gen, 300, 0.6);
+  const Bitstream y = random_stream(gen, 300, 0.4);
+  {
+    core::Synchronizer serial({0x80000000u, false, 0});
+    core::Synchronizer fast({0x80000000u, false, 0});
+    expect_equivalent(serial, fast, x, y);
+  }
+  for (const unsigned depth : {65535u, 92683u}) {
+    core::Desynchronizer serial({depth, false, true});
+    core::Desynchronizer fast({depth, false, true});
+    expect_equivalent(serial, fast, x, y);
+  }
 }
 
 TEST(KernelApply, MismatchedSizesThrow) {
+  // Both whole-stream helpers check in every build mode: under NDEBUG an
+  // assert-only guard would read past the shorter stream.
   core::Synchronizer sync({1, false, 0});
   EXPECT_THROW(kernel::apply(sync, Bitstream(1024), Bitstream(64)),
                std::invalid_argument);
+  EXPECT_THROW(core::apply(sync, Bitstream(4096), Bitstream(64)),
+               std::invalid_argument);
+  EXPECT_THROW(core::apply(sync, Bitstream(64), Bitstream(4096)),
+               std::invalid_argument);
+  Bitstream a(128);
+  Bitstream b(64);
+  ChunkedPairApplier applier(sync);
+  applier.begin(128);
+  EXPECT_THROW(applier.advance(a, b), std::invalid_argument);
 }
 
 TEST(SynchronizerKernel, MatchesBitSerial) {
@@ -210,8 +238,7 @@ TEST(WordKernels, ChainLinkBitIdenticalAcrossWordAndBlockBoundaries) {
 
 TEST(WordKernels, TfmPairBitIdenticalAcrossWordAndBlockBoundaries) {
   std::mt19937 gen(909);
-  // Precision 8 is the kernel cap; 9 and 10 have no kernel and must fall
-  // back to the bit-serial FSM.
+  // Precision 8 is the word path's cap; 9 and 10 step every cycle.
   for (const unsigned precision : {8u, 9u, 10u}) {
     const core::TrackingForecastMemory::Config config{precision, 3, 0.5};
     for (const std::size_t n : kWordBoundaryLengths) {
@@ -219,7 +246,6 @@ TEST(WordKernels, TfmPairBitIdenticalAcrossWordAndBlockBoundaries) {
                            std::make_unique<rng::Lfsr>(precision, 9));
       core::TfmPair fast(config, std::make_unique<rng::Lfsr>(precision, 5),
                          std::make_unique<rng::Lfsr>(precision, 9));
-      ASSERT_EQ(make_pair_kernel(fast) != nullptr, precision <= 8);
       const Bitstream x = random_stream(gen, n, 0.6);
       const Bitstream y = random_stream(gen, n, 0.25);
       expect_equivalent(serial, fast, x, y);
@@ -268,7 +294,7 @@ TEST(WordKernels, ShuffleBufferBitIdenticalAcrossWordAndBlockBoundaries) {
       core::ShuffleBuffer serial(depth, std::make_unique<rng::Lfsr>(9, 33));
       core::ShuffleBuffer fast(depth, std::make_unique<rng::Lfsr>(9, 33));
       const Bitstream in = random_stream(gen, n, 0.5);
-      ASSERT_EQ(core::apply(serial, in), kernel::apply(fast, in))
+      ASSERT_EQ(core::apply(serial, in), apply_word_path(fast, in))
           << "depth=" << depth << " n=" << n;
       for (int i = 0; i < 64; ++i) {
         ASSERT_EQ(serial.step(i % 3 == 0), fast.step(i % 3 == 0));
@@ -285,11 +311,10 @@ TEST(WordKernels, TfmStreamBitIdenticalAcrossWordAndBlockBoundaries) {
           {precision, 3, 0.5}, std::make_unique<rng::Lfsr>(precision, 77));
       core::TrackingForecastMemory fast(
           {precision, 3, 0.5}, std::make_unique<rng::Lfsr>(precision, 77));
-      ASSERT_EQ(make_stream_kernel(fast) != nullptr, precision <= 8);
       const Bitstream in = random_stream(gen, n, 0.4);
-      ASSERT_EQ(core::apply(serial, in), kernel::apply(fast, in))
+      ASSERT_EQ(core::apply(serial, in), apply_word_path(fast, in))
           << "precision=" << precision << " n=" << n;
-      EXPECT_EQ(serial.estimate_fixed(), fast.estimate_fixed());
+      EXPECT_EQ(serial.estimate(), fast.estimate());
     }
   }
 }
@@ -304,7 +329,7 @@ TEST(StreamKernel, ShuffleBufferMatchesBitSerial) {
       core::ShuffleBuffer fast(depth, std::make_unique<rng::Lfsr>(9, 33));
       const Bitstream x = random_stream(gen, n, 0.5);
       const Bitstream ref = core::apply(serial, x);
-      const Bitstream got = kernel::apply(fast, x);
+      const Bitstream got = apply_word_path(fast, x);
       ASSERT_EQ(ref, got) << "depth=" << depth << " n=" << n;
       EXPECT_EQ(serial.saved_ones(), fast.saved_ones());
       for (int i = 0; i < 64; ++i) {
@@ -322,14 +347,14 @@ TEST(StreamKernel, TfmMatchesBitSerial) {
     core::TrackingForecastMemory fast({8, 3, 0.5},
                                       std::make_unique<rng::Lfsr>(8, 77));
     const Bitstream x = random_stream(gen, n, 0.4);
-    ASSERT_EQ(core::apply(serial, x), kernel::apply(fast, x)) << "n=" << n;
-    EXPECT_EQ(serial.estimate_fixed(), fast.estimate_fixed());
+    ASSERT_EQ(core::apply(serial, x), apply_word_path(fast, x)) << "n=" << n;
+    EXPECT_EQ(serial.estimate(), fast.estimate());
   }
 }
 
-TEST(StreamKernel, UnsupportedTransformFallsBack) {
-  // A transform type without a kernel must still work through
-  // kernel::apply (bit-serial fallback), not crash or change results.
+TEST(StreamKernel, TransformWithoutWordPathSteps) {
+  // A transform that does not override process() must still work through
+  // the virtual call (the base step() loop), not crash or change results.
   class Inverter final : public core::StreamTransform {
    public:
     bool step(bool in) override { return !in; }
@@ -337,9 +362,375 @@ TEST(StreamKernel, UnsupportedTransformFallsBack) {
   };
   Inverter serial;
   Inverter fast;
-  EXPECT_EQ(make_stream_kernel(fast), nullptr);
   const Bitstream x = Bitstream::from_string("1011001110001");
-  EXPECT_EQ(core::apply(serial, x), kernel::apply(fast, x));
+  EXPECT_EQ(core::apply(serial, x), apply_word_path(fast, x));
+}
+
+// --- mixed step() / process() runs -------------------------------------------
+
+using Word = Bitstream::Word;
+using Words = std::vector<Word>;
+
+/// One stretch of a mixed run: `length` cycles through process() (the
+/// word path) or through step().
+struct Run {
+  std::size_t length;
+  bool word_path;
+};
+
+/// process() runs of every fixed length plus random ones, each followed
+/// by a short step() run, so every word-path entry sees state a step()
+/// run left behind and vice versa.  A final process() run puts the flush
+/// window of a flushing circuit on the word path.
+std::vector<Run> mixed_runs(std::mt19937& gen) {
+  std::uniform_int_distribution<std::size_t> step_length(0, 130);
+  std::uniform_int_distribution<std::size_t> word_length(0, 9000);
+  std::vector<Run> runs;
+  for (const std::size_t n : {0u, 1u, 63u, 64u, 65u, 4095u, 4097u}) {
+    runs.push_back({n, true});
+    runs.push_back({step_length(gen), false});
+  }
+  for (int k = 0; k < 4; ++k) {
+    runs.push_back({word_length(gen), true});
+    runs.push_back({step_length(gen), false});
+  }
+  runs.push_back({word_length(gen), true});
+  return runs;
+}
+
+std::size_t total_length(const std::vector<Run>& runs) {
+  std::size_t total = 0;
+  for (const Run& run : runs) total += run.length;
+  return total;
+}
+
+/// Padding patterns for the bits past a run: distinct per stream, so a
+/// word path that copies one stream's tail into the other shows.
+constexpr Word kPadX = ~Word{0};
+constexpr Word kPadY = 0x5A5A5A5A5A5A5A5AULL;
+
+/// Bits [pos, pos + n) of `s` packed from bit 0, with the bits past n in
+/// the last word taken from `pad`: process() must leave those alone.
+Words run_words(const Bitstream& s, std::size_t pos, std::size_t n,
+                Word pad) {
+  Words w(n / 64 + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (s.get(pos + i)) w[i / 64] |= Word{1} << (i % 64);
+  }
+  w.back() |= pad & (~Word{0} << (n % 64));
+  return w;
+}
+
+bool bit(const Words& w, std::size_t i) {
+  return ((w[i / 64] >> (i % 64)) & 1u) != 0;
+}
+
+void set_bit(Words& w, std::size_t i, bool value) {
+  const Word m = Word{1} << (i % 64);
+  w[i / 64] = value ? w[i / 64] | m : w[i / 64] & ~m;
+}
+
+/// Checks the padding past the run survived, then copies the run's bits
+/// into `out` at `pos`.
+void store_run(const Words& w, std::size_t n, Word pad, Bitstream& out,
+               std::size_t pos) {
+  ASSERT_EQ(w.back() >> (n % 64), pad >> (n % 64))
+      << "bits past the run changed (n=" << n << ")";
+  for (std::size_t i = 0; i < n; ++i) out.set(pos + i, bit(w, i));
+}
+
+using PairFactory = std::function<std::unique_ptr<core::PairTransform>()>;
+using StreamFactory = std::function<std::unique_ptr<core::StreamTransform>()>;
+
+/// A mixed run over two fresh circuits from `make` must equal a pure
+/// step() run (core::apply), leave the same saved bits, and continue
+/// identically bit-serially.
+void expect_mixed_runs_match_step(const PairFactory& make, std::mt19937& gen) {
+  const std::vector<Run> runs = mixed_runs(gen);
+  const std::size_t total = total_length(runs);
+  const Bitstream x = random_stream(gen, total, 0.55);
+  const Bitstream y = random_stream(gen, total, 0.45);
+  const std::unique_ptr<core::PairTransform> serial = make();
+  const std::unique_ptr<core::PairTransform> mixed = make();
+  const sc::StreamPair want = core::apply(*serial, x, y);
+
+  Bitstream got_x(total);
+  Bitstream got_y(total);
+  mixed->begin_stream(total);
+  std::size_t pos = 0;
+  for (const Run& run : runs) {
+    Words xw = run_words(x, pos, run.length, kPadX);
+    Words yw = run_words(y, pos, run.length, kPadY);
+    if (run.word_path) {
+      mixed->process(xw.data(), yw.data(), run.length);
+    } else {
+      for (std::size_t i = 0; i < run.length; ++i) {
+        const core::BitPair out = mixed->step(bit(xw, i), bit(yw, i));
+        set_bit(xw, i, out.x);
+        set_bit(yw, i, out.y);
+      }
+    }
+    store_run(xw, run.length, kPadX, got_x, pos);
+    store_run(yw, run.length, kPadY, got_y, pos);
+    pos += run.length;
+  }
+  ASSERT_EQ(want.x, got_x);
+  ASSERT_EQ(want.y, got_y);
+  EXPECT_EQ(serial->saved_ones(), mixed->saved_ones());
+  for (int i = 0; i < 64; ++i) {
+    const core::BitPair ps = serial->step(i % 3 == 0, i % 5 < 2);
+    const core::BitPair pm = mixed->step(i % 3 == 0, i % 5 < 2);
+    ASSERT_EQ(ps.x, pm.x) << "continuation cycle " << i;
+    ASSERT_EQ(ps.y, pm.y) << "continuation cycle " << i;
+  }
+}
+
+/// Single-stream version of expect_mixed_runs_match_step.
+void expect_mixed_runs_match_step(const StreamFactory& make,
+                                  std::mt19937& gen) {
+  const std::vector<Run> runs = mixed_runs(gen);
+  const std::size_t total = total_length(runs);
+  const Bitstream x = random_stream(gen, total, 0.55);
+  const std::unique_ptr<core::StreamTransform> serial = make();
+  const std::unique_ptr<core::StreamTransform> mixed = make();
+  const Bitstream want = core::apply(*serial, x);
+
+  Bitstream got(total);
+  mixed->begin_stream(total);
+  std::size_t pos = 0;
+  for (const Run& run : runs) {
+    Words xw = run_words(x, pos, run.length, kPadY);
+    if (run.word_path) {
+      mixed->process(xw.data(), run.length);
+    } else {
+      for (std::size_t i = 0; i < run.length; ++i) {
+        set_bit(xw, i, mixed->step(bit(xw, i)));
+      }
+    }
+    store_run(xw, run.length, kPadY, got, pos);
+    pos += run.length;
+  }
+  ASSERT_EQ(want, got);
+  EXPECT_EQ(serial->saved_ones(), mixed->saved_ones());
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_EQ(serial->step(i % 3 == 0), mixed->step(i % 3 == 0))
+        << "continuation cycle " << i;
+  }
+}
+
+// Every overriding circuit on both sides of its word-path cap: the
+// synchronizer's and desynchronizer's table state counts (depths 2047 /
+// 44 are the last under kernel::kMaxTableStates), the shuffle word
+// path's one-word slots (depth 64; 63 is the SIMD tiers' deepest
+// slot-class shuffle) and the TFM jump table's precision 8.
+
+TEST(MixedRuns, SynchronizerMatchesStep) {
+  std::mt19937 gen(1313);
+  for (const unsigned depth : {2047u, 2048u}) {
+    for (const bool flush : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "depth=" << depth
+                                      << " flush=" << flush);
+      expect_mixed_runs_match_step(
+          [&] {
+            return std::make_unique<core::Synchronizer>(
+                core::Synchronizer::Config{depth, flush, 0});
+          },
+          gen);
+    }
+  }
+  // A shallow flushing synchronizer reaches its flush window inside the
+  // mixed run's final stretches.
+  expect_mixed_runs_match_step(
+      [] {
+        return std::make_unique<core::Synchronizer>(
+            core::Synchronizer::Config{3, true, 1});
+      },
+      gen);
+}
+
+TEST(MixedRuns, DesynchronizerMatchesStep) {
+  std::mt19937 gen(1414);
+  for (const unsigned depth : {2u, 44u, 45u}) {
+    for (const bool flush : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "depth=" << depth
+                                      << " flush=" << flush);
+      expect_mixed_runs_match_step(
+          [&] {
+            return std::make_unique<core::Desynchronizer>(
+                core::Desynchronizer::Config{depth, flush, false});
+          },
+          gen);
+    }
+  }
+}
+
+TEST(MixedRuns, ShuffleCircuitsMatchStep) {
+  std::mt19937 gen(1515);
+  for (const std::size_t depth : {63u, 64u, 65u}) {
+    SCOPED_TRACE(testing::Message() << "depth=" << depth);
+    expect_mixed_runs_match_step(
+        StreamFactory([&] {
+          return std::make_unique<core::ShuffleBuffer>(
+              depth, std::make_unique<rng::Lfsr>(10, 41));
+        }),
+        gen);
+    expect_mixed_runs_match_step(
+        PairFactory([&] {
+          return std::make_unique<core::Decorrelator>(
+              depth, std::make_unique<rng::Lfsr>(10, 43),
+              std::make_unique<rng::Lfsr>(10, 47, /*rotation=*/3));
+        }),
+        gen);
+    expect_mixed_runs_match_step(
+        PairFactory([&] {
+          return std::make_unique<core::DecorrelatorChainLink>(
+              depth, std::make_unique<rng::Lfsr>(10, 53));
+        }),
+        gen);
+  }
+}
+
+TEST(MixedRuns, TfmCircuitsMatchStep) {
+  std::mt19937 gen(1616);
+  for (const unsigned precision : {8u, 9u}) {
+    SCOPED_TRACE(testing::Message() << "precision=" << precision);
+    const core::TrackingForecastMemory::Config config{precision, 3, 0.5};
+    expect_mixed_runs_match_step(
+        StreamFactory([&] {
+          return std::make_unique<core::TrackingForecastMemory>(
+              config, std::make_unique<rng::Lfsr>(precision, 61));
+        }),
+        gen);
+    expect_mixed_runs_match_step(
+        PairFactory([&] {
+          return std::make_unique<core::TfmPair>(
+              config, std::make_unique<rng::Lfsr>(precision, 67),
+              std::make_unique<rng::Lfsr>(precision, 71));
+        }),
+        gen);
+  }
+}
+
+// --- word-path selection ----------------------------------------------------
+
+/// How a circuit drew from its sources: per-cycle next() calls (step())
+/// apart from the block calls the word paths make.
+struct DrawCounts {
+  std::size_t next = 0;
+  std::size_t block = 0;
+};
+
+/// An rng::Lfsr that counts its draws into a DrawCounts the test keeps.
+class CountingSource final : public rng::RandomSource {
+ public:
+  CountingSource(unsigned width, std::uint32_t seed, DrawCounts& counts)
+      : lfsr_(width, seed), counts_(&counts) {}
+
+  std::uint32_t next() override {
+    ++counts_->next;
+    return lfsr_.next();
+  }
+  void fill(std::uint32_t* out, std::size_t n) override {
+    ++counts_->block;
+    lfsr_.fill(out, n);
+  }
+  void fill_compare(std::uint64_t* words, std::size_t nbits,
+                    std::uint64_t level) override {
+    ++counts_->block;
+    lfsr_.fill_compare(words, nbits, level);
+  }
+  void fill_compare_trace(std::uint64_t* words, const std::uint16_t* thresh,
+                          std::size_t nbits) override {
+    ++counts_->block;
+    lfsr_.fill_compare_trace(words, thresh, nbits);
+  }
+  void fill_indices(std::uint8_t* out, std::size_t n,
+                    std::uint32_t bound) override {
+    ++counts_->block;
+    lfsr_.fill_indices(out, n, bound);
+  }
+  [[nodiscard]] unsigned width() const override { return lfsr_.width(); }
+  void reset() override { lfsr_.reset(); }
+  [[nodiscard]] std::unique_ptr<rng::RandomSource> clone() const override {
+    return std::make_unique<CountingSource>(*this);
+  }
+  [[nodiscard]] std::string name() const override {
+    return "counting " + lfsr_.name();
+  }
+
+ private:
+  rng::Lfsr lfsr_;
+  DrawCounts* counts_;
+};
+
+rng::RandomSourcePtr counting(unsigned width, std::uint32_t seed,
+                              DrawCounts& counts) {
+  return std::make_unique<CountingSource>(width, seed, counts);
+}
+
+/// On its word path a circuit draws only through block calls; past the
+/// cap it steps, one next() per cycle and source.
+void expect_draws(const DrawCounts& counts, bool word_path,
+                  std::size_t step_draws) {
+  if (word_path) {
+    EXPECT_EQ(counts.next, 0u);
+    EXPECT_GT(counts.block, 0u);
+  } else {
+    EXPECT_EQ(counts.next, step_draws);
+    EXPECT_EQ(counts.block, 0u);
+  }
+}
+
+TEST(WordPath, RngCoupledCircuitsTakeTheirWordPathUpToTheCap) {
+  // Every equivalence test above passes just as well when a process()
+  // override falls back to step(); the draw counts tell the paths apart.
+  // Shuffle depth 64 and TFM precision 8 are the word paths' caps.
+  std::mt19937 gen(1717);
+  const std::size_t n = 4097;
+  const Bitstream x = random_stream(gen, n, 0.5);
+  const Bitstream y = random_stream(gen, n, 0.4);
+  for (const std::size_t depth : {64u, 65u}) {
+    SCOPED_TRACE(testing::Message() << "depth=" << depth);
+    const bool word_path = depth <= 64;
+    {
+      DrawCounts counts;
+      core::ShuffleBuffer buffer(depth, counting(10, 41, counts));
+      apply_word_path(buffer, x);
+      expect_draws(counts, word_path, n);
+    }
+    {
+      DrawCounts counts;
+      core::Decorrelator decorrelator(depth, counting(10, 43, counts),
+                                      counting(10, 47, counts));
+      kernel::apply(decorrelator, x, y);
+      expect_draws(counts, word_path, 2 * n);
+    }
+    {
+      DrawCounts counts;
+      core::DecorrelatorChainLink link(depth, counting(10, 53, counts));
+      kernel::apply(link, x, y);
+      expect_draws(counts, word_path, n);
+    }
+  }
+  for (const unsigned precision : {8u, 9u}) {
+    SCOPED_TRACE(testing::Message() << "precision=" << precision);
+    const bool word_path = precision <= 8;
+    const core::TrackingForecastMemory::Config config{precision, 3, 0.5};
+    {
+      DrawCounts counts;
+      core::TrackingForecastMemory tfm(config,
+                                       counting(precision, 61, counts));
+      apply_word_path(tfm, x);
+      expect_draws(counts, word_path, n);
+    }
+    {
+      DrawCounts counts;
+      core::TfmPair pair(config, counting(precision, 67, counts),
+                         counting(precision, 71, counts));
+      kernel::apply(pair, x, y);
+      expect_draws(counts, word_path, 2 * n);
+    }
+  }
 }
 
 // --- chunked engine path ---------------------------------------------------

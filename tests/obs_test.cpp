@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -337,6 +338,36 @@ TEST(Neutrality, AllBackendsBitIdenticalWithTelemetryAttached) {
   // The observed runs populated the registry and the probes.
   EXPECT_GE(telemetry.snapshot().counters.at("backend.runs"), 3u);
   EXPECT_FALSE(telemetry.probe_reports().empty());
+}
+
+TEST(Metrics, RngDrawsCountEveryGeneratorOncePerCycle) {
+  // Worked by hand: two inputs share one RNG group (one group trace
+  // generator) and feed a multiply, whose uncorrelated requirement the
+  // planner meets with one decorrelator (two aux generators).  Multiply
+  // itself draws nothing, so every backend makes 3 draws per cycle.
+  using namespace sc::graph;
+  GraphBuilder b;
+  const Value x = b.input("x", 0.6, 0);
+  const Value y = b.input("y", 0.3, 0);
+  b.output(b.op("multiply", {x, y}), "xy");
+  const Program program = b.build();
+  const ProgramPlan plan = plan_program(program, Strategy::kManipulation);
+  ASSERT_EQ(plan.fixes.size(), 1u);
+  ASSERT_EQ(plan.fixes[0].fix, FixKind::kDecorrelator);
+
+  engine::Session session({1, 256, 0x5eed});
+  const std::unique_ptr<ExecutorBackend> backends[] = {
+      make_backend(BackendKind::kReference), make_backend(BackendKind::kKernel),
+      make_engine_backend(session)};
+  for (const auto& backend : backends) {
+    Telemetry telemetry;
+    ExecConfig config;
+    config.stream_length = 1000;
+    config.telemetry = &telemetry;
+    backend->run(program, plan, config);
+    EXPECT_EQ(telemetry.snapshot().counters.at("backend.rng_draws"), 3000u)
+        << backend->name();
+  }
 }
 
 TEST(Neutrality, ProbeObservationIsIdenticalAcrossBackends) {
