@@ -1,7 +1,5 @@
 #include "convert/regenerator.hpp"
 
-#include <cassert>
-
 namespace sc::convert {
 
 Bitstream regenerate(const Bitstream& input, rng::RandomSource& source) {
@@ -35,7 +33,8 @@ std::vector<Bitstream> regenerate_bus_correlated(
   for (std::size_t i = 0; i < n; ++i) trace[i] = shared_source.next();
 
   for (const Bitstream& input : inputs) {
-    assert(input.size() == n);
+    require_same_size("sc::convert::regenerate_bus_correlated", input.size(),
+                      n);
     const std::uint64_t ones = input.count_ones();
     const std::uint64_t level =
         n == 0 ? 0 : (ones * shared_source.range() + n / 2) / n;
@@ -43,19 +42,6 @@ std::vector<Bitstream> regenerate_bus_correlated(
     stream.reserve(n);
     for (std::size_t i = 0; i < n; ++i) stream.push_back(trace[i] < level);
     out.push_back(std::move(stream));
-  }
-  return out;
-}
-
-std::vector<Bitstream> regenerate_bus_uncorrelated(
-    const std::vector<Bitstream>& inputs,
-    const std::vector<rng::RandomSource*>& sources) {
-  assert(inputs.size() == sources.size());
-  std::vector<Bitstream> out;
-  out.reserve(inputs.size());
-  for (std::size_t k = 0; k < inputs.size(); ++k) {
-    assert(sources[k] != nullptr);
-    out.push_back(regenerate(inputs[k], *sources[k]));
   }
   return out;
 }

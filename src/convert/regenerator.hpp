@@ -30,14 +30,10 @@ Bitstream regenerate(const Bitstream& input, rng::RandomSource& source);
 
 /// Regenerates a whole bus of streams from a single shared RNG, which is the
 /// paper's "induce positive correlation between all SNs" configuration: all
-/// outputs are pairwise SCC = +1.
+/// outputs are pairwise SCC = +1.  Streams of unequal length throw
+/// std::invalid_argument.  (Decorrelating regeneration is one regenerate()
+/// call per stream, each with its own source.)
 std::vector<Bitstream> regenerate_bus_correlated(
     const std::vector<Bitstream>& inputs, rng::RandomSource& shared_source);
-
-/// Regenerates a bus with an independent clone-with-offset source per stream
-/// (decorrelating regeneration).
-std::vector<Bitstream> regenerate_bus_uncorrelated(
-    const std::vector<Bitstream>& inputs,
-    const std::vector<rng::RandomSource*>& sources);
 
 }  // namespace sc::convert

@@ -1,7 +1,6 @@
 #include "graph/backend.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -140,8 +139,7 @@ void apply_regeneration(FixKind kind, Bitstream& a, Bitstream& b,
 
 // ------------------------------------------------------------ telemetry
 
-/// Per-run execution counters shared by the whole-stream and chunked
-/// paths.
+/// Per-run execution counters.
 void record_run_metrics(obs::Telemetry* telemetry, const char* backend,
                         const Program& program, const ProgramPlan& plan,
                         const ExecConfig& config) {
@@ -203,44 +201,103 @@ std::vector<unsigned> fixed_slots_of(const std::vector<const PairFix*>& fixes) {
   return slots;
 }
 
-void reduce_outputs(const Program& program, ExecutionResult& result,
-                    const std::vector<double>& measured) {
-  const std::vector<double> exact = program.exact_values();
-  double total = 0.0;
-  for (NodeId output : program.outputs()) {
-    result.output_nodes.push_back(output);
-    result.values.push_back(measured[output]);
-    result.exact.push_back(exact[output]);
-    result.abs_errors.push_back(std::abs(measured[output] - exact[output]));
-    total += result.abs_errors.back();
+// ------------------------------------------------------------- the executor
+
+/// Keeps a node's chunk in its result stream.  A chunk that is the whole
+/// stream is moved over (nothing reads the node buffer after the last
+/// chunk); shorter chunks are copied in at their word-aligned offset.
+void keep_chunk(Bitstream& kept, Bitstream& chunk, std::size_t offset,
+                std::size_t n) {
+  if (chunk.size() == n) {
+    kept = std::move(chunk);
+    return;
   }
-  result.mean_abs_error =
-      result.output_nodes.empty()
-          ? 0.0
-          : total / static_cast<double>(result.output_nodes.size());
+  if (offset == 0) kept.assign_zero(n);
+  const std::vector<Bitstream::Word>& words = chunk.words();
+  std::copy(words.begin(), words.end(), kept.word_data() + offset / 64);
 }
 
-// ------------------------------------------------------- whole-stream path
+/// Per-node state of one run, built once before the first chunk.
+struct NodeState {
+  // Sources: the RNG group's trace (one-chunk runs) or a lazy SNG (chunked
+  // runs); see the source comment in execute().
+  const std::vector<std::uint32_t>* trace = nullptr;
+  std::unique_ptr<engine::SngChunkSource> source;
+  // Ops: planned fixes (a null transform is a regeneration step) and the
+  // evaluator.
+  std::vector<const PairFix*> fixes;
+  std::vector<std::unique_ptr<core::PairTransform>> fix_transforms;
+  std::unique_ptr<OpEvaluator> evaluator;
+  std::vector<unsigned> fixed_slots;  ///< operand slots the fixes mutate
+  std::vector<Bitstream> scratch;     ///< chunk copies, one per fixed slot
+  std::vector<const Bitstream*> operand_chunks;  ///< per-slot chunk views
 
-ExecutionResult run_whole(const Program& program, const ProgramPlan& plan,
-                          const ExecConfig& config, bool kernel_path) {
+  Bitstream chunk;         ///< this node's bits of the current chunk
+  std::uint64_t ones = 0;  ///< running ones count (value reduction)
+};
+
+const char* backend_name(BackendKind kind) {
+  switch (kind) {
+    case BackendKind::kReference:
+      return "reference";
+    case BackendKind::kKernel:
+      return "kernel";
+    case BackendKind::kEngine:
+      return "engine";
+  }
+  return "";
+}
+
+/// The one executor: builds every node's state once, then advances the
+/// nodes level by level, chunk by chunk.  The backends configure it:
+///  * reference — one n-bit chunk through the bit-serial base
+///    PairTransform::process and OpEvaluator::process, called non-virtually;
+///  * kernel — one n-bit chunk through the process() overrides;
+///  * engine — chunks of the session's size (kDefaultChunkBits without
+///    one), with each level fanned across the session's pool.
+/// A plan with a regeneration fix runs as one n-bit chunk on every
+/// backend: S/D counts the whole operand before the D/S re-encode can emit
+/// bit 0.
+ExecutionResult execute(const Program& program, const ProgramPlan& plan,
+                        const ExecConfig& config, BackendKind kind,
+                        engine::Session* session) {
+  const bool engine_run = kind == BackendKind::kEngine;
+  const bool bit_serial = kind == BackendKind::kReference;
   obs::Telemetry* const telemetry = obs::fallback(config.telemetry);
   obs::Tracer* const tracer = obs::tracer_of(telemetry);
-  const char* const backend_name = kernel_path ? "kernel" : "reference";
-  obs::Span run_span(tracer, std::string("backend.run.") + backend_name,
+  obs::Span run_span(tracer, std::string("backend.run.") + backend_name(kind),
                      "backend");
   run_span.arg("nodes", static_cast<std::uint64_t>(program.node_count()));
   run_span.arg("stream_bits",
                static_cast<std::uint64_t>(config.stream_length));
+  run_span.arg("threads",
+               static_cast<std::uint64_t>(
+                   session != nullptr ? session->threads() : 1));
   const fault::ResolvedFaultPlan faults =
       fault::resolve(config.fault_plan, program, &plan, telemetry);
   const std::size_t n = config.stream_length;
   // 64-bit: `1u << 32` is UB and a uint32 period wraps to 0 at width 32.
   const std::uint64_t natural = std::uint64_t{1} << config.width;
+  const bool one_chunk = !engine_run || plan.has_regeneration();
+  std::size_t chunk_bits = n;
+  if (!one_chunk) {
+    chunk_bits = session != nullptr ? session->config().chunk_bits
+                                    : engine::kDefaultChunkBits;
+    // Word-align so chunks land in the kept streams by word copy; keep
+    // >= 64.
+    chunk_bits = std::max<std::size_t>(64, chunk_bits & ~std::size_t{63});
+  }
 
-  // --- group traces -------------------------------------------------------
+  // --- sources ------------------------------------------------------------
+  // One-chunk runs draw one Lfsr::next() trace per RNG group and compare
+  // each source against it bit by bit; chunked runs pack every source's
+  // chunks with an engine::SngChunkSource.  Both give the same bits.  The
+  // one-chunk loop stays per bit because scbench's traced replay
+  // (scbench/src/trace.cpp) times exactly this loop as rng.group_trace: a
+  // faster loop here would push that replay's layers.sum_ratio past 1.25.
+  // Re-syncing trace.cpp with this executor lets the branch go.
   std::map<unsigned, std::vector<std::uint32_t>> traces;
-  {
+  if (one_chunk) {
     obs::Span trace_span(tracer, "backend.group_traces", "backend");
     for (NodeId id = 0; id < program.node_count(); ++id) {
       const ProgramNode& node = program.node(id);
@@ -255,213 +312,41 @@ ExecutionResult run_whole(const Program& program, const ProgramPlan& plan,
     trace_span.arg("groups", static_cast<std::uint64_t>(traces.size()));
   }
 
-  ExecutionResult result;
-  result.streams.resize(program.node_count());
-  std::vector<double> measured(program.node_count(), 0.0);
-
-  for (NodeId id = 0; id < program.node_count(); ++id) {
-    const ProgramNode& node = program.node(id);
-    obs::Span node_span(
-        tracer, node.name.empty() ? "node#" + std::to_string(id) : node.name,
-        node.kind == ProgramNode::Kind::kOp ? "node.op" : "node.source");
-    if (node.kind != ProgramNode::Kind::kOp) {
-      const std::uint64_t level = unipolar_level64(node.value, natural);
-      const auto& trace = traces.at(node.rng_group);
-      Bitstream stream(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (trace[i] < level) stream.set(i, true);
-      }
-      result.streams[id] = std::move(stream);
-      fault::apply_edge_faults(faults, id, result.streams[id], 0);
-      measured[id] = result.streams[id].value();
-      continue;
-    }
-
-    // --- operand views + planned pair fixes -------------------------------
-    // Only fix-target slots get private copies (fixes mutate their pair in
-    // place); everything else reads the producer stream directly.
-    std::vector<const Bitstream*> operands(node.operands.size());
-    for (std::size_t k = 0; k < node.operands.size(); ++k) {
-      operands[k] = &result.streams[node.operands[k]];
-    }
-    const std::vector<const PairFix*> fixes = plan.fixes_for(id);
-    const std::vector<unsigned> fixed_slots = fixed_slots_of(fixes);
-    std::vector<Bitstream> copies(fixed_slots.size());
-    for (std::size_t c = 0; c < fixed_slots.size(); ++c) {
-      copies[c] = result.streams[node.operands[fixed_slots[c]]];
-      operands[fixed_slots[c]] = &copies[c];
-    }
-    const auto copy_of = [&](unsigned slot) -> Bitstream& {
-      const auto it =
-          std::find(fixed_slots.begin(), fixed_slots.end(), slot);
-      return copies[static_cast<std::size_t>(it - fixed_slots.begin())];
-    };
-    const NodeId tag = node.seed_tag;
-    for (std::size_t position = 0; position < fixes.size(); ++position) {
-      const PairFix& fix = *fixes[position];
-      // A child span per correction: the profiler's collapsed stacks then
-      // split a node's cost into "the operator" (the node span's exclusive
-      // time) vs each planned fix (fix.decorrelator, fix.synchronizer, ...).
-      obs::Span fix_span(tracer, "fix." + to_string(fix.fix), "node.fix");
-      Bitstream& a = copy_of(fix.operand_a);
-      Bitstream& b = copy_of(fix.operand_b);
-      if (is_regenerating(fix.fix)) {
-        apply_regeneration(fix.fix, a, b, config, tag, fix_lane(fix));
-        continue;
-      }
-      const std::unique_ptr<core::PairTransform> transform =
-          fault::wrap_fsm_faults(
-              make_fix_transform(fix.fix, config, tag, fix_lane(fix)), faults,
-              id, static_cast<unsigned>(position));
-      // In place on the node's own slot copies.  As with the evaluators,
-      // the non-virtual base call is the bit-serial reference and the
-      // override is the circuit's word path.
-      transform->begin_stream(n);
-      if (kernel_path) {
-        transform->process(a.word_data(), b.word_data(), n);
-      } else {
-        transform->core::PairTransform::process(a.word_data(), b.word_data(),
-                                                n);
-      }
-    }
-
-    // --- the operator itself ----------------------------------------------
-    const OperatorDef& def = program.def_of(id);
-    const std::unique_ptr<OpEvaluator> evaluator =
-        def.make_evaluator(context_for(program, id, config));
-    evaluator->begin(n);
-    Bitstream out(n);
-    const sc::span<const Bitstream* const> ins(operands.data(),
-                                               operands.size());
-    if (kernel_path) {
-      evaluator->process(ins, out);
-    } else {
-      // Non-virtual call: the base implementation IS the bit-serial
-      // reference semantics; subclass overrides are the fast paths
-      // checked against it.
-      evaluator->OpEvaluator::process(ins, out);
-    }
-    result.streams[id] = std::move(out);
-    fault::apply_edge_faults(faults, id, result.streams[id], 0);
-    measured[id] = result.streams[id].value();
-  }
-
-  reduce_outputs(program, result, measured);
-  if (telemetry != nullptr) {
-    record_run_metrics(telemetry, backend_name, program, plan, config);
-    // Probes tap the finished (post-fault) streams; feeding them whole
-    // yields the same windows as the chunked engine's live taps.
-    obs::ProbeSet probes = make_probe_set(telemetry, program);
-    if (!probes.empty()) {
-      for (const auto& entry : probes.bound()) {
-        entry->probe.feed(
-            result.streams[entry->node_x],
-            entry->pair ? &result.streams[entry->node_y] : nullptr, 0, n);
-      }
-      probes.publish(*telemetry);
-    }
-  }
-  if (!config.keep_streams) result.streams.clear();
-  return result;
-}
-
-// ------------------------------------------------------------ chunked path
-
-/// Copies a chunk into `dst` at a word-aligned bit offset.
-void copy_chunk_into(Bitstream& dst, const Bitstream& chunk,
-                     std::size_t offset) {
-  assert(offset % 64 == 0);
-  const std::size_t word0 = offset / 64;
-  const std::vector<Bitstream::Word>& src = chunk.words();
-  Bitstream::Word* out = dst.word_data();
-  for (std::size_t w = 0; w < src.size(); ++w) out[word0 + w] = src[w];
-}
-
-/// Per-node state of one chunked run.
-struct ChunkNodeState {
-  // Inputs/constants: lazy SNG source.
-  std::unique_ptr<engine::SngChunkSource> source;
-  // Ops: planned fixes and the evaluator.
-  std::vector<std::unique_ptr<core::PairTransform>> fix_transforms;
-  std::vector<const PairFix*> fixes;
-  std::unique_ptr<OpEvaluator> evaluator;
-  std::vector<unsigned> fixed_slots;  ///< operand slots the fixes mutate
-  std::vector<Bitstream> scratch;     ///< chunk copies, one per fixed slot
-  std::vector<const Bitstream*> operand_chunks;  ///< per-slot chunk views
-
-  Bitstream chunk;            ///< this node's bits of the current chunk
-  std::uint64_t ones = 0;     ///< running ones count (value reduction)
-};
-
-ExecutionResult run_chunked(const Program& program, const ProgramPlan& plan,
-                            const ExecConfig& config,
-                            engine::Session* session) {
-  // Regeneration is stream-wide (S/D counts the whole operand before the
-  // D/S re-encode can emit bit 0), so such plans cannot stream causally;
-  // fall back to whole-stream kernel execution — still bit-identical.
-  if (plan.has_regeneration()) {
-    return run_whole(program, plan, config, /*kernel_path=*/true);
-  }
-
-  obs::Telemetry* const telemetry = obs::fallback(config.telemetry);
-  obs::Tracer* const tracer = obs::tracer_of(telemetry);
-  obs::Span run_span(tracer, "backend.run.engine", "backend");
-  run_span.arg("nodes", static_cast<std::uint64_t>(program.node_count()));
-  run_span.arg("stream_bits",
-               static_cast<std::uint64_t>(config.stream_length));
-  run_span.arg("threads",
-               static_cast<std::uint64_t>(
-                   session != nullptr ? session->threads() : 1));
-  const fault::ResolvedFaultPlan faults =
-      fault::resolve(config.fault_plan, program, &plan, telemetry);
-  const std::size_t n = config.stream_length;
-  const std::uint64_t natural = std::uint64_t{1} << config.width;
-  std::size_t chunk_bits =
-      session != nullptr ? session->config().chunk_bits
-                         : engine::kDefaultChunkBits;
-  // Word-align so chunk concatenation is a word copy; keep >= 64.
-  chunk_bits = std::max<std::size_t>(64, chunk_bits & ~std::size_t{63});
-
-  ExecutionResult result;
-  if (config.keep_streams) {
-    result.streams.assign(program.node_count(), Bitstream());
-    for (NodeId id = 0; id < program.node_count(); ++id) {
-      result.streams[id] = Bitstream(n);
-    }
-  }
-
   // --- per-node state -----------------------------------------------------
-  std::vector<ChunkNodeState> states(program.node_count());
+  std::vector<NodeState> states(program.node_count());
   std::vector<std::vector<NodeId>> levels;  // topological level -> nodes
   {
     std::vector<unsigned> level_of(program.node_count(), 0);
     for (NodeId id = 0; id < program.node_count(); ++id) {
       const ProgramNode& node = program.node(id);
-      ChunkNodeState& state = states[id];
+      NodeState& state = states[id];
       if (node.kind != ProgramNode::Kind::kOp) {
-        state.source = std::make_unique<engine::SngChunkSource>(
-            std::make_unique<rng::Lfsr>(
-                config.width, derive_seed32(config.seed, node.rng_group,
-                                            Role::kGroupTrace)),
-            unipolar_level64(node.value, natural), n);
-        level_of[id] = 0;
-      } else {
-        unsigned level = 0;
-        for (NodeId operand : node.operands) {
-          level = std::max(level, level_of[operand] + 1);
+        if (one_chunk) {
+          state.trace = &traces.at(node.rng_group);
+        } else {
+          state.source = std::make_unique<engine::SngChunkSource>(
+              std::make_unique<rng::Lfsr>(
+                  config.width, derive_seed32(config.seed, node.rng_group,
+                                              Role::kGroupTrace)),
+              unipolar_level64(node.value, natural), n);
         }
-        level_of[id] = level;
+      } else {
+        for (NodeId operand : node.operands) {
+          level_of[id] = std::max(level_of[id], level_of[operand] + 1);
+        }
         state.fixes = plan.fixes_for(id);
         for (std::size_t lane = 0; lane < state.fixes.size(); ++lane) {
           // Wrapped fix FSMs (fault plans) have no word path; their
           // process() steps every cycle with state carried across chunks,
-          // landing the corruption on the same absolute cycle as the
-          // whole-stream backends.
+          // landing the corruption on the same absolute cycle on every
+          // backend.
           state.fix_transforms.push_back(fault::wrap_fsm_faults(
               make_fix_transform(state.fixes[lane]->fix, config,
                                  node.seed_tag, fix_lane(*state.fixes[lane])),
               faults, id, static_cast<unsigned>(lane)));
-          state.fix_transforms.back()->begin_stream(n);
+          if (state.fix_transforms.back() != nullptr) {
+            state.fix_transforms.back()->begin_stream(n);
+          }
         }
         state.evaluator = program.def_of(id).make_evaluator(
             context_for(program, id, config));
@@ -476,7 +361,6 @@ ExecutionResult run_chunked(const Program& program, const ProgramPlan& plan,
   }
 
   // --- the chunk loop -----------------------------------------------------
-  engine::ChunkedRunStats stats;
   const auto advance_node = [&](NodeId id, std::size_t take,
                                 std::size_t offset) {
     const ProgramNode& node = program.node(id);
@@ -484,11 +368,23 @@ ExecutionResult run_chunked(const Program& program, const ProgramPlan& plan,
     // timeline shows per-chunk activity fanned across threads.
     obs::Span node_span(
         tracer, node.name.empty() ? "node#" + std::to_string(id) : node.name,
-        "chunk");
+        node.kind == ProgramNode::Kind::kOp ? "node.op" : "node.source");
     node_span.arg("offset", static_cast<std::uint64_t>(offset));
-    ChunkNodeState& state = states[id];
+    NodeState& state = states[id];
     if (node.kind != ProgramNode::Kind::kOp) {
-      state.source->next_chunk(state.chunk, take);
+      if (state.source != nullptr) {
+        state.source->next_chunk(state.chunk, take);
+      } else {
+        // The group-trace compare (see "sources" above), with the trace and
+        // the level held in locals.
+        const std::uint64_t level = unipolar_level64(node.value, natural);
+        const std::vector<std::uint32_t>& trace = *state.trace;
+        Bitstream stream(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          if (trace[i] < level) stream.set(i, true);
+        }
+        state.chunk = std::move(stream);
+      }
     } else {
       // Unfixed operands read the producer's chunk in place; only the
       // slots a fix mutates are copied into scratch.
@@ -507,32 +403,56 @@ ExecutionResult run_chunked(const Program& program, const ProgramPlan& plan,
             it - state.fixed_slots.begin())];
       };
       for (std::size_t lane = 0; lane < state.fixes.size(); ++lane) {
-        obs::Span fix_span(tracer, "fix." + to_string(state.fixes[lane]->fix),
-                           "node.fix");
-        state.fix_transforms[lane]->process(
-            scratch_of(state.fixes[lane]->operand_a).word_data(),
-            scratch_of(state.fixes[lane]->operand_b).word_data(), take);
+        // A child span per correction: the profiler's collapsed stacks then
+        // split a node's cost into "the operator" (the node span's
+        // exclusive time) vs each planned fix (fix.decorrelator, ...).
+        const PairFix& fix = *state.fixes[lane];
+        obs::Span fix_span(tracer, "fix." + to_string(fix.fix), "node.fix");
+        Bitstream& a = scratch_of(fix.operand_a);
+        Bitstream& b = scratch_of(fix.operand_b);
+        core::PairTransform* const transform =
+            state.fix_transforms[lane].get();
+        // As with the evaluator below, the non-virtual base call is the
+        // bit-serial reference and the override is the circuit's word path.
+        if (transform == nullptr) {
+          apply_regeneration(fix.fix, a, b, config, node.seed_tag,
+                             fix_lane(fix));
+        } else if (bit_serial) {
+          transform->core::PairTransform::process(a.word_data(),
+                                                  b.word_data(), take);
+        } else {
+          transform->process(a.word_data(), b.word_data(), take);
+        }
       }
       state.chunk.assign_zero(take);
-      state.evaluator->process(
-          sc::span<const Bitstream* const>(state.operand_chunks.data(),
-                                           state.operand_chunks.size()),
-          state.chunk);
+      const sc::span<const Bitstream* const> ins(state.operand_chunks.data(),
+                                                 state.operand_chunks.size());
+      if (bit_serial) {
+        // Non-virtual call: the base implementation IS the bit-serial
+        // reference semantics; subclass overrides are the fast paths
+        // checked against it.
+        state.evaluator->OpEvaluator::process(ins, state.chunk);
+      } else {
+        state.evaluator->process(ins, state.chunk);
+      }
     }
     // Corrupt the chunk at its absolute offset *before* the ones count and
-    // the downstream reads — consumers of a faulted edge must see the
-    // faulted bits, exactly as in the whole-stream path.
+    // the downstream reads: consumers of a faulted edge must see the
+    // faulted bits.
     fault::apply_edge_faults(faults, id, state.chunk, offset);
     state.ones += state.chunk.count_ones();
-    if (config.keep_streams) {
-      copy_chunk_into(result.streams[id], state.chunk, offset);
-    }
   };
 
+  ExecutionResult result;
+  if (config.keep_streams) result.streams.resize(program.node_count());
   obs::ProbeSet probes = make_probe_set(telemetry, program);
+  engine::ChunkedRunStats stats;
   for (std::size_t offset = 0; offset < n; offset += chunk_bits) {
     const std::size_t take = std::min(chunk_bits, n - offset);
-    obs::Span chunk_span(tracer, "engine.chunk", "engine");
+    // Only engine runs record chunk spans (the other backends' traces keep
+    // their node spans directly under the run span).
+    obs::Span chunk_span(engine_run ? tracer : nullptr, "engine.chunk",
+                         "engine");
     chunk_span.arg("offset", static_cast<std::uint64_t>(offset));
     chunk_span.arg("bits", static_cast<std::uint64_t>(take));
     for (const std::vector<NodeId>& level : levels) {
@@ -553,47 +473,58 @@ ExecutionResult run_chunked(const Program& program, const ProgramPlan& plan,
                         entry->pair ? &states[entry->node_y].chunk : nullptr,
                         offset, take);
     }
+    if (config.keep_streams) {
+      for (NodeId id = 0; id < program.node_count(); ++id) {
+        keep_chunk(result.streams[id], states[id].chunk, offset, n);
+      }
+    }
     stats.bits += take;
     ++stats.chunks;
   }
-  stats.peak_buffer_bits = program.node_count() * chunk_bits;
-  if (session != nullptr) {
-    session->note_chunked(stats);
-  }
-  if (telemetry != nullptr &&
-      (session == nullptr || session->telemetry() != telemetry)) {
-    // Runs whose telemetry the session does not carry record the chunked
-    // accounting directly (a bound session's note_chunked uses the same
-    // metric names, into its own registry).
-    obs::MetricsRegistry& metrics = telemetry->metrics();
-    metrics.counter("engine.chunked_runs").inc();
-    metrics.counter("engine.chunks").add(stats.chunks);
-    metrics.counter("engine.stream_bits").add(stats.bits);
-    metrics.gauge("engine.buffer.peak_bits")
-        .set(static_cast<double>(stats.peak_buffer_bits));
+
+  if (engine_run) {
+    stats.peak_buffer_bits = program.node_count() * chunk_bits;
+    if (session != nullptr) session->note_chunked(stats);
+    if (telemetry != nullptr &&
+        (session == nullptr || session->telemetry() != telemetry)) {
+      // Runs whose telemetry the session does not carry record the chunked
+      // accounting directly (a bound session's note_chunked uses the same
+      // metric names, into its own registry).
+      obs::MetricsRegistry& metrics = telemetry->metrics();
+      metrics.counter("engine.chunked_runs").inc();
+      metrics.counter("engine.chunks").add(stats.chunks);
+      metrics.counter("engine.stream_bits").add(stats.bits);
+      metrics.gauge("engine.buffer.peak_bits")
+          .set(static_cast<double>(stats.peak_buffer_bits));
+    }
   }
   if (telemetry != nullptr) {
-    record_run_metrics(telemetry, "engine", program, plan, config);
+    record_run_metrics(telemetry, backend_name(kind), program, plan, config);
     probes.publish(*telemetry);
   }
 
-  std::vector<double> measured(program.node_count(), 0.0);
-  for (NodeId id = 0; id < program.node_count(); ++id) {
-    measured[id] =
+  const std::vector<double> exact = program.exact_values();
+  double total = 0.0;
+  for (NodeId output : program.outputs()) {
+    const double measured =
         n == 0 ? 0.0
-               : static_cast<double>(states[id].ones) / static_cast<double>(n);
+               : static_cast<double>(states[output].ones) /
+                     static_cast<double>(n);
+    result.output_nodes.push_back(output);
+    result.values.push_back(measured);
+    result.exact.push_back(exact[output]);
+    result.abs_errors.push_back(std::abs(measured - exact[output]));
+    total += result.abs_errors.back();
   }
-  reduce_outputs(program, result, measured);
+  result.mean_abs_error =
+      result.output_nodes.empty()
+          ? 0.0
+          : total / static_cast<double>(result.output_nodes.size());
   return result;
 }
 
 // --------------------------------------------------------------- backends
 
-/// The optimizer front (ExecConfig::optimize): rewrites the planned
-/// program with opt::optimize, runs `inner` on the result, and maps the
-/// per-node data back onto the caller's node ids — removed nodes get
-/// empty streams, CSE-merged duplicates share the survivor's stream, and
-/// output_nodes keep the original ids and order.
 /// ExecConfig::analyze gate: run the static analyzer over the caller's
 /// (program, plan) and refuse to execute on error-class findings.  Runs
 /// before opt::optimize so diagnostics name the caller's node ids.
@@ -613,105 +544,79 @@ void analyze_or_throw(const Program& program, const ProgramPlan& plan,
   throw std::runtime_error(what);
 }
 
-template <typename Inner>
-ExecutionResult run_with_optimizer(const Program& program,
-                                   const ProgramPlan& plan,
-                                   const ExecConfig& config, Inner inner) {
-  // Throws std::invalid_argument outside 3..32, before the analyzer or a
-  // backend computes 1 << width (a 64-bit shift by >= 64 is UB).
-  (void)rng::Lfsr::maximal_taps(config.width);
-  if (config.analyze) analyze_or_throw(program, plan, config);
-  if (!config.optimize) return inner(program, plan);
-  opt::OptConfig opt_config;
-  opt_config.planner.sync_depth = config.sync_depth;
-  opt_config.planner.shuffle_depth = config.shuffle_depth;
-  opt_config.planner.width = config.width;
-  opt_config.width = config.width;
-  opt_config.telemetry = config.telemetry;
-  opt_config.planner.telemetry = config.telemetry;
-  const opt::OptResult optimized = opt::optimize(program, plan, opt_config);
-  ExecutionResult result = inner(optimized.program, optimized.plan);
-  result.output_nodes.assign(program.outputs().begin(),
-                             program.outputs().end());
-  if (config.keep_streams) {
-    // Move each optimized stream into its last caller slot (CSE-merged
-    // duplicates alias one optimized node, so earlier slots copy); long
-    // keep_streams runs would otherwise transiently double stream memory.
-    std::vector<NodeId> last_user(result.streams.size(), kInvalidNode);
-    for (NodeId id = 0; id < program.node_count(); ++id) {
-      const NodeId mapped = optimized.node_map[id];
-      if (mapped != kInvalidNode) last_user[mapped] = id;
+/// Every backend: the executor in one of its three configurations (the
+/// kind, plus the engine's optional session).
+class Backend final : public ExecutorBackend {
+ public:
+  Backend(BackendKind kind, engine::Session* session)
+      : kind_(kind), session_(session) {}
+
+  [[nodiscard]] std::string name() const override {
+    return backend_name(kind_);
+  }
+
+  /// The optimizer front (ExecConfig::optimize) rewrites the planned
+  /// program with opt::optimize, executes the result, and maps the
+  /// per-node data back onto the caller's node ids: removed nodes get
+  /// empty streams, CSE-merged duplicates share the survivor's stream, and
+  /// output_nodes keep the original ids and order.
+  ExecutionResult run(const Program& program, const ProgramPlan& plan,
+                      const ExecConfig& config) override {
+    // Throws std::invalid_argument outside 3..32, before the analyzer or
+    // the executor computes 1 << width (a 64-bit shift by >= 64 is UB).
+    (void)rng::Lfsr::maximal_taps(config.width);
+    if (config.analyze) analyze_or_throw(program, plan, config);
+    if (!config.optimize) {
+      return execute(program, plan, config, kind_, session_);
     }
-    std::vector<Bitstream> streams(program.node_count());
-    for (NodeId id = 0; id < program.node_count(); ++id) {
-      const NodeId mapped = optimized.node_map[id];
-      if (mapped == kInvalidNode) continue;
-      streams[id] = last_user[mapped] == id
-                        ? std::move(result.streams[mapped])
-                        : result.streams[mapped];
+    opt::OptConfig opt_config;
+    opt_config.planner.sync_depth = config.sync_depth;
+    opt_config.planner.shuffle_depth = config.shuffle_depth;
+    opt_config.planner.width = config.width;
+    opt_config.width = config.width;
+    opt_config.telemetry = config.telemetry;
+    opt_config.planner.telemetry = config.telemetry;
+    const opt::OptResult optimized = opt::optimize(program, plan, opt_config);
+    ExecutionResult result =
+        execute(optimized.program, optimized.plan, config, kind_, session_);
+    result.output_nodes.assign(program.outputs().begin(),
+                               program.outputs().end());
+    if (config.keep_streams) {
+      // Move each optimized stream into its last caller slot (CSE-merged
+      // duplicates alias one optimized node, so earlier slots copy); long
+      // keep_streams runs would otherwise transiently double stream memory.
+      std::vector<NodeId> last_user(result.streams.size(), kInvalidNode);
+      for (NodeId id = 0; id < program.node_count(); ++id) {
+        const NodeId mapped = optimized.node_map[id];
+        if (mapped != kInvalidNode) last_user[mapped] = id;
+      }
+      std::vector<Bitstream> streams(program.node_count());
+      for (NodeId id = 0; id < program.node_count(); ++id) {
+        const NodeId mapped = optimized.node_map[id];
+        if (mapped == kInvalidNode) continue;
+        streams[id] = last_user[mapped] == id
+                          ? std::move(result.streams[mapped])
+                          : result.streams[mapped];
+      }
+      result.streams = std::move(streams);
     }
-    result.streams = std::move(streams);
-  }
-  return result;
-}
-
-class ReferenceBackend final : public ExecutorBackend {
- public:
-  [[nodiscard]] std::string name() const override { return "reference"; }
-  ExecutionResult run(const Program& program, const ProgramPlan& plan,
-                      const ExecConfig& config) override {
-    return run_with_optimizer(
-        program, plan, config, [&](const Program& p, const ProgramPlan& pl) {
-          return run_whole(p, pl, config, /*kernel_path=*/false);
-        });
-  }
-};
-
-class KernelBackend final : public ExecutorBackend {
- public:
-  [[nodiscard]] std::string name() const override { return "kernel"; }
-  ExecutionResult run(const Program& program, const ProgramPlan& plan,
-                      const ExecConfig& config) override {
-    return run_with_optimizer(
-        program, plan, config, [&](const Program& p, const ProgramPlan& pl) {
-          return run_whole(p, pl, config, /*kernel_path=*/true);
-        });
-  }
-};
-
-class EngineBackend final : public ExecutorBackend {
- public:
-  explicit EngineBackend(engine::Session* session) : session_(session) {}
-  [[nodiscard]] std::string name() const override { return "engine"; }
-  ExecutionResult run(const Program& program, const ProgramPlan& plan,
-                      const ExecConfig& config) override {
-    return run_with_optimizer(
-        program, plan, config, [&](const Program& p, const ProgramPlan& pl) {
-          return run_chunked(p, pl, config, session_);
-        });
+    return result;
   }
 
  private:
+  BackendKind kind_;
   engine::Session* session_;
 };
 
 }  // namespace
 
 std::unique_ptr<ExecutorBackend> make_backend(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kReference:
-      return std::make_unique<ReferenceBackend>();
-    case BackendKind::kKernel:
-      return std::make_unique<KernelBackend>();
-    case BackendKind::kEngine:
-      return std::make_unique<EngineBackend>(nullptr);
-  }
-  return nullptr;
+  return std::make_unique<Backend>(kind, nullptr);
 }
 
 std::unique_ptr<ExecutorBackend> make_engine_backend(
     engine::Session& session) {
-  return std::make_unique<EngineBackend>(&session);
+  return std::make_unique<Backend>(BackendKind::kEngine, &session);
 }
 
 std::vector<std::uint32_t> derived_seeds(const Program& program,

@@ -2,23 +2,29 @@
 /// Pluggable execution backends for registry programs.
 ///
 /// An ExecutorBackend turns (Program, ProgramPlan, ExecConfig) into a
-/// bit-true ExecutionResult.  Three implementations ship:
+/// bit-true ExecutionResult.  One executor runs every backend: it builds
+/// each node's state once (SNG, planned fix FSMs, evaluator), then advances
+/// the nodes level by level, chunk by chunk.  The three backends are three
+/// datapaths through it:
 ///
-///  * ReferenceBackend — everything bit-serial: operators and planned
-///    fixes step one cycle at a time (the base OpEvaluator::process and
-///    PairTransform::process, called non-virtually).  The semantics
+///  * reference — one n-bit chunk, everything bit-serial: operators and
+///    planned fixes step one cycle at a time (the base OpEvaluator::process
+///    and PairTransform::process, called non-virtually).  The semantics
 ///    oracle.
-///  * KernelBackend — whole-stream through the fixes' and operators'
-///    process() overrides (table-driven or word-parallel paths).
-///  * EngineBackend — chunked streaming: node streams advance one
-///    fixed-size chunk at a time with FSM/evaluator state carried across
-///    chunk boundaries, so arbitrarily long streams execute in O(nodes x
-///    chunk) memory (set ExecConfig::keep_streams = false); optionally
-///    bound to an engine::Session whose pool fans independent nodes of
-///    each topological level and whose chunk size / accounting it uses.
-///    Regeneration fixes are inherently stream-wide (they count the whole
-///    operand before re-encoding), so plans containing them fall back to
-///    whole-stream execution.
+///  * kernel — one n-bit chunk through the fixes' and operators' process()
+///    overrides (table-driven or word-parallel paths).
+///  * engine — chunked streaming through the same overrides: node streams
+///    advance one fixed-size chunk at a time with FSM/evaluator state
+///    carried across chunk boundaries, so arbitrarily long streams execute
+///    in O(nodes x chunk) memory (set ExecConfig::keep_streams = false);
+///    optionally bound to an engine::Session whose pool fans independent
+///    nodes of each topological level and whose chunk size / accounting it
+///    uses.
+///
+/// Regeneration fixes are inherently stream-wide (they count the whole
+/// operand before re-encoding), so a plan containing one runs as one n-bit
+/// chunk on every backend, the engine included (on its pool, and recorded
+/// as an engine run).
 ///
 /// All three are bit-identical on the same (Program, ProgramPlan,
 /// ExecConfig) — enforced by differential tests — because every random

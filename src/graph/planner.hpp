@@ -77,8 +77,8 @@ std::string to_string(FixKind kind);
 
 /// True when `kind` regenerates (S/D + D/S) rather than manipulating
 /// in-stream.  Regeneration is inherently stream-wide - it counts the
-/// whole operand before re-encoding - which is why the chunked engine
-/// backend falls back to whole-stream execution for such plans.
+/// whole operand before re-encoding - which is why every backend, the
+/// chunked engine included, runs such plans as one stream-long chunk.
 bool is_regenerating(FixKind kind);
 
 /// True when `kind` draws auxiliary RNG sequences (seeded per op node /

@@ -86,7 +86,15 @@ std::string MetricsSnapshot::to_json() const {
         << "\": {\"count\": " << h.count << ", \"sum\": " << h.sum
         << ", \"mean\": " << format_double(h.mean())
         << ", \"p50\": " << format_double(h.quantile(0.5))
-        << ", \"p99\": " << format_double(h.quantile(0.99)) << "}";
+        << ", \"p99\": " << format_double(h.quantile(0.99))
+        << ", \"buckets\": {";
+    bool first_bucket = true;
+    for (std::size_t k = 0; k < h.buckets.size(); ++k) {
+      if (h.buckets[k] == 0) continue;
+      out << (first_bucket ? "" : ", ") << "\"" << k << "\": " << h.buckets[k];
+      first_bucket = false;
+    }
+    out << "}}";
     first = false;
   }
   out << (first ? "" : "\n  ") << "}\n}\n";

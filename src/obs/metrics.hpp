@@ -132,7 +132,9 @@ struct MetricsSnapshot {
   }
 
   /// Machine-readable export: {"counters": {...}, "gauges": {...},
-  /// "histograms": {name: {count, sum, mean, p50, p99}}}.
+  /// "histograms": {name: {count, sum, mean, p50, p99, buckets}}}, where
+  /// buckets maps the index k of every nonzero log2 bucket (see
+  /// Histogram) to its count, e.g. {"4": 1} for one observation of 12.
   [[nodiscard]] std::string to_json() const;
   /// Fixed-width human table, one instrument per row.
   [[nodiscard]] std::string to_table() const;

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 #include <random>
 #include <set>
 #include <stdexcept>
@@ -324,6 +326,72 @@ TEST(CustomOperator, PlannedFixedAndExecutedThroughTheRegistry) {
     // Same-trace NAND computes 1 - min(a,b) = 0.5, exact is 0.65.
     EXPECT_GT(broken, 0.10) << backend->name();
     EXPECT_LT(fixed, 0.05) << backend->name();
+  }
+}
+
+TEST(CustomOperator, ReferenceStepsEveryCycleAndTheOthersTakeTheOverride) {
+  // Every builtin process() override is bit-identical to step(), so no
+  // identity test can tell which datapath a backend ran.  This operator
+  // counts both: the reference backend must step every cycle through the
+  // base OpEvaluator::process, and the kernel and engine backends must
+  // take the override.
+  struct Calls {
+    std::atomic<std::size_t> steps{0};
+    std::atomic<std::size_t> overrides{0};
+  };
+  class CountingAnd final : public OpEvaluator {
+   public:
+    explicit CountingAnd(Calls& calls) : calls_(&calls) {}
+    bool step(const bool* in) override {
+      ++calls_->steps;
+      return in[0] && in[1];
+    }
+    void process(sc::span<const Bitstream* const> ins,
+                 Bitstream& out) override {
+      ++calls_->overrides;
+      out = *ins[0] & *ins[1];
+    }
+
+   private:
+    Calls* calls_;
+  };
+  Calls calls;
+  OperatorRegistry reg = OperatorRegistry::with_builtins();
+  OperatorDef def;
+  def.name = "counting-and";
+  def.arity = 2;
+  def.exact = [](sc::span<const double> v) { return v[0] * v[1]; };
+  def.make_evaluator = [&calls](const OpContext&) {
+    return std::make_unique<CountingAnd>(calls);
+  };
+  reg.add(std::move(def));
+
+  GraphBuilder b(reg);
+  const Value x = b.input("x", 0.7, 0);
+  const Value y = b.input("y", 0.5, 1);
+  b.output(b.op("counting-and", {x, y}), "out");
+  const Program p = b.build();
+  const ProgramPlan plan = plan_program(p, Strategy::kNone);
+  ExecConfig config;
+  config.stream_length = 1000;
+
+  engine::Session session({2, /*chunk_bits=*/256, 0x5eed});
+  const struct {
+    std::unique_ptr<ExecutorBackend> backend;
+    std::size_t steps;
+    std::size_t overrides;
+  } expected[] = {
+      {make_backend(BackendKind::kReference), 1000, 0},
+      {make_backend(BackendKind::kKernel), 0, 1},
+      {make_backend(BackendKind::kEngine), 0, 1},  // one default-size chunk
+      {make_engine_backend(session), 0, 4},        // 3 x 256 + 232 bits
+  };
+  for (const auto& entry : expected) {
+    calls.steps = 0;
+    calls.overrides = 0;
+    entry.backend->run(p, plan, config);
+    EXPECT_EQ(calls.steps, entry.steps) << entry.backend->name();
+    EXPECT_EQ(calls.overrides, entry.overrides) << entry.backend->name();
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <array>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "bitstream/correlation.hpp"
@@ -227,14 +228,26 @@ TEST(Regenerator, BusCorrelatedSharedRngGivesSccPlusOne) {
 }
 
 TEST(Regenerator, BusUncorrelatedPerStreamSources) {
-  const std::vector<Bitstream> inputs = {test::lfsr_stream(128, 3),
-                                         test::lfsr_stream(128, 3)};
-  ASSERT_DOUBLE_EQ(scc(inputs[0], inputs[1]), 1.0);
+  // Decorrelating regeneration of a bus: one regenerate() per stream, each
+  // with its own source.
+  const Bitstream x = test::lfsr_stream(128, 3);
+  const Bitstream y = test::lfsr_stream(128, 3);
+  ASSERT_DOUBLE_EQ(scc(x, y), 1.0);
   rng::VanDerCorput vdc(8);
   rng::Halton halton(8, 3);
-  const std::vector<rng::RandomSource*> sources = {&vdc, &halton};
-  const auto outputs = regenerate_bus_uncorrelated(inputs, sources);
-  EXPECT_LT(std::abs(scc(outputs[0], outputs[1])), 0.2);
+  const Bitstream xr = regenerate(x, vdc);
+  const Bitstream yr = regenerate(y, halton);
+  EXPECT_LT(std::abs(scc(xr, yr)), 0.2);
+}
+
+TEST(Regenerator, BusCorrelatedRejectsUnequalLengths) {
+  // Without the check, every output would silently take the first
+  // stream's length.
+  const std::vector<Bitstream> inputs = {test::lfsr_stream(128, 3),
+                                         Bitstream(300)};
+  rng::Lfsr shared(8, 41);
+  EXPECT_THROW(regenerate_bus_correlated(inputs, shared),
+               std::invalid_argument);
 }
 
 TEST(Regenerator, NonPowerOfTwoLengthRescalesLevel) {

@@ -4,7 +4,7 @@
 /// The contract every ExecutorBackend — current and future — must satisfy:
 /// on the same (Program, ProgramPlan, ExecConfig), including any
 /// ExecConfig::fault_plan, it produces streams and values bit-identical to
-/// the ReferenceBackend.  `conforms()` checks one case and reports a
+/// the reference backend.  `conforms()` checks one case and reports a
 /// self-contained failure message; `random_fault_plan()` draws a fault
 /// campaign over a program's named edges so fuzzers can sweep the whole
 /// (program x fault plan x length) space from one logged seed.

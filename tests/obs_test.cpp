@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <set>
@@ -85,6 +86,8 @@ TEST(Metrics, SnapshotExportsJsonAndTable) {
   EXPECT_NE(json.find("\"events.total\": 7"), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+  // 12 lands in log2 bucket 4, [8, 16): the only nonzero bucket.
+  EXPECT_NE(json.find("\"buckets\": {\"4\": 1}"), std::string::npos);
 
   const std::string table = snapshot.to_table();
   EXPECT_NE(table.find("events.total"), std::string::npos);
@@ -368,6 +371,49 @@ TEST(Metrics, RngDrawsCountEveryGeneratorOncePerCycle) {
     EXPECT_EQ(telemetry.snapshot().counters.at("backend.rng_draws"), 3000u)
         << backend->name();
   }
+}
+
+TEST(Metrics, EngineRunsOfRegenerationPlansAreRecordedAsEngineRuns) {
+  // A regeneration fix counts its whole operand before it re-encodes, so
+  // the engine runs such a plan as one stream-long chunk.  It is still an
+  // engine run: its span, its counters and the session's chunked-run stats
+  // say so, and nothing is charged to the kernel backend.
+  using namespace sc::graph;
+  GraphBuilder b;
+  const Value x = b.input("x", 0.6, 0);
+  const Value y = b.input("y", 0.3, 0);
+  b.output(b.op("multiply", {x, y}), "xy");
+  const Program program = b.build();
+  const ProgramPlan plan = plan_program(program, Strategy::kRegeneration);
+  ASSERT_TRUE(plan.has_regeneration());
+
+  Telemetry telemetry;
+  engine::Session session({2, 256, 0x5eed, &telemetry});
+  ExecConfig config;
+  config.stream_length = 1000;
+  config.telemetry = &telemetry;
+  make_engine_backend(session)->run(program, plan, config);
+
+  std::set<std::string> names;
+  for (const TraceEvent& event : telemetry.tracer()->events()) {
+    names.insert(event.name);
+  }
+  EXPECT_NE(names.count("backend.run.engine"), 0u);
+  EXPECT_NE(names.count("engine.chunk"), 0u);
+  EXPECT_EQ(names.count("backend.run.kernel"), 0u);
+
+  const MetricsSnapshot snapshot = telemetry.snapshot();
+  const auto counter = [&snapshot](const std::string& name) {
+    const auto it = snapshot.counters.find(name);
+    return it == snapshot.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  EXPECT_EQ(counter("backend.engine.runs"), 1u);
+  EXPECT_EQ(counter("backend.kernel.runs"), 0u);
+  EXPECT_EQ(counter("engine.chunked_runs"), 1u);
+  EXPECT_EQ(counter("engine.chunks"), 1u);
+  EXPECT_EQ(counter("engine.stream_bits"), 1000u);
+  EXPECT_EQ(session.stats().chunked_runs, 1u);
+  EXPECT_EQ(session.stats().stream_bits, 1000u);
 }
 
 TEST(Neutrality, ProbeObservationIsIdenticalAcrossBackends) {
