@@ -250,6 +250,81 @@ TEST(Regenerator, BusCorrelatedRejectsUnequalLengths) {
                std::invalid_argument);
 }
 
+/// The per-bit regeneration loops as they stood before the word forms:
+/// one next() per cycle, one compare and one push_back per bit.
+Bitstream regenerate_oracle(const Bitstream& input,
+                            rng::RandomSource& source) {
+  const std::size_t n = input.size();
+  const std::uint64_t ones = input.count_ones();
+  std::uint64_t level = 0;
+  if (n != 0) {
+    level = (ones * source.range() + n / 2) / n;
+  }
+  Bitstream out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(source.next() < level);
+  }
+  return out;
+}
+
+std::vector<Bitstream> regenerate_bus_oracle(
+    const std::vector<Bitstream>& inputs, rng::RandomSource& shared_source) {
+  std::vector<Bitstream> out;
+  if (inputs.empty()) return out;
+  const std::size_t n = inputs.front().size();
+  std::vector<std::uint32_t> trace(n);
+  for (std::size_t i = 0; i < n; ++i) trace[i] = shared_source.next();
+  for (const Bitstream& input : inputs) {
+    const std::uint64_t ones = input.count_ones();
+    const std::uint64_t level =
+        n == 0 ? 0 : (ones * shared_source.range() + n / 2) / n;
+    Bitstream stream;
+    stream.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) stream.push_back(trace[i] < level);
+    out.push_back(std::move(stream));
+  }
+  return out;
+}
+
+TEST(Regenerator, MatchesThePerBitOracleDrawForDraw) {
+  // LFSR widths 3..32 (plain, and rotated past the orbit-table widths'
+  // identity copy), and the low-discrepancy and counter sources.  The
+  // all-ones input regenerates at full scale: level 2^32 at width 32.
+  std::vector<rng::RandomSourcePtr> prototypes;
+  prototypes.push_back(std::make_unique<rng::Lfsr>(3, 5));
+  prototypes.push_back(std::make_unique<rng::Lfsr>(8, 41));
+  prototypes.push_back(std::make_unique<rng::Lfsr>(16, 0xACE1, 5));
+  prototypes.push_back(std::make_unique<rng::Lfsr>(32, 0xDEADBEEF));
+  prototypes.push_back(std::make_unique<rng::VanDerCorput>(8));
+  prototypes.push_back(std::make_unique<rng::Halton>(8, 3));
+  prototypes.push_back(std::make_unique<rng::CounterSource>(8));
+  for (const std::size_t n : {0, 1, 63, 64, 65, 1000}) {
+    std::vector<Bitstream> inputs = {Bitstream(n), Bitstream(n, true),
+                                     Bitstream(n), Bitstream(n)};
+    for (std::size_t i = 0; i < n; ++i) {
+      inputs[2].set(i, (i * 7 + 3) % 5 < 2);
+      inputs[3].set(i, i % 3 == 0);
+    }
+    for (const rng::RandomSourcePtr& prototype : prototypes) {
+      const rng::RandomSourcePtr word = prototype->clone();
+      const rng::RandomSourcePtr oracle = prototype->clone();
+      for (const Bitstream& input : inputs) {
+        EXPECT_EQ(regenerate(input, *word), regenerate_oracle(input, *oracle))
+            << prototype->name() << " n=" << n;
+        // Exactly n draws: the sources continue in step.
+        EXPECT_EQ(word->next(), oracle->next())
+            << prototype->name() << " n=" << n;
+      }
+      EXPECT_EQ(regenerate_bus_correlated(inputs, *word),
+                regenerate_bus_oracle(inputs, *oracle))
+          << prototype->name() << " n=" << n;
+      EXPECT_EQ(word->next(), oracle->next())
+          << prototype->name() << " n=" << n;
+    }
+  }
+}
+
 TEST(Regenerator, NonPowerOfTwoLengthRescalesLevel) {
   // 100 ones out of 200 bits -> level 128 of 256 -> value 0.5 preserved.
   Bitstream input(200);

@@ -375,20 +375,30 @@ TEST(GraphBatch, MatchesSequentialRuns) {
 }
 
 TEST(PipelineTiled, BitIdenticalAcrossThreadCounts) {
+  // Tile 7 on 30x30: 25 tiles, the last row and column of them partial.
   const img::Image input = img::Image::synthetic_scene(30, 30, 5);
   img::PipelineConfig config;
-  config.tile = 10;
+  config.tile = 7;
 
   Session one({1});
+  Session two({2});
   Session four({4});
-  const img::PipelineResult a =
-      img::run_pipeline_tiled(input, img::Variant::kSynchronizer, config, one);
-  const img::PipelineResult b =
-      img::run_pipeline_tiled(input, img::Variant::kSynchronizer, config, four);
-
-  ASSERT_EQ(a.output.pixel_count(), b.output.pixel_count());
-  EXPECT_EQ(a.output.pixels(), b.output.pixels());  // exact, not approximate
-  EXPECT_EQ(a.error, b.error);
+  for (const img::Variant variant :
+       {img::Variant::kNoManipulation, img::Variant::kRegeneration,
+        img::Variant::kSynchronizer}) {
+    const img::PipelineResult a =
+        img::run_pipeline_tiled(input, variant, config, one);
+    for (Session* session : {&two, &four}) {
+      const img::PipelineResult b =
+          img::run_pipeline_tiled(input, variant, config, *session);
+      ASSERT_EQ(a.output.pixel_count(), b.output.pixel_count());
+      // Exact, not approximate.
+      EXPECT_EQ(a.output.pixels(), b.output.pixels())
+          << img::to_string(variant) << " on " << session->threads()
+          << " workers";
+      EXPECT_EQ(a.error, b.error);
+    }
+  }
 }
 
 TEST(PipelineTiled, AccuracyComparableToSerialEngine) {

@@ -8,14 +8,22 @@
 /// seed-derivation migration, which silently moved all results at once.
 /// See tests/golden/README.md for the (intentional-change-only)
 /// regeneration workflow.
+///
+/// GoldenFrames pins the image applications the same way: the §IV
+/// pipeline (both entry points, all three variants), the SC Sobel
+/// detector and the SC median filter, checksummed pixel for pixel
+/// against tests/golden/frames.hpp.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
@@ -23,10 +31,16 @@
 #include "fault/fault.hpp"
 #include "fault_fixtures.hpp"
 #include "golden/corpus.hpp"
+#include "golden/frames.hpp"
 #include "graph/backend.hpp"
 #include "graph/planner.hpp"
 #include "graph/program.hpp"
 #include "graph_fixtures.hpp"
+#include "img/image.hpp"
+#include "img/kernels.hpp"
+#include "img/median.hpp"
+#include "img/sc_pipeline.hpp"
+#include "img/sobel.hpp"
 #include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
 #include "opt/optimize.hpp"
@@ -43,26 +57,31 @@ using graph::ProgramPlan;
 using graph::Strategy;
 using graph::Value;
 
+/// FNV-1a over 64-bit values, least significant byte first.
+struct Fnv1a {
+  std::uint64_t hash = 1469598103934665603ULL;
+  void mix(std::uint64_t v) {
+    for (unsigned byte = 0; byte < 8; ++byte) {
+      hash ^= (v >> (8 * byte)) & 0xFFu;
+      hash *= 1099511628211ULL;
+    }
+  }
+};
+
 /// FNV-1a over every node stream (length + packed words) and the output
 /// node list.  Word padding past size() is zeroed by Bitstream's
 /// invariant, and the packed words are platform-independent functions of
 /// the bit sequence, so the checksum is stable anywhere the bits are.
 std::uint64_t checksum(const ExecutionResult& result) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  const auto mix = [&hash](std::uint64_t v) {
-    for (unsigned byte = 0; byte < 8; ++byte) {
-      hash ^= (v >> (8 * byte)) & 0xFFu;
-      hash *= 1099511628211ULL;
-    }
-  };
-  mix(result.streams.size());
+  Fnv1a fnv;
+  fnv.mix(result.streams.size());
   for (const Bitstream& stream : result.streams) {
-    mix(stream.size());
-    for (const Bitstream::Word word : stream.words()) mix(word);
+    fnv.mix(stream.size());
+    for (const Bitstream::Word word : stream.words()) fnv.mix(word);
   }
-  mix(result.output_nodes.size());
-  for (const graph::NodeId node : result.output_nodes) mix(node);
-  return hash;
+  fnv.mix(result.output_nodes.size());
+  for (const graph::NodeId node : result.output_nodes) fnv.mix(node);
+  return fnv.hash;
 }
 
 struct Case {
@@ -234,6 +253,198 @@ TEST(GoldenCorpus, BitLevelResultsMatchTheCommittedChecksums) {
     std::printf("};\n");
     GTEST_SKIP() << "SC_GOLDEN_PRINT set: printed the corpus instead of "
                     "checking it";
+  }
+}
+
+// ----------------------------------------------------------------- frames
+//
+// Pixels are hashed as the bit patterns of their doubles.  Output pixels
+// are ones counts over n, exact anywhere the bits are; the reference
+// pixels and the mean error are plain IEEE double arithmetic, which the
+// build compiles without contraction (ISO mode, no -march).
+
+void mix_image(Fnv1a& fnv, const img::Image& image) {
+  fnv.mix(image.width());
+  fnv.mix(image.height());
+  for (const double p : image.pixels()) {
+    fnv.mix(std::bit_cast<std::uint64_t>(p));
+  }
+}
+
+std::uint64_t frame_checksum(const img::Image& output,
+                             const img::Image& reference, double error) {
+  Fnv1a fnv;
+  mix_image(fnv, output);
+  mix_image(fnv, reference);
+  fnv.mix(std::bit_cast<std::uint64_t>(error));
+  return fnv.hash;
+}
+
+std::uint64_t frame_checksum(const img::PipelineResult& result) {
+  return frame_checksum(result.output, result.reference, result.error);
+}
+
+/// Two hand-built scenes (no <random> distribution, whose output is
+/// implementation-defined): a hard-edged checkerboard, and an integer-hash
+/// texture over the 17 levels k/16, zero and full scale included.
+std::vector<std::pair<const char*, img::Image>> frame_scenes(
+    std::size_t width, std::size_t height) {
+  img::Image texture(width, height);
+  for (std::size_t y = 0; y < height; ++y) {
+    for (std::size_t x = 0; x < width; ++x) {
+      texture.at(x, y) =
+          static_cast<double>((x * 37 + y * 91 + x * y * 13) % 17) / 16.0;
+    }
+  }
+  std::vector<std::pair<const char*, img::Image>> scenes;
+  scenes.emplace_back("checker", img::Image::checkerboard(width, height, 3));
+  scenes.emplace_back("texture", std::move(texture));
+  return scenes;
+}
+
+/// §IV pipeline configs: widths 3..32, lengths around word boundaries
+/// (0, 63, 257) and off them (100, 1000), tiles that do not divide the
+/// image sides (partial edge tiles), and every bank count and sync depth
+/// from 1 to 8 and 7.
+struct PipelineCase {
+  const char* name;
+  std::size_t image_width;
+  std::size_t image_height;
+  std::size_t stream_length;
+  std::size_t tile;
+  unsigned sng_width;
+  unsigned input_banks;
+  unsigned sync_depth;
+  std::uint32_t seed;
+};
+
+constexpr PipelineCase kPipelineCases[] = {
+    // name            w   h     n  tile  sng banks depth seed
+    {"w3-n63-t3", 11, 8, 63, 3, 3, 1, 1, 7},
+    {"w3-n257-t7", 16, 10, 257, 7, 3, 8, 2, 5},
+    {"w8-n0-t7", 15, 9, 0, 7, 8, 3, 3, 11},
+    {"w8-n256-t10", 23, 17, 256, 10, 8, 8, 2, 7},
+    {"w16-n100-t7", 22, 13, 100, 7, 16, 5, 4, 0x1234},
+    {"w16-n1000-t3", 10, 7, 1000, 3, 16, 2, 7, 99},
+    {"w31-n257-t10", 21, 12, 257, 10, 31, 6, 5, 0xBEEF},
+    {"w32-n257-t1", 5, 4, 257, 1, 32, 4, 6, 3},
+    {"w32-n1000-t10", 13, 11, 1000, 10, 32, 7, 1, 0xDEADBEEF},
+};
+
+/// Sobel and median configs at the widths whose frames were right at the
+/// time of pinning (width 32 had its own fix and test).
+struct FilterCase {
+  const char* name;
+  unsigned sng_width;
+  std::size_t stream_length;
+  unsigned input_banks;
+  unsigned sync_depth;
+  unsigned desync_depth;
+  std::uint32_t seed;
+};
+
+constexpr FilterCase kFilterCases[] = {
+    {"w3-n63", 3, 63, 1, 1, 2, 5},
+    {"w8-n256", 8, 256, 8, 4, 4, 31},
+    {"w16-n100", 16, 100, 3, 2, 5, 77},
+    {"w31-n257", 31, 257, 5, 3, 1, 0xBEEF},
+};
+
+struct FrameChecksum {
+  std::string program;  // "<config>/<scene>"
+  std::string label;    // "<entry point>/<variant>"
+  std::uint64_t checksum;
+};
+
+std::vector<FrameChecksum> frame_checksums() {
+  const std::pair<img::Variant, const char*> variants[] = {
+      {img::Variant::kNoManipulation, "none"},
+      {img::Variant::kRegeneration, "regeneration"},
+      {img::Variant::kSynchronizer, "synchronizer"},
+  };
+  engine::Session one({1});
+  engine::Session four({4});
+  std::vector<FrameChecksum> out;
+  for (const PipelineCase& pc : kPipelineCases) {
+    img::PipelineConfig config;
+    config.stream_length = pc.stream_length;
+    config.tile = pc.tile;
+    config.sng_width = pc.sng_width;
+    config.input_banks = pc.input_banks;
+    config.sync_depth = pc.sync_depth;
+    config.seed = pc.seed;
+    for (const auto& [scene, image] :
+         frame_scenes(pc.image_width, pc.image_height)) {
+      const std::string program = std::string(pc.name) + "/" + scene;
+      for (const auto& [variant, label] : variants) {
+        out.push_back({program, std::string("serial/") + label,
+                       frame_checksum(img::run_pipeline(image, variant,
+                                                        config))});
+        const std::uint64_t tiled = frame_checksum(
+            img::run_pipeline_tiled(image, variant, config, one));
+        EXPECT_EQ(tiled, frame_checksum(img::run_pipeline_tiled(
+                             image, variant, config, four)))
+            << program << " " << label
+            << ": the tiled frame depends on the session's thread count";
+        out.push_back({program, std::string("tiled/") + label, tiled});
+      }
+    }
+  }
+  for (const FilterCase& fc : kFilterCases) {
+    img::SobelConfig sobel;
+    sobel.stream_length = fc.stream_length;
+    sobel.sng_width = fc.sng_width;
+    sobel.input_banks = fc.input_banks;
+    sobel.sync_depth = fc.sync_depth;
+    sobel.desync_depth = fc.desync_depth;
+    sobel.seed = fc.seed;
+    img::MedianConfig median;
+    median.stream_length = fc.stream_length;
+    median.sng_width = fc.sng_width;
+    median.input_banks = fc.input_banks;
+    median.sync_depth = fc.sync_depth;
+    median.seed = fc.seed;
+    for (const auto& [scene, image] : frame_scenes(9, 7)) {
+      const std::string program = std::string(fc.name) + "/" + scene;
+      for (const bool manipulate : {true, false}) {
+        sobel.manipulate = manipulate;
+        const img::SobelResult r = img::run_sc_sobel(image, sobel);
+        out.push_back({program, manipulate ? "sobel/manipulate" : "sobel/bare",
+                       frame_checksum(r.output, r.reference, r.error)});
+      }
+      const img::Image filtered = img::sc_median_filter(image, median);
+      const img::Image reference = img::median3x3(image);
+      out.push_back({program, "median",
+                     frame_checksum(filtered, reference,
+                                    img::mean_abs_error(filtered, reference))});
+    }
+  }
+  return out;
+}
+
+TEST(GoldenFrames, ImageFramesMatchTheCommittedChecksums) {
+  const std::vector<FrameChecksum> frames = frame_checksums();
+  if (std::getenv("SC_GOLDEN_PRINT") != nullptr) {
+    std::printf("inline constexpr GoldenEntry kGoldenFrames[] = {\n");
+    for (const FrameChecksum& f : frames) {
+      std::printf("    {\"%s\", \"%s\", 0x%016llXULL},\n", f.program.c_str(),
+                  f.label.c_str(), static_cast<unsigned long long>(f.checksum));
+    }
+    std::printf("};\n");
+    GTEST_SKIP() << "SC_GOLDEN_PRINT set: printed the frames instead of "
+                    "checking them";
+  }
+  EXPECT_EQ(frames.size(), std::size(kGoldenFrames));
+  for (const FrameChecksum& f : frames) {
+    const auto golden = std::find_if(
+        std::begin(kGoldenFrames), std::end(kGoldenFrames),
+        [&](const GoldenEntry& e) {
+          return f.program == e.program && f.label == e.backend;
+        });
+    ASSERT_NE(golden, std::end(kGoldenFrames))
+        << "no golden entry for " << f.program << " " << f.label;
+    EXPECT_EQ(f.checksum, golden->checksum)
+        << f.program << " " << f.label << ": frame pixels changed";
   }
 }
 
