@@ -1,14 +1,33 @@
 /// \file add.hpp
-/// SC addition variants: the MUX scaled adder (Fig. 2a), the OR saturating
-/// adder (Fig. 2b), and the deterministic correlation-agnostic "toggle"
-/// adder used as the CA-adder baseline (paper §II-B, ref [9]).
+/// SC addition variants: the MUX scaled adder (Fig. 2a) and the §IV
+/// Gaussian blur's weighted 9-to-1 MUX tree, the OR saturating adder
+/// (Fig. 2b), and the deterministic correlation-agnostic "toggle" adder
+/// used as the CA-adder baseline (paper §II-B, ref [9]).
 
 #pragma once
+
+#include <cstddef>
+#include <cstdint>
 
 #include "bitstream/bitstream.hpp"
 #include "rng/random_source.hpp"
 
 namespace sc::arith {
+
+/// Select decode of the §IV Gaussian blur's 9-to-1 MUX tree: a 4-bit
+/// select value r picks window pixel kBlurSelect[r] (3x3, row-major), so
+/// each pixel is picked with its binomial weight {1,2,1; 2,4,2; 1,2,1}/16.
+inline constexpr std::uint8_t kBlurSelect[16] = {0, 1, 1, 2, 3, 3, 4, 4,
+                                                 4, 4, 5, 5, 6, 7, 7, 8};
+
+/// Word form of the blur's select decode over n cycles.  Reduces each
+/// select draw to its low 4 bits, in place, then writes window pixel k's
+/// pick mask (bit i set iff draw i picks pixel k) to
+/// masks[k * stride, k * stride + (n + 63) / 64), for k = 0..8, with tail
+/// bits clear.  A blur output word is then the OR over k of (pixel k's
+/// word AND mask k's word).
+void blur_select_masks(std::uint32_t* select, std::size_t n,
+                       Bitstream::Word* masks, std::size_t stride);
 
 /// Scaled add via MUX: pZ = 0.5 (pX + pY).  `sel` must be a pR = 0.5 stream
 /// uncorrelated with both operands.

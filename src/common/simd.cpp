@@ -447,20 +447,27 @@ const char* tier_name(Tier tier) {
 }
 
 void pack_compare_lt(const std::uint32_t* vals, std::size_t n,
-                     std::uint32_t level, std::uint64_t* words) {
+                     std::uint64_t level, std::uint64_t* words) {
+  if (level > 0xFFFFFFFFu) {
+    // Every 32-bit value compares below the level: set the n bits.
+    for (std::size_t w = 0; w < n / 64; ++w) words[w] = ~std::uint64_t{0};
+    if (n % 64 != 0) words[n / 64] |= (std::uint64_t{1} << (n % 64)) - 1;
+    return;
+  }
+  const auto level32 = static_cast<std::uint32_t>(level);
   switch (active_tier()) {
 #if SC_SIMD_X86
     case Tier::kAvx512:
-      return pack_compare_lt_avx512(vals, n, level, words);
+      return pack_compare_lt_avx512(vals, n, level32, words);
     case Tier::kAvx2:
-      return pack_compare_lt_avx2(vals, n, level, words);
+      return pack_compare_lt_avx2(vals, n, level32, words);
 #endif
 #if SC_SIMD_NEON
     case Tier::kNeon:
-      return pack_compare_lt_neon(vals, n, level, words);
+      return pack_compare_lt_neon(vals, n, level32, words);
 #endif
     default:
-      return pack_compare_lt_scalar(vals, n, level, words);
+      return pack_compare_lt_scalar(vals, n, level32, words);
   }
 }
 

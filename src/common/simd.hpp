@@ -46,10 +46,11 @@ const char* tier_name(Tier tier);
 
 /// ORs bit i = (vals[i] < level) into words[i/64] at bit i%64, i in [0, n).
 /// Touched bit positions must be clear beforehand (the chunk sources zero
-/// their buffers first).  Comparison is unsigned 32-bit; level saturates
-/// the compare (level > max uint32 handled by the caller).
+/// their buffers first).  The level is 64-bit so a width-32 source's full
+/// scale, 2^32, is expressible: a level past every 32-bit value sets all
+/// n bits.
 void pack_compare_lt(const std::uint32_t* vals, std::size_t n,
-                     std::uint32_t level, std::uint64_t* words);
+                     std::uint64_t level, std::uint64_t* words);
 
 /// ORs bit i = (int32(raw[i]) < thresh[i]) into words, same layout as
 /// pack_compare_lt.  Signed compare — this is the TFM output rule, where

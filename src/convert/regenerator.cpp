@@ -1,49 +1,67 @@
 #include "convert/regenerator.hpp"
 
+#include <algorithm>
+#include <bit>
+
+#include "common/simd.hpp"
+
 namespace sc::convert {
+namespace {
+
+/// S/D: recovers the binary level of a stream with `ones` 1s in n bits.
+/// The comparator threshold convention is (r < level) with r in [0, 2^w);
+/// when n == 2^w the level equals the ones count directly.  For other
+/// lengths the level is rescaled to the source range so the re-encoded
+/// value matches the input value.
+std::uint64_t regeneration_level(std::uint64_t ones, std::size_t n,
+                                 std::uint64_t range) {
+  return n == 0 ? 0 : (ones * range + n / 2) / n;  // round to nearest
+}
+
+}  // namespace
 
 Bitstream regenerate(const Bitstream& input, rng::RandomSource& source) {
   const std::size_t n = input.size();
-  // S/D: recover the binary level.  The comparator threshold convention is
-  // (r < level) with r in [0, 2^w); when n == 2^w the level equals the ones
-  // count directly.  For other lengths the level is rescaled to the source
-  // range so the re-encoded value matches the input value.
-  const std::uint64_t ones = input.count_ones();
-  std::uint64_t level = 0;
-  if (n != 0) {
-    level = (ones * source.range() + n / 2) / n;  // round to nearest
-  }
-  Bitstream out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(source.next() < level);
-  }
+  Bitstream out(n);
+  source.fill_compare(out.word_data(), n,
+                      regeneration_level(input.count_ones(), n,
+                                         source.range()));
   return out;
 }
 
 std::vector<Bitstream> regenerate_bus_correlated(
     const std::vector<Bitstream>& inputs, rng::RandomSource& shared_source) {
-  std::vector<Bitstream> out;
-  out.reserve(inputs.size());
-  if (inputs.empty()) return out;
+  if (inputs.empty()) return {};
   const std::size_t n = inputs.front().size();
-  // One shared RNG drives every comparator, so the per-cycle random value
-  // must be identical across streams: generate the trace once.
-  std::vector<std::uint32_t> trace(n);
-  for (std::size_t i = 0; i < n; ++i) trace[i] = shared_source.next();
-
   for (const Bitstream& input : inputs) {
     require_same_size("sc::convert::regenerate_bus_correlated", input.size(),
                       n);
-    const std::uint64_t ones = input.count_ones();
-    const std::uint64_t level =
-        n == 0 ? 0 : (ones * shared_source.range() + n / 2) / n;
-    Bitstream stream;
-    stream.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) stream.push_back(trace[i] < level);
-    out.push_back(std::move(stream));
   }
+  std::vector<Bitstream> out = inputs;
+  std::vector<Bitstream::Word*> streams;
+  streams.reserve(out.size());
+  for (Bitstream& stream : out) streams.push_back(stream.word_data());
+  regenerate_bus_correlated(streams, n, shared_source);
   return out;
+}
+
+void regenerate_bus_correlated(sc::span<Bitstream::Word* const> streams,
+                               std::size_t n,
+                               rng::RandomSource& shared_source) {
+  if (streams.empty()) return;
+  // One shared RNG drives every comparator, so the per-cycle random value
+  // must be identical across streams: draw the trace once.
+  std::vector<std::uint32_t> trace(n);
+  shared_source.fill(trace.data(), n);
+  const std::size_t words = (n + 63) / 64;
+  for (Bitstream::Word* stream : streams) {
+    std::uint64_t ones = 0;
+    for (std::size_t i = 0; i < words; ++i) ones += std::popcount(stream[i]);
+    std::fill_n(stream, words, Bitstream::Word{0});
+    simd::pack_compare_lt(trace.data(), n,
+                          regeneration_level(ones, n, shared_source.range()),
+                          stream);
+  }
 }
 
 }  // namespace sc::convert

@@ -14,9 +14,11 @@
 
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "bitstream/bitstream.hpp"
+#include "common/span.hpp"
 #include "convert/sng.hpp"
 #include "rng/random_source.hpp"
 
@@ -35,5 +37,12 @@ Bitstream regenerate(const Bitstream& input, rng::RandomSource& source);
 /// call per stream, each with its own source.)
 std::vector<Bitstream> regenerate_bus_correlated(
     const std::vector<Bitstream>& inputs, rng::RandomSource& shared_source);
+
+/// In-place word form of the above over packed n-bit streams whose tail
+/// bits are clear: counts each stream's 1s, then rewrites the stream from
+/// one shared trace of n draws (none for an empty bus).
+void regenerate_bus_correlated(sc::span<Bitstream::Word* const> streams,
+                               std::size_t n,
+                               rng::RandomSource& shared_source);
 
 }  // namespace sc::convert

@@ -85,9 +85,8 @@ class Synchronizer final : public PairTransform {
   std::size_t remaining_ = 0;  // cycles left in the stream (flush mode)
   bool length_known_ = false;  // distinguishes "no length announced" from
                                // "announced length fully consumed"
-  // Fetched on the first process(), not at construction: most
-  // synchronizers (the image pipeline builds one per pixel pair) only
-  // step.
+  // Fetched on the first process(), not at construction: a circuit that
+  // only steps never builds or locks the shared table.
   const kernel::PairNibbleTable* table_ = nullptr;
 };
 

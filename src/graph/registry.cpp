@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <stdexcept>
 #include <utility>
 
 #include "arith/add.hpp"
 #include "arith/divide.hpp"
 #include "bitstream/encoding.hpp"
-#include "common/simd.hpp"
 #include "func/bernstein.hpp"
 #include "func/fsm_function.hpp"
 #include "hw/designs.hpp"
@@ -366,38 +364,27 @@ class GaussianBlurEvaluator final : public OpEvaluator {
   bool step(const bool* in) override {
     // Low 4 select bits address the 16-slot weight expansion.
     const std::uint32_t r = source_->next() & 15u;
-    return in[kSelectTable[r]];
+    return in[arith::kBlurSelect[r]];
   }
 
-  /// kSelectTable is non-decreasing, so operand k is picked exactly when
-  /// the select lies in [first_k, first_{k+1}): per block, its mask is the
-  /// difference of two threshold masks [r < t], each one shim pack.
+  /// Per block: the nine pick masks of the block's select draws, then
+  /// OR over k of (operand k AND mask k).
   void process(sc::span<const Bitstream* const> ins,
                Bitstream& out) override {
-    static_assert(std::is_sorted(std::begin(kSelectTable),
-                                 std::end(kSelectTable)));
     Word* w = out.word_data();
     std::uint32_t r[kBlockBits];
-    Word below[kBlockWords];
-    Word prev[kBlockWords];
+    Word masks[9 * kBlockWords];
     for (std::size_t pos = 0; pos < out.size(); pos += kBlockBits) {
       const std::size_t n = std::min(kBlockBits, out.size() - pos);
       const std::size_t words = (n + 63) / 64;
       const std::size_t base = pos / 64;
       source_->fill(r, n);
-      for (std::size_t i = 0; i < n; ++i) r[i] &= 15u;
+      arith::blur_select_masks(r, n, masks, kBlockWords);
       std::fill_n(w + base, words, Word{0});
-      std::fill_n(prev, words, Word{0});
-      std::uint32_t end = 0;
       for (std::size_t k = 0; k < ins.size(); ++k) {
-        while (end < 16 && kSelectTable[end] == k) ++end;
-        std::fill_n(below, words, Word{0});
-        simd::pack_compare_lt(r, n, end, below);
         const Word* in = ins[k]->words().data() + base;
-        for (std::size_t i = 0; i < words; ++i) {
-          w[base + i] |= in[i] & below[i] & ~prev[i];
-          prev[i] = below[i];
-        }
+        const Word* mask = masks + k * kBlockWords;
+        for (std::size_t i = 0; i < words; ++i) w[base + i] |= in[i] & mask[i];
       }
     }
   }
@@ -405,14 +392,10 @@ class GaussianBlurEvaluator final : public OpEvaluator {
   static constexpr double kWeights[9] = {1, 2, 1, 2, 4, 2, 1, 2, 1};
 
  private:
-  // Each window index appears weight-many times (binomial expansion).
-  static constexpr std::uint8_t kSelectTable[16] = {0, 1, 1, 2, 3, 3, 4, 4,
-                                                    4, 4, 5, 5, 6, 7, 7, 8};
   rng::RandomSourcePtr source_;
 };
 
 constexpr double GaussianBlurEvaluator::kWeights[9];
-constexpr std::uint8_t GaussianBlurEvaluator::kSelectTable[16];
 
 /// Roberts-cross edge magnitude (§IV pipeline stage): XOR the two window
 /// diagonals, scale-add the gradients with a private MUX select.  Operands

@@ -1,24 +1,17 @@
 #include "img/image.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <fstream>
 #include <random>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace sc::img {
 
 Image::Image(std::size_t width, std::size_t height, double fill)
     : width_(width), height_(height), pixels_(width * height, fill) {}
-
-double Image::at_clamped(std::ptrdiff_t x, std::ptrdiff_t y) const {
-  const auto cx = std::clamp<std::ptrdiff_t>(
-      x, 0, static_cast<std::ptrdiff_t>(width_) - 1);
-  const auto cy = std::clamp<std::ptrdiff_t>(
-      y, 0, static_cast<std::ptrdiff_t>(height_) - 1);
-  return at(static_cast<std::size_t>(cx), static_cast<std::size_t>(cy));
-}
 
 void Image::clamp() {
   for (double& p : pixels_) p = std::clamp(p, 0.0, 1.0);
@@ -38,7 +31,9 @@ Image Image::gradient(std::size_t width, std::size_t height) {
 
 Image Image::checkerboard(std::size_t width, std::size_t height,
                           std::size_t cell) {
-  assert(cell >= 1);
+  if (cell == 0) {
+    throw std::invalid_argument("Image::checkerboard: cell must be >= 1");
+  }
   Image out(width, height);
   for (std::size_t y = 0; y < height; ++y) {
     for (std::size_t x = 0; x < width; ++x) {
@@ -170,8 +165,25 @@ bool Image::save_pgm(const std::string& path) const {
   return static_cast<bool>(out);
 }
 
+namespace {
+
+/// Throws std::invalid_argument naming `where` unless a and b have the
+/// same dimensions: the metrics walk both pixel arrays in step.
+void require_same_dimensions(const char* where, const Image& a,
+                             const Image& b) {
+  if (a.width() != b.width() || a.height() != b.height()) {
+    throw std::invalid_argument(
+        std::string(where) + ": images differ in size (" +
+        std::to_string(a.width()) + "x" + std::to_string(a.height()) +
+        " vs " + std::to_string(b.width()) + "x" +
+        std::to_string(b.height()) + ")");
+  }
+}
+
+}  // namespace
+
 double mean_abs_error(const Image& a, const Image& b) {
-  assert(a.width() == b.width() && a.height() == b.height());
+  require_same_dimensions("img::mean_abs_error", a, b);
   if (a.empty()) return 0.0;
   double sum = 0.0;
   for (std::size_t i = 0; i < a.pixels().size(); ++i) {
@@ -181,7 +193,7 @@ double mean_abs_error(const Image& a, const Image& b) {
 }
 
 double max_abs_error(const Image& a, const Image& b) {
-  assert(a.width() == b.width() && a.height() == b.height());
+  require_same_dimensions("img::max_abs_error", a, b);
   double worst = 0.0;
   for (std::size_t i = 0; i < a.pixels().size(); ++i) {
     worst = std::max(worst, std::abs(a.pixels()[i] - b.pixels()[i]));

@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -37,7 +38,13 @@ class Image {
 
   /// Border-clamped access: coordinates are clamped into the image, the
   /// convention used by both the float reference kernels and the SC tiles.
-  [[nodiscard]] double at_clamped(std::ptrdiff_t x, std::ptrdiff_t y) const;
+  [[nodiscard]] double at_clamped(std::ptrdiff_t x, std::ptrdiff_t y) const {
+    const auto cx = std::clamp<std::ptrdiff_t>(
+        x, 0, static_cast<std::ptrdiff_t>(width_) - 1);
+    const auto cy = std::clamp<std::ptrdiff_t>(
+        y, 0, static_cast<std::ptrdiff_t>(height_) - 1);
+    return at(static_cast<std::size_t>(cx), static_cast<std::size_t>(cy));
+  }
 
   const std::vector<double>& pixels() const { return pixels_; }
 
@@ -48,7 +55,8 @@ class Image {
 
   /// Smooth diagonal gradient.
   static Image gradient(std::size_t width, std::size_t height);
-  /// Checkerboard with `cell`-pixel squares (hard edges).
+  /// Checkerboard with `cell`-pixel squares (hard edges).  cell 0 throws
+  /// std::invalid_argument.
   static Image checkerboard(std::size_t width, std::size_t height,
                             std::size_t cell);
   /// Sum of randomly placed Gaussian blobs (smooth structure), seeded.
@@ -73,10 +81,10 @@ class Image {
 };
 
 /// Mean absolute per-pixel difference (the paper's image "Abs. Error").
-/// Images must have identical dimensions.
+/// Images of different dimensions throw std::invalid_argument.
 double mean_abs_error(const Image& a, const Image& b);
 
-/// Largest absolute per-pixel difference.
+/// Largest absolute per-pixel difference (same dimension rule).
 double max_abs_error(const Image& a, const Image& b);
 
 }  // namespace sc::img

@@ -1,9 +1,10 @@
 #include "img/median.hpp"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "arith/gates.hpp"
 #include "bitstream/encoding.hpp"
+#include "common/simd.hpp"
 #include "core/pair_transform.hpp"
 #include "core/synchronizer.hpp"
 #include "rng/lfsr.hpp"
@@ -39,25 +40,31 @@ Bitstream sc_median9(const std::array<Bitstream, 9>& window,
 }
 
 Image sc_median_filter(const Image& input, const MedianConfig& config) {
-  assert(!input.empty());
+  if (input.empty()) {
+    throw std::invalid_argument("sc_median_filter: input image is empty");
+  }
+  if (config.input_banks == 0) {
+    throw std::invalid_argument("sc_median_filter: input_banks must be >= 1");
+  }
   const std::size_t n = config.stream_length;
-  const auto natural = static_cast<std::uint32_t>(1u << config.sng_width);
 
   // Shared input RNG bank, free-running across pixels.
   std::vector<rng::Lfsr> banks;
   for (unsigned b = 0; b < config.input_banks; ++b) {
     banks.emplace_back(config.sng_width, config.seed + 17 * (b + 1));
   }
+  // 64-bit, and after the LFSRs have checked the width: a width-32
+  // generator's natural length 2^32 does not fit uint32.
+  const std::uint64_t natural = std::uint64_t{1} << config.sng_width;
 
   Image out(input.width(), input.height());
-  std::vector<std::vector<std::uint32_t>> trace(banks.size());
+  std::vector<std::uint32_t> trace(banks.size() * n);
 
   for (std::size_t y = 0; y < input.height(); ++y) {
     for (std::size_t x = 0; x < input.width(); ++x) {
       // Fresh bank traces per pixel window (free-running LFSRs).
       for (std::size_t b = 0; b < banks.size(); ++b) {
-        trace[b].resize(n);
-        for (std::size_t i = 0; i < n; ++i) trace[b][i] = banks[b].next();
+        banks[b].fill(trace.data() + b * n, n);
       }
       std::array<Bitstream, 9> window;
       int k = 0;
@@ -66,12 +73,11 @@ Image sc_median_filter(const Image& input, const MedianConfig& config) {
           const double pixel =
               input.at_clamped(static_cast<std::ptrdiff_t>(x) + dx,
                                static_cast<std::ptrdiff_t>(y) + dy);
-          const std::uint32_t level = unipolar_level(pixel, natural);
           const std::size_t bank = static_cast<std::size_t>(k) % banks.size();
           Bitstream s(n);
-          for (std::size_t i = 0; i < n; ++i) {
-            if (trace[bank][i] < level) s.set(i, true);
-          }
+          simd::pack_compare_lt(trace.data() + bank * n, n,
+                                unipolar_level64(pixel, natural),
+                                s.word_data());
           window[static_cast<std::size_t>(k)] = std::move(s);
           ++k;
         }

@@ -39,7 +39,8 @@ struct MedianConfig {
 };
 
 /// Runs the SC 3x3 median filter over a whole image; compare against
-/// median3x3() for the float reference.
+/// median3x3() for the float reference.  An empty image or input_banks 0
+/// throws std::invalid_argument.
 Image sc_median_filter(const Image& input, const MedianConfig& config = {});
 
 }  // namespace sc::img

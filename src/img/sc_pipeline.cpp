@@ -1,14 +1,17 @@
 #include "img/sc_pipeline.hpp"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
 
+#include "arith/add.hpp"
 #include "bitstream/bitstream.hpp"
 #include "bitstream/encoding.hpp"
+#include "common/simd.hpp"
 #include "convert/regenerator.hpp"
-#include "core/pair_transform.hpp"
 #include "core/synchronizer.hpp"
 #include "engine/batch.hpp"
 #include "engine/session.hpp"
@@ -19,21 +22,7 @@
 namespace sc::img {
 namespace {
 
-using sc::Bitstream;
-
-/// Cumulative 16-slot thresholds of the binomial kernel: a uniform value
-/// u in [0,16) selects neighbor k iff u < threshold[k] and u >= threshold[k-1].
-constexpr std::array<int, 9> kCumulativeWeights = {1, 3, 4, 6, 10, 12, 13,
-                                                   15, 16};
-
-int select_neighbor(unsigned slot) {
-  for (int k = 0; k < 9; ++k) {
-    if (static_cast<int>(slot) < kCumulativeWeights[static_cast<std::size_t>(k)]) {
-      return k;
-    }
-  }
-  return 8;
-}
+using Word = sc::Bitstream::Word;
 
 /// Per-run stream generation state: free-running LFSRs shared across tiles,
 /// exactly as a hardware tile engine would run them.
@@ -57,11 +46,17 @@ struct Generators {
 /// are produced by `gen`, whose LFSRs advance as a hardware tile engine's
 /// would; the caller decides whether generators free-run across tiles
 /// (serial engine) or are freshly seeded per tile (tile-engine array).
+///
+/// Every stream of the tile is `words` packed words in a flat buffer
+/// local to this call, tail bits clear.  Each generator draws exactly n
+/// values per tile (the regeneration RNG only in that variant), as the
+/// per-cycle hardware does, so tiles after this one see the same draws.
 void process_tile(const Image& input, Variant variant,
                   const PipelineConfig& config, std::size_t tx, std::size_t ty,
                   Generators& gen, Image& output) {
   const std::size_t n = config.stream_length;
   const std::size_t t = config.tile;
+  const std::size_t words = (n + 63) / 64;
   // 64-bit: a width-32 generator's natural length 2^32 does not fit uint32.
   const std::uint64_t natural = std::uint64_t{1} << config.sng_width;
 
@@ -69,93 +64,101 @@ void process_tile(const Image& input, Variant variant,
   const std::ptrdiff_t r0 = static_cast<std::ptrdiff_t>(ty * t);
 
   // --- input SN generation: (t+3)^2 streams from the shared bank ----
-  // Bank traces are generated once per tile; every comparator on the
-  // same bank sees the same per-cycle random value.
+  // Bank traces are drawn once per tile; every comparator on the same
+  // bank sees the same per-cycle random value.
   const std::size_t in_side = t + 3;
-  std::vector<std::vector<std::uint32_t>> bank_trace(gen.banks.size());
-  for (std::size_t b = 0; b < gen.banks.size(); ++b) {
-    bank_trace[b].resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      bank_trace[b][i] = gen.banks[b].next();
-    }
+  const std::size_t banks = gen.banks.size();
+  std::vector<std::uint32_t> trace(banks * n);
+  for (std::size_t b = 0; b < banks; ++b) {
+    gen.banks[b].fill(trace.data() + b * n, n);
   }
-  std::vector<Bitstream> in_streams(in_side * in_side);
+  std::vector<Word> in(in_side * in_side * words);
   for (std::size_t iy = 0; iy < in_side; ++iy) {
     for (std::size_t ix = 0; ix < in_side; ++ix) {
       const double pixel =
           input.at_clamped(c0 - 1 + static_cast<std::ptrdiff_t>(ix),
                            r0 - 1 + static_cast<std::ptrdiff_t>(iy));
-      const std::uint64_t level = unipolar_level64(pixel, natural);
-      const std::size_t bank = (ix + iy) % gen.banks.size();
-      Bitstream s(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (bank_trace[bank][i] < level) s.set(i, true);
-      }
-      in_streams[iy * in_side + ix] = std::move(s);
+      simd::pack_compare_lt(trace.data() + (ix + iy) % banks * n, n,
+                            unipolar_level64(pixel, natural),
+                            in.data() + (iy * in_side + ix) * words);
     }
   }
 
   // --- Gaussian blur: shared select trace, 9-to-1 sampling ----------
+  // Output (gx,gy)'s window covers input pixels (gx .. gx+2, gy .. gy+2)
+  // in halo coordinates; pixel k of it is (gx + k % 3, gy + k / 3).
+  // The select draws reuse the first bank's trace buffer, now spent.
   const std::size_t gb_side = t + 1;
-  std::vector<int> gb_pick(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    gb_pick[i] = select_neighbor(gen.gb_select.next() & 15u);
-  }
-  std::vector<Bitstream> gb_streams(gb_side * gb_side);
+  std::vector<Word> masks(9 * words);
+  gen.gb_select.fill(trace.data(), n);
+  arith::blur_select_masks(trace.data(), n, masks.data(), words);
+  std::vector<Word> gb(gb_side * gb_side * words);
   for (std::size_t gy = 0; gy < gb_side; ++gy) {
     for (std::size_t gx = 0; gx < gb_side; ++gx) {
-      Bitstream g(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const int k = gb_pick[i];
-        const std::size_t nx = gx + static_cast<std::size_t>(k % 3);
-        const std::size_t ny = gy + static_cast<std::size_t>(k / 3);
-        // Window of GB output (gx,gy) covers input pixels
-        // (gx .. gx+2, gy .. gy+2) in halo coordinates.
-        if (in_streams[ny * in_side + nx].get(i)) g.set(i, true);
+      Word* g = gb.data() + (gy * gb_side + gx) * words;
+      for (std::size_t k = 0; k < 9; ++k) {
+        const Word* x =
+            in.data() + ((gy + k / 3) * in_side + gx + k % 3) * words;
+        const Word* mask = masks.data() + k * words;
+        for (std::size_t i = 0; i < words; ++i) g[i] |= x[i] & mask[i];
       }
-      gb_streams[gy * gb_side + gx] = std::move(g);
     }
   }
 
   // --- variant: correlation manipulation between GB and ED ----------
   if (variant == Variant::kRegeneration) {
-    gb_streams = convert::regenerate_bus_correlated(gb_streams, gen.regen);
+    std::vector<Word*> streams(gb_side * gb_side);
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+      streams[s] = gb.data() + s * words;
+    }
+    convert::regenerate_bus_correlated(streams, n, gen.regen);
+  }
+  // One synchronizer per diagonal, restarted per pixel pair: a fresh
+  // circuit per pair, with one table fetch per tile.  Other variants
+  // build none, so sync_depth is only checked where it is used.
+  std::vector<core::Synchronizer> sync;
+  if (variant == Variant::kSynchronizer) {
+    sync.assign(2, core::Synchronizer({config.sync_depth, false}));
   }
 
   // --- edge detection ------------------------------------------------
-  Bitstream ed_sel(n);
-  {
-    const std::uint64_t half = natural / 2;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (gen.ed_select.next() < half) ed_sel.set(i, true);
-    }
-  }
+  std::vector<Word> ed_sel(words);
+  gen.ed_select.fill_compare(ed_sel.data(), n, natural / 2);
+  // Scratch copies of the four operands (a, d, b, c): the synchronizers
+  // run in place, and each GB output feeds up to four pixels.
+  std::vector<Word> pair(4 * words);
+  Word* a = pair.data();
+  Word* d = a + words;
+  Word* b = d + words;
+  Word* c = b + words;
+  const auto copy = [&](std::size_t gx, std::size_t gy, Word* to) {
+    std::copy_n(gb.data() + (gy * gb_side + gx) * words, words, to);
+  };
   for (std::size_t y = 0; y < t; ++y) {
     for (std::size_t x = 0; x < t; ++x) {
       const std::size_t ox = tx * t + x;
       const std::size_t oy = ty * t + y;
       if (ox >= input.width() || oy >= input.height()) continue;
 
-      const Bitstream& a = gb_streams[y * gb_side + x];
-      const Bitstream& d = gb_streams[(y + 1) * gb_side + (x + 1)];
-      const Bitstream& b = gb_streams[y * gb_side + (x + 1)];
-      const Bitstream& c = gb_streams[(y + 1) * gb_side + x];
-
-      Bitstream diff_ad;
-      Bitstream diff_bc;
-      if (variant == Variant::kSynchronizer) {
-        core::Synchronizer s1({config.sync_depth, false});
-        core::Synchronizer s2({config.sync_depth, false});
-        const sc::StreamPair ad = core::apply(s1, a, d);
-        const sc::StreamPair bc = core::apply(s2, b, c);
-        diff_ad = ad.x ^ ad.y;
-        diff_bc = bc.x ^ bc.y;
-      } else {
-        diff_ad = a ^ d;
-        diff_bc = b ^ c;
+      copy(x, y, a);
+      copy(x + 1, y + 1, d);
+      copy(x + 1, y, b);
+      copy(x, y + 1, c);
+      if (!sync.empty()) {
+        sync[0].begin_stream(n);
+        sync[0].process(a, d, n);
+        sync[1].begin_stream(n);
+        sync[1].process(b, c, n);
       }
-      const Bitstream ed = Bitstream::mux(diff_ad, diff_bc, ed_sel);
-      output.at(ox, oy) = ed.value();
+      // XOR each diagonal, MUX the two differences.
+      std::uint64_t ones = 0;
+      for (std::size_t i = 0; i < words; ++i) {
+        const Word diff_ad = a[i] ^ d[i];
+        const Word diff_bc = b[i] ^ c[i];
+        ones += std::popcount((diff_ad & ~ed_sel[i]) | (diff_bc & ed_sel[i]));
+      }
+      output.at(ox, oy) =
+          n == 0 ? 0.0 : static_cast<double>(ones) / static_cast<double>(n);
     }
   }
 }

@@ -82,8 +82,12 @@ struct PipelineResult {
   PipelineCost cost;
 };
 
-/// Simulates the accelerator bit-by-bit on `input` and accounts its
-/// hardware cost (paper Table IV row for the given variant).
+/// Simulates the accelerator on `input` and accounts its hardware cost
+/// (paper Table IV row for the given variant).  The simulation is a word
+/// datapath (64 cycles per word: packed comparator banks, the blur's
+/// select masks, the synchronizers' word paths), bit-identical to the
+/// per-cycle model: every generator draws exactly N values per tile, as
+/// the hardware's do.
 PipelineResult run_pipeline(const Image& input, Variant variant,
                             const PipelineConfig& config = {});
 

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "bitstream/bitstream.hpp"
 #include "bitstream/encoding.hpp"
+#include "common/simd.hpp"
 #include "convert/weighted_sampler.hpp"
 #include "core/desynchronizer.hpp"
 #include "core/pair_transform.hpp"
@@ -53,9 +54,13 @@ Image sobel_reference(const Image& input) {
 }
 
 SobelResult run_sc_sobel(const Image& input, const SobelConfig& config) {
-  assert(!input.empty());
+  if (input.empty()) {
+    throw std::invalid_argument("run_sc_sobel: input image is empty");
+  }
+  if (config.input_banks == 0) {
+    throw std::invalid_argument("run_sc_sobel: input_banks must be >= 1");
+  }
   const std::size_t n = config.stream_length;
-  const auto natural = static_cast<std::uint32_t>(1u << config.sng_width);
 
   SobelResult result;
   result.reference = sobel_reference(input);
@@ -69,15 +74,17 @@ SobelResult run_sc_sobel(const Image& input, const SobelConfig& config) {
   convert::WeightedSampler sampler(
       {1, 2, 1}, std::make_unique<rng::Lfsr>(config.sng_width,
                                              config.seed + 977));
+  // 64-bit, and after the LFSRs have checked the width: a width-32
+  // generator's natural length 2^32 does not fit uint32.
+  const std::uint64_t natural = std::uint64_t{1} << config.sng_width;
 
-  std::vector<std::vector<std::uint32_t>> trace(banks.size());
+  std::vector<std::uint32_t> trace(banks.size() * n);
 
   for (std::size_t y = 0; y < input.height(); ++y) {
     for (std::size_t x = 0; x < input.width(); ++x) {
       // Fresh bank traces + sampler trace for this pixel's window.
       for (std::size_t b = 0; b < banks.size(); ++b) {
-        trace[b].resize(n);
-        for (std::size_t i = 0; i < n; ++i) trace[b][i] = banks[b].next();
+        banks[b].fill(trace.data() + b * n, n);
       }
       const auto picks = sampler.trace(n);
 
@@ -88,16 +95,15 @@ SobelResult run_sc_sobel(const Image& input, const SobelConfig& config) {
           const double pixel =
               input.at_clamped(static_cast<std::ptrdiff_t>(x) + dx,
                                static_cast<std::ptrdiff_t>(y) + dy);
-          const std::uint32_t level = unipolar_level(pixel, natural);
           const std::size_t idx =
               static_cast<std::size_t>((dy + 1) * 3 + (dx + 1));
           const std::size_t bank =
               (static_cast<std::size_t>(dx + 1) + x + 2 * (y + static_cast<std::size_t>(dy + 1))) %
               banks.size();
           Bitstream s(n);
-          for (std::size_t i = 0; i < n; ++i) {
-            if (trace[bank][i] < level) s.set(i, true);
-          }
+          simd::pack_compare_lt(trace.data() + bank * n, n,
+                                unipolar_level64(pixel, natural),
+                                s.word_data());
           window[idx] = std::move(s);
         }
       }

@@ -45,7 +45,8 @@ struct SobelResult {
   hw::Netlist manipulators;    ///< inserted manipulation hardware per pixel
 };
 
-/// Runs the SC Sobel detector over the image.
+/// Runs the SC Sobel detector over the image.  An empty image or
+/// input_banks 0 throws std::invalid_argument.
 SobelResult run_sc_sobel(const Image& input, const SobelConfig& config = {});
 
 }  // namespace sc::img

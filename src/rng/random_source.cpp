@@ -13,27 +13,11 @@ constexpr std::size_t kBlock = 4096;
 
 void RandomSource::fill_compare(std::uint64_t* words, std::size_t nbits,
                                 std::uint64_t level) {
-  if (nbits == 0) return;
-  if (level >= range()) {
-    // Every value compares below a full-scale (or larger) level: set the
-    // bits directly, but still advance the sequence by nbits draws.
-    std::uint32_t tmp[kBlock];
-    for (std::size_t i = 0; i < nbits; i += kBlock) {
-      fill(tmp, nbits - i < kBlock ? nbits - i : kBlock);
-    }
-    std::size_t w = 0;
-    for (; (w + 1) * 64 <= nbits; ++w) words[w] = ~std::uint64_t{0};
-    if (nbits % 64 != 0) {
-      words[w] |= (std::uint64_t{1} << (nbits % 64)) - 1;
-    }
-    return;
-  }
-  const auto level32 = static_cast<std::uint32_t>(level);
   std::uint32_t tmp[kBlock];
   for (std::size_t i = 0; i < nbits; i += kBlock) {
     const std::size_t n = nbits - i < kBlock ? nbits - i : kBlock;
     fill(tmp, n);
-    simd::pack_compare_lt(tmp, n, level32, words + i / 64);
+    simd::pack_compare_lt(tmp, n, level, words + i / 64);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "img/image.hpp"
@@ -98,6 +99,25 @@ TEST(Image, ErrorMetrics) {
   EXPECT_DOUBLE_EQ(mean_abs_error(a, b), 0.1);
   EXPECT_DOUBLE_EQ(max_abs_error(a, b), 0.4);
   EXPECT_DOUBLE_EQ(mean_abs_error(a, a), 0.0);
+}
+
+TEST(Image, ErrorMetricsRejectMismatchedSizes) {
+  // Both metrics walk the two pixel arrays in step: a smaller second
+  // image was read out of bounds, a smaller first one silently compared
+  // only a prefix.
+  const Image big(64, 64, 0.5);
+  const Image small(1, 1, 0.5);
+  EXPECT_THROW(mean_abs_error(big, small), std::invalid_argument);
+  EXPECT_THROW(max_abs_error(big, small), std::invalid_argument);
+  EXPECT_THROW(mean_abs_error(small, big), std::invalid_argument);
+  EXPECT_THROW(max_abs_error(small, big), std::invalid_argument);
+  // Same pixel count, different shape.
+  EXPECT_THROW(mean_abs_error(Image(2, 3), Image(3, 2)),
+               std::invalid_argument);
+}
+
+TEST(Image, CheckerboardRejectsZeroCell) {
+  EXPECT_THROW(Image::checkerboard(4, 4, 0), std::invalid_argument);
 }
 
 // --- float kernels ---------------------------------------------------------------

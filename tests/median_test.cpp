@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <array>
+#include <numeric>
+#include <stdexcept>
 
 #include "bitstream/synthesis.hpp"
 #include "img/kernels.hpp"
@@ -113,6 +115,31 @@ TEST(ScMedianFilter, DeeperSynchronizersDoNotHurt) {
   const double err_deep =
       mean_abs_error(sc_median_filter(input, deep), reference);
   EXPECT_LT(err_deep, err_shallow + 0.03);
+}
+
+TEST(ScMedianFilter, FullWidthGeneratorsProduceAFrame) {
+  // At sng_width 32, 1u << 32 is undefined; on x86 it came out as a
+  // natural length of 1, every level rounded to 0 or 1, and the frame
+  // came out blank.
+  const Image input = Image::checkerboard(12, 12, 3);
+  MedianConfig config;
+  config.sng_width = 32;
+  const Image filtered = sc_median_filter(input, config);
+  const auto mean = [](const Image& image) {
+    const std::vector<double>& px = image.pixels();
+    return std::accumulate(px.begin(), px.end(), 0.0) /
+           static_cast<double>(px.size());
+  };
+  EXPECT_GT(mean(filtered), 0.5 * mean(median3x3(input)));
+}
+
+TEST(ScMedianFilter, InvalidInputsThrow) {
+  MedianConfig no_banks;
+  no_banks.input_banks = 0;  // would divide by zero picking a bank
+  EXPECT_THROW(sc_median_filter(Image::gradient(6, 5), no_banks),
+               std::invalid_argument);
+  EXPECT_THROW(sc_median_filter(Image(), MedianConfig{}),
+               std::invalid_argument);
 }
 
 }  // namespace

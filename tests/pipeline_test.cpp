@@ -220,6 +220,23 @@ TEST(Pipeline, InvalidConfigsThrowFromBothEntryPoints) {
   }
 }
 
+TEST(Pipeline, SyncDepthZeroThrowsOnlyWhereSynchronizersRun) {
+  // The other variants build no synchronizer, so they never see the depth.
+  engine::Session session({1});
+  PipelineConfig config = small_config();
+  config.sync_depth = 0;
+  EXPECT_THROW(run_pipeline(test_scene(), Variant::kSynchronizer, config),
+               std::invalid_argument);
+  EXPECT_THROW(run_pipeline_tiled(test_scene(), Variant::kSynchronizer, config,
+                                  session),
+               std::invalid_argument);
+  for (const Variant variant :
+       {Variant::kNoManipulation, Variant::kRegeneration}) {
+    EXPECT_NO_THROW(run_pipeline(test_scene(), variant, config));
+    EXPECT_NO_THROW(run_pipeline_tiled(test_scene(), variant, config, session));
+  }
+}
+
 TEST(Pipeline, FullWidthGeneratorsProduceAFrame) {
   // At sng_width 32 the natural length is 2^32: a level computed in 32
   // bits wraps to 0, and every frame comes out blank.

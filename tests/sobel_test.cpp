@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <stdexcept>
+
 #include "img/image.hpp"
 #include "img/sobel.hpp"
 
@@ -84,6 +87,30 @@ TEST(ScSobel, DeeperDesyncImprovesSaturatingSum) {
   const double err_shallow = run_sc_sobel(scene, shallow).error;
   const double err_deep = run_sc_sobel(scene, deep).error;
   EXPECT_LE(err_deep, err_shallow + 0.01);
+}
+
+TEST(ScSobel, FullWidthGeneratorsProduceAFrame) {
+  // At sng_width 32, 1u << 32 is undefined; on x86 it came out as a
+  // natural length of 1, every level rounded to 0 or 1, and the frame
+  // came out blank.
+  const Image input = Image::checkerboard(16, 16, 4);
+  SobelConfig config;
+  config.sng_width = 32;
+  const SobelResult result = run_sc_sobel(input, config);
+  const auto mean = [](const Image& image) {
+    const std::vector<double>& px = image.pixels();
+    return std::accumulate(px.begin(), px.end(), 0.0) /
+           static_cast<double>(px.size());
+  };
+  EXPECT_GT(mean(result.output), 0.5 * mean(result.reference));
+}
+
+TEST(ScSobel, InvalidInputsThrow) {
+  SobelConfig no_banks;
+  no_banks.input_banks = 0;  // would divide by zero picking a bank
+  EXPECT_THROW(run_sc_sobel(Image::gradient(6, 5), no_banks),
+               std::invalid_argument);
+  EXPECT_THROW(run_sc_sobel(Image(), SobelConfig{}), std::invalid_argument);
 }
 
 }  // namespace
