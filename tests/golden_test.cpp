@@ -13,6 +13,11 @@
 /// pipeline (both entry points, all three variants), the SC Sobel
 /// detector and the SC median filter, checksummed pixel for pixel
 /// against tests/golden/frames.hpp.
+///
+/// GoldenOperators pins the other library callers of the whole-stream
+/// helpers: the Fig. 5 operators and their serial compositions, the
+/// stochastic MLP layer and the ReSC evaluator, against
+/// tests/golden/operators.hpp.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +25,7 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -27,11 +33,14 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
+#include "core/ops.hpp"
 #include "engine/session.hpp"
 #include "fault/fault.hpp"
 #include "fault_fixtures.hpp"
+#include "func/bernstein.hpp"
 #include "golden/corpus.hpp"
 #include "golden/frames.hpp"
+#include "golden/operators.hpp"
 #include "graph/backend.hpp"
 #include "graph/planner.hpp"
 #include "graph/program.hpp"
@@ -41,9 +50,11 @@
 #include "img/median.hpp"
 #include "img/sc_pipeline.hpp"
 #include "img/sobel.hpp"
+#include "nn/mlp.hpp"
 #include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
 #include "opt/optimize.hpp"
+#include "test_util.hpp"
 
 namespace sc::golden {
 namespace {
@@ -445,6 +456,195 @@ TEST(GoldenFrames, ImageFramesMatchTheCommittedChecksums) {
         << "no golden entry for " << f.program << " " << f.label;
     EXPECT_EQ(f.checksum, golden->checksum)
         << f.program << " " << f.label << ": frame pixels changed";
+  }
+}
+
+// -------------------------------------------------------------- operators
+//
+// Operator outputs are hashed word for word (length first, like the
+// corpus); forward_sc and resc_apply results as the bit patterns of their
+// doubles.
+
+void mix_stream(Fnv1a& fnv, const Bitstream& stream) {
+  fnv.mix(stream.size());
+  for (const Bitstream::Word word : stream.words()) fnv.mix(word);
+}
+
+/// Operand pairs: two streams of one VDC source (SCC = +1), the paper's
+/// uncorrelated VDC / Halton-3 pair, and two LFSRs with distinct seeds.
+sc::StreamPair operand_pair(const std::string& source, std::uint32_t lx,
+                            std::uint32_t ly, std::size_t n) {
+  if (source == "vdc") return {test::vdc_stream(lx, n), test::vdc_stream(ly, n)};
+  if (source == "halton") {
+    return {test::vdc_stream(lx, n), test::halton3_stream(ly, n)};
+  }
+  return {test::lfsr_stream(lx, 1, n), test::lfsr_stream(ly, 7, n)};
+}
+
+/// One Fig. 5 operator (or composition), run at save depth `depth` with
+/// end-of-stream flush on or off, mixing its output into `fnv`.
+using OperatorRun = std::function<void(Fnv1a&, const Bitstream&,
+                                       const Bitstream&, unsigned, bool)>;
+
+std::vector<std::pair<std::string, OperatorRun>> operator_runs() {
+  std::vector<std::pair<std::string, OperatorRun>> runs = {
+      {"sync_max",
+       [](Fnv1a& fnv, const Bitstream& x, const Bitstream& y, unsigned depth,
+          bool flush) {
+         mix_stream(fnv, core::sync_max(x, y, {depth, flush}));
+       }},
+      {"sync_min",
+       [](Fnv1a& fnv, const Bitstream& x, const Bitstream& y, unsigned depth,
+          bool flush) {
+         mix_stream(fnv, core::sync_min(x, y, {depth, flush}));
+       }},
+      {"desync_saturating_add",
+       [](Fnv1a& fnv, const Bitstream& x, const Bitstream& y, unsigned depth,
+          bool flush) {
+         mix_stream(fnv, core::desync_saturating_add(x, y, {depth, flush}));
+       }},
+      {"sync_subtract",
+       [](Fnv1a& fnv, const Bitstream& x, const Bitstream& y, unsigned depth,
+          bool flush) {
+         mix_stream(fnv, core::sync_subtract(x, y, {depth, flush}));
+       }},
+      {"sync_divide",
+       [](Fnv1a& fnv, const Bitstream& x, const Bitstream& y, unsigned depth,
+          bool flush) {
+         mix_stream(fnv, core::sync_divide(x, y, {depth, flush}));
+       }},
+  };
+  for (std::size_t stages = 1; stages <= 4; ++stages) {
+    runs.emplace_back(
+        "compose_synchronizers/" + std::to_string(stages),
+        [stages](Fnv1a& fnv, const Bitstream& x, const Bitstream& y,
+                 unsigned depth, bool flush) {
+          const sc::StreamPair out =
+              core::compose_synchronizers(x, y, stages, {depth, flush});
+          mix_stream(fnv, out.x);
+          mix_stream(fnv, out.y);
+        });
+    runs.emplace_back(
+        "compose_desynchronizers/" + std::to_string(stages),
+        [stages](Fnv1a& fnv, const Bitstream& x, const Bitstream& y,
+                 unsigned depth, bool flush) {
+          const sc::StreamPair out =
+              core::compose_desynchronizers(x, y, stages, {depth, flush});
+          mix_stream(fnv, out.x);
+          mix_stream(fnv, out.y);
+        });
+  }
+  return runs;
+}
+
+void mix_doubles(Fnv1a& fnv, const std::vector<double>& values) {
+  fnv.mix(values.size());
+  for (const double v : values) fnv.mix(std::bit_cast<std::uint64_t>(v));
+}
+
+std::vector<FrameChecksum> operator_checksums() {
+  // Lengths around word boundaries and one RNG period (256 at width 8).
+  const std::size_t lengths[] = {0, 1, 63, 64, 65, 256, 1000, 4097};
+  const std::pair<std::uint32_t, std::uint32_t> levels[] = {
+      {170, 90}, {40, 200}, {128, 128}};
+  std::vector<FrameChecksum> out;
+  for (const auto& [name, run] : operator_runs()) {
+    for (const char* source : {"vdc", "halton", "lfsr"}) {
+      Fnv1a fnv;
+      for (const std::size_t n : lengths) {
+        for (const auto& [lx, ly] : levels) {
+          const sc::StreamPair in = operand_pair(source, lx, ly, n);
+          for (unsigned depth = 1; depth <= 8; ++depth) {
+            for (const bool flush : {false, true}) {
+              run(fnv, in.x, in.y, depth, flush);
+            }
+          }
+        }
+      }
+      out.push_back({name, source, fnv.hash});
+    }
+  }
+
+  const unsigned widths[] = {3, 8, 16, 31};
+  // forward_sc: the XOR network on its four inputs, and one fractional
+  // layer.
+  nn::Dense layer;
+  layer.weights = {{0.5, -0.25, 0.8}, {-0.6, 0.1, 0.3}};
+  layer.bias = {0.1, -0.2};
+  layer.alpha = 2.0;
+  const std::vector<double> layer_input = {0.3, -0.7, 0.9};
+  const std::vector<nn::Dense> network = nn::xor_network();
+  const std::pair<nn::RngStrategy, const char*> rng_strategies[] = {
+      {nn::RngStrategy::kTwoRngs, "two-rngs"},
+      {nn::RngStrategy::kSingleRng, "single-rng"},
+      {nn::RngStrategy::kDecorrelated, "decorrelated"},
+  };
+  for (const auto& [strategy, label] : rng_strategies) {
+    for (const unsigned width : widths) {
+      nn::MlpConfig config;
+      config.width = width;
+      config.strategy = strategy;
+      Fnv1a fnv;
+      mix_doubles(fnv, nn::forward_sc(layer, layer_input, config));
+      for (const double a : {-1.0, 1.0}) {
+        for (const double b : {-1.0, 1.0}) {
+          const std::vector<double> x = {a, b};
+          mix_doubles(fnv, nn::forward_sc(network, x, config));
+        }
+      }
+      out.push_back({std::string("forward_sc/") + label,
+                     "w" + std::to_string(width), fnv.hash});
+    }
+  }
+
+  // resc_apply: x^2 at a few points, degree 4.
+  const std::pair<func::CopyStrategy, const char*> copy_strategies[] = {
+      {func::CopyStrategy::kIndependentSources, "independent"},
+      {func::CopyStrategy::kSharedSource, "shared"},
+      {func::CopyStrategy::kDecorrelatorChain, "decorrelator-chain"},
+  };
+  const auto square = [](double t) { return t * t; };
+  for (const auto& [strategy, label] : copy_strategies) {
+    for (const unsigned width : widths) {
+      func::RescConfig config;
+      config.sng_width = width;
+      config.strategy = strategy;
+      std::vector<double> values;
+      for (const double x : {0.0, 0.3, 0.5, 0.9}) {
+        values.push_back(func::resc_apply(square, x, config));
+      }
+      Fnv1a fnv;
+      mix_doubles(fnv, values);
+      out.push_back({std::string("resc_apply/") + label,
+                     "w" + std::to_string(width), fnv.hash});
+    }
+  }
+  return out;
+}
+
+TEST(GoldenOperators, LibraryCallersMatchTheCommittedChecksums) {
+  const std::vector<FrameChecksum> sums = operator_checksums();
+  if (std::getenv("SC_GOLDEN_PRINT") != nullptr) {
+    std::printf("inline constexpr GoldenEntry kGoldenOperators[] = {\n");
+    for (const FrameChecksum& f : sums) {
+      std::printf("    {\"%s\", \"%s\", 0x%016llXULL},\n", f.program.c_str(),
+                  f.label.c_str(), static_cast<unsigned long long>(f.checksum));
+    }
+    std::printf("};\n");
+    GTEST_SKIP() << "SC_GOLDEN_PRINT set: printed the operators instead of "
+                    "checking them";
+  }
+  EXPECT_EQ(sums.size(), std::size(kGoldenOperators));
+  for (const FrameChecksum& f : sums) {
+    const auto golden = std::find_if(
+        std::begin(kGoldenOperators), std::end(kGoldenOperators),
+        [&](const GoldenEntry& e) {
+          return f.program == e.program && f.label == e.backend;
+        });
+    ASSERT_NE(golden, std::end(kGoldenOperators))
+        << "no golden entry for " << f.program << " " << f.label;
+    EXPECT_EQ(f.checksum, golden->checksum)
+        << f.program << " " << f.label << ": results changed";
   }
 }
 
