@@ -2,12 +2,12 @@
 /// Bit-serial vs word-path throughput of the correlation circuits.
 ///
 /// Runs each FSM (synchronizer, desynchronizer, decorrelator, TFM pair)
-/// over the same chunked long-stream workload twice — once with
-/// KernelPolicy::kSerial (the base process(): one virtual step() per
-/// cycle, the reference path) and once with KernelPolicy::kAuto (the
-/// circuit's process() override: table-driven or word-parallel) — and
-/// reports Mbit/s per circuit, the speedup, and whether the two runs
-/// produced identical overlap statistics (they must: the word paths are
+/// over the same chunked long-stream workload twice — once through the
+/// base PairTransform::process called non-virtually (one virtual step()
+/// per cycle, the reference path) and once through the circuit's
+/// process() override (table-driven or word-parallel) — and reports
+/// Mbit/s per circuit, the speedup, and whether the two runs produced
+/// identical overlap statistics (they must: the word paths are
 /// bit-identical by construction and by test).
 ///
 /// Harness bench (bench_harness.hpp): median-of-reps timing with warmup,
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "bench_harness.hpp"
+#include "bitstream/correlation.hpp"
 #include "core/decorrelator.hpp"
 #include "core/desynchronizer.hpp"
 #include "core/synchronizer.hpp"
@@ -36,25 +37,40 @@
 
 namespace {
 
-using sc::engine::KernelPolicy;
-
-/// One chunked run of `make_transform()` over pre-materialized input
-/// streams (so the measurement isolates FSM throughput; input generation
-/// is identical for both policies and would only compress the ratio).
-/// `counts` receives the joint overlap statistics for the identity check
-/// between policies.
+/// One chunked run of `make_transform()` over input chunks materialized
+/// up front (so the measurement isolates FSM throughput; input generation
+/// is identical for both paths and would only compress the ratio):
+/// begin_stream(total), then each chunk pair copied into the run's
+/// buffers and advanced through the base process() (`serial`) or the
+/// circuit's override.  `counts` receives the joint overlap statistics
+/// for the identity check between the two paths.
 void run_once(const std::function<std::unique_ptr<sc::core::PairTransform>()>&
                   make_transform,
-              const sc::Bitstream& x, const sc::Bitstream& y,
-              KernelPolicy policy, sc::OverlapCounts* counts) {
+              const std::vector<sc::Bitstream>& chunks_x,
+              const std::vector<sc::Bitstream>& chunks_y, std::size_t bits,
+              bool serial, sc::OverlapCounts* counts) {
   using namespace sc;
-  engine::BitstreamChunkSource sx(x);
-  engine::BitstreamChunkSource sy(y);
   const std::unique_ptr<core::PairTransform> transform = make_transform();
-  engine::PairStatsSink sink;
-  engine::run_chunked_pair(sx, sy, transform.get(), sink,
-                           engine::kDefaultChunkBits, policy);
-  *counts = sink.counts();
+  transform->begin_stream(bits);
+  Bitstream x;
+  Bitstream y;
+  OverlapCounts total;
+  for (std::size_t i = 0; i < chunks_x.size(); ++i) {
+    x = chunks_x[i];
+    y = chunks_y[i];
+    if (serial) {
+      transform->core::PairTransform::process(x.word_data(), y.word_data(),
+                                              x.size());
+    } else {
+      transform->process(x.word_data(), y.word_data(), x.size());
+    }
+    const OverlapCounts piece = overlap(x, y);
+    total.a += piece.a;
+    total.b += piece.b;
+    total.c += piece.c;
+    total.d += piece.d;
+  }
+  *counts = total;
 }
 
 }  // namespace
@@ -110,19 +126,21 @@ int main(int argc, char** argv) {
            }},
       };
 
-  // Input pair materialized once: a correlated comparator-SNG pair, the
-  // workload the correlation circuits exist to manipulate.
-  sc::Bitstream input_x;
-  sc::Bitstream input_y;
+  // Input pair materialized once, in chunks: a correlated comparator-SNG
+  // pair, the workload the correlation circuits exist to manipulate.
+  std::vector<sc::Bitstream> chunks_x;
+  std::vector<sc::Bitstream> chunks_y;
   {
     engine::SngChunkSource sx(std::make_unique<rng::Lfsr>(16, 0xACE1), 24000,
                               bits);
     engine::SngChunkSource sy(std::make_unique<rng::Lfsr>(16, 0xACE1, 5),
                               40000, bits);
-    engine::CollectPairSink collect;
-    engine::run_chunked_pair(sx, sy, nullptr, collect);
-    input_x = collect.stream_x();
-    input_y = collect.stream_y();
+    sc::Bitstream chunk;
+    while (sx.next_chunk(chunk, engine::kDefaultChunkBits) > 0) {
+      chunks_x.push_back(chunk);
+      sy.next_chunk(chunk, engine::kDefaultChunkBits);
+      chunks_y.push_back(chunk);
+    }
   }
 
   bench::Harness harness("kernel_fsm", options);
@@ -143,7 +161,7 @@ int main(int argc, char** argv) {
         "kernel_fsm/" + name + "/serial", "mbit_per_s",
         static_cast<double>(bits), 1e6,
         [&] {
-          run_once(make_transform, input_x, input_y, KernelPolicy::kSerial,
+          run_once(make_transform, chunks_x, chunks_y, bits, /*serial=*/true,
                    &serial_counts);
         },
         config);
@@ -151,7 +169,7 @@ int main(int argc, char** argv) {
         "kernel_fsm/" + name + "/kernel", "mbit_per_s",
         static_cast<double>(bits), 1e6,
         [&] {
-          run_once(make_transform, input_x, input_y, KernelPolicy::kAuto,
+          run_once(make_transform, chunks_x, chunks_y, bits, /*serial=*/false,
                    &kernel_counts);
         },
         config);

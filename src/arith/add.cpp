@@ -55,7 +55,7 @@ Bitstream saturating_add(const Bitstream& x, const Bitstream& y) {
 }
 
 Bitstream toggle_add(const Bitstream& x, const Bitstream& y) {
-  assert(x.size() == y.size());
+  require_same_size("sc::arith::toggle_add", x.size(), y.size());
   Bitstream out;
   out.reserve(x.size());
   ToggleAdder adder;

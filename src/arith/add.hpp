@@ -54,7 +54,8 @@ Bitstream saturating_add(const Bitstream& x, const Bitstream& y);
 /// operand correlation* - no random select stream needed.  This is the
 /// style of correlation-insensitive adder the paper's CA-adder comparison
 /// point ([9]) uses; it costs a flip-flop plus a few gates, which the cost
-/// model reflects (5-10x the MUX adder).
+/// model reflects (5-10x the MUX adder).  Unequal lengths throw
+/// std::invalid_argument.
 Bitstream toggle_add(const Bitstream& x, const Bitstream& y);
 
 /// Per-cycle form of toggle_add.

@@ -1,11 +1,9 @@
 #include "arith/divide.hpp"
 
-#include <cassert>
-
 namespace sc::arith {
 
 Bitstream divide(const Bitstream& x, const Bitstream& y) {
-  assert(x.size() == y.size());
+  require_same_size("sc::arith::divide", x.size(), y.size());
   Bitstream out;
   out.reserve(x.size());
   Cordiv div;

@@ -47,6 +47,7 @@ class Cordiv {
 
 /// Whole-stream divide: pZ ~= pX / pY.  Requires SCC(x, y) = +1 and
 /// pX <= pY; returns an all-ones-saturating approximation otherwise.
+/// Unequal lengths throw std::invalid_argument.
 Bitstream divide(const Bitstream& x, const Bitstream& y);
 
 }  // namespace sc::arith

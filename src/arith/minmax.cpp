@@ -1,7 +1,5 @@
 #include "arith/minmax.hpp"
 
-#include <cassert>
-
 #include "arith/gates.hpp"
 
 namespace sc::arith {
@@ -15,7 +13,7 @@ Bitstream and_min(const Bitstream& x, const Bitstream& y) {
 }
 
 Bitstream ca_max(const Bitstream& x, const Bitstream& y) {
-  assert(x.size() == y.size());
+  require_same_size("sc::arith::ca_max", x.size(), y.size());
   Bitstream out;
   out.reserve(x.size());
   CaMax unit;
@@ -26,7 +24,7 @@ Bitstream ca_max(const Bitstream& x, const Bitstream& y) {
 }
 
 Bitstream ca_min(const Bitstream& x, const Bitstream& y) {
-  assert(x.size() == y.size());
+  require_same_size("sc::arith::ca_min", x.size(), y.size());
   Bitstream out;
   out.reserve(x.size());
   CaMin unit;

@@ -53,7 +53,8 @@ class CaMin {
   std::int64_t diff_ = 0;
 };
 
-/// Whole-stream correlation-agnostic max; accurate for any SCC.
+/// Whole-stream correlation-agnostic max; accurate for any SCC.  Unequal
+/// lengths throw std::invalid_argument, here and in ca_min.
 Bitstream ca_max(const Bitstream& x, const Bitstream& y);
 
 /// Whole-stream correlation-agnostic min; accurate for any SCC.

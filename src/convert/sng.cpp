@@ -1,18 +1,20 @@
 #include "convert/sng.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "bitstream/encoding.hpp"
 
 namespace sc::convert {
 
-Sng::Sng(rng::RandomSourcePtr source)
-    : source_(std::move(source)),
-      // Width can be 32, so the period must be computed (and kept) in 64
-      // bits: a uint32 natural length wraps to 0 and every comparator test
-      // `next() < 0` fails, yielding all-zero streams.
-      natural_length_(std::uint64_t{1} << source_->width()) {
-  assert(source_ != nullptr);
+Sng::Sng(rng::RandomSourcePtr source) : source_(std::move(source)) {
+  if (source_ == nullptr) {
+    throw std::invalid_argument("convert::Sng: null source");
+  }
+  // Width can be 32, so the period must be computed (and kept) in 64
+  // bits: a uint32 natural length wraps to 0 and every comparator test
+  // `next() < 0` fails, yielding all-zero streams.
+  natural_length_ = std::uint64_t{1} << source_->width();
 }
 
 Bitstream Sng::generate(std::uint64_t level, std::size_t n) {

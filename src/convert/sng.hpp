@@ -22,8 +22,8 @@ namespace sc::convert {
 /// Comparator SNG bound to an owned random source.
 class Sng {
  public:
-  /// Takes ownership of the source.  Stream length N is 2^source->width()
-  /// unless overridden per call.
+  /// Takes ownership of the source (null throws std::invalid_argument).
+  /// Stream length N is 2^source->width() unless overridden per call.
   explicit Sng(rng::RandomSourcePtr source);
 
   /// Natural stream length: 2^width (one full source period).  64-bit

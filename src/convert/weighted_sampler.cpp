@@ -1,15 +1,19 @@
 #include "convert/weighted_sampler.hpp"
 
 #include <cassert>
-#include <numeric>
+#include <stdexcept>
 
 namespace sc::convert {
 
 WeightedSampler::WeightedSampler(std::vector<std::uint32_t> weights,
                                  rng::RandomSourcePtr source)
     : weights_(std::move(weights)), source_(std::move(source)) {
-  assert(!weights_.empty());
-  assert(source_ != nullptr);
+  if (weights_.empty()) {
+    throw std::invalid_argument("convert::WeightedSampler: no weights");
+  }
+  if (source_ == nullptr) {
+    throw std::invalid_argument("convert::WeightedSampler: null source");
+  }
   cumulative_.reserve(weights_.size());
   std::uint32_t running = 0;
   for (std::uint32_t w : weights_) {
@@ -17,7 +21,10 @@ WeightedSampler::WeightedSampler(std::vector<std::uint32_t> weights,
     cumulative_.push_back(running);
   }
   total_ = running;
-  assert(total_ >= 1);
+  // A zero total would reach `next() % 0` on the first step().
+  if (total_ == 0) {
+    throw std::invalid_argument("convert::WeightedSampler: weights sum to 0");
+  }
   assert(total_ <= source_->range());
 }
 

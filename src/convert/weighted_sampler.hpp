@@ -30,7 +30,10 @@ class WeightedSampler {
   /// \param weights  per-category integer weights; sum must be >= 1 and,
   ///                 for unbiased sampling, should divide the source range
   ///                 (a power of two for comparator-friendly hardware).
-  /// \param source   uniform source; owned.
+  ///                 No weights, or a zero sum, throws
+  ///                 std::invalid_argument.
+  /// \param source   uniform source; owned (null throws
+  ///                 std::invalid_argument).
   WeightedSampler(std::vector<std::uint32_t> weights,
                   rng::RandomSourcePtr source);
 

@@ -9,11 +9,13 @@
 /// line, single TFM).
 ///
 /// step() is the reference semantics.  process() advances packed words;
-/// its base implementation loops step(), and circuits with a word path
-/// (table-driven or word-parallel) override it bit-identically.
+/// its base implementation loops step() and is the bit-serial oracle, and
+/// circuits with a word path (table-driven or word-parallel) override it
+/// bit-identically.
 ///
-/// Whole-stream helpers `apply(...)` run a transform over packed bitstreams
-/// and are the forms tests and benchmarks use.
+/// The whole-stream helpers `apply(...)` run a transform over packed
+/// bitstreams through its virtual process(), so every caller gets the
+/// circuit's own datapath.
 
 #pragma once
 
@@ -99,25 +101,22 @@ class StreamTransform {
 };
 
 /// Runs a pair transform over two equal-length streams (unequal lengths
-/// throw std::invalid_argument).  Calls begin_stream(), then the
-/// bit-serial reference `PairTransform::process`.  Does not reset first.
-/// Inline, so callers that own a concrete circuit (the image pipeline's
-/// per-pixel synchronizers) step it through direct calls.
+/// throw std::invalid_argument): begin_stream(), then the circuit's own
+/// process(), its word path where it has one.  Does not reset first.
 inline sc::StreamPair apply(PairTransform& transform, const Bitstream& x,
                             const Bitstream& y) {
   require_same_size("sc::core::apply", x.size(), y.size());
   sc::StreamPair out{x, y};
   transform.begin_stream(x.size());
-  transform.PairTransform::process(out.x.word_data(), out.y.word_data(),
-                                   x.size());
+  transform.process(out.x.word_data(), out.y.word_data(), x.size());
   return out;
 }
 
-/// Runs a single-stream transform over a stream, bit-serially.
+/// Runs a single-stream transform over a stream through its process().
 inline Bitstream apply(StreamTransform& transform, const Bitstream& x) {
   Bitstream out = x;
   transform.begin_stream(x.size());
-  transform.StreamTransform::process(out.word_data(), x.size());
+  transform.process(out.word_data(), x.size());
   return out;
 }
 

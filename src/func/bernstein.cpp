@@ -80,8 +80,9 @@ Bitstream resc_evaluate(sc::span<const Bitstream> copies,
 double resc_apply(const std::function<double(double)>& f, double x,
                   const RescConfig& config) {
   const std::size_t n = config.stream_length;
-  const auto natural = static_cast<std::uint32_t>(1u << config.sng_width);
-  const std::uint32_t level = unipolar_level(x, natural);
+  // 64-bit: `1u << 32` is undefined.
+  const std::uint64_t natural = std::uint64_t{1} << config.sng_width;
+  const std::uint64_t level = unipolar_level64(x, natural);
 
   // --- copies of x per strategy ------------------------------------------
   std::vector<Bitstream> copies;
@@ -132,7 +133,7 @@ double resc_apply(const std::function<double(double)>& f, double x,
         config.sng_width,
         config.seed + 101 * static_cast<std::uint32_t>(i + 1)));
     coefficient_streams.push_back(
-        sng.generate(unipolar_level(coefficients[i], natural), n));
+        sng.generate(unipolar_level64(coefficients[i], natural), n));
   }
 
   return resc_evaluate(copies, coefficient_streams).value();

@@ -1,26 +1,22 @@
 /// \file apply.hpp
-/// Whole-stream and chunked helpers that run the circuits' word paths.
+/// Names the whole-stream helper in the kernel namespace, plus a chunked
+/// driver for a pair transform.
 ///
-/// Same signature and begin_stream-then-run semantics as the core::apply
-/// pair helpers, bit-identical output.  core::apply calls the bit-serial
-/// reference `PairTransform::process` non-virtually; these make the
-/// virtual call, so each circuit runs its own process() override
-/// (table-driven or word-parallel) and transforms without one step every
-/// cycle.
+/// `kernel::apply` is core::apply, which runs each circuit's own
+/// process() (its table-driven or word-parallel path where it has one).
+/// The benchmark's traced replay (scbench/src/trace.cpp) calls both names
+/// in this header.
 
 #pragma once
 
 #include <cstddef>
 
 #include "bitstream/bitstream.hpp"
-#include "bitstream/synthesis.hpp"
 #include "core/pair_transform.hpp"
 
 namespace sc::kernel {
 
-/// Runs a pair transform over two equal-length streams (see core::apply).
-sc::StreamPair apply(core::PairTransform& transform, const Bitstream& x,
-                     const Bitstream& y);
+using core::apply;
 
 /// Drives a PairTransform across consecutive chunks of one logical stream
 /// pair without ever materializing it: begin() announces the total length

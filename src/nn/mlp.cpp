@@ -1,8 +1,10 @@
 #include "nn/mlp.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "arith/multiply.hpp"
 #include "bitstream/encoding.hpp"
@@ -13,10 +15,13 @@
 namespace sc::nn {
 namespace {
 
-/// Encodes a bipolar value from a shared per-call trace.
+/// Encodes a bipolar value from a shared per-call trace.  The level is
+/// the unipolar level of (v + 1) / 2 over a 64-bit natural length: a
+/// width-32 source's 2^32 does not fit uint32.
 Bitstream encode_bipolar(double v, sc::span<const std::uint32_t> trace,
-                         std::uint32_t natural) {
-  const std::uint32_t level = bipolar_level(v, natural);
+                         std::uint64_t natural) {
+  const std::uint64_t level =
+      unipolar_level64((std::clamp(v, -1.0, 1.0) + 1.0) / 2.0, natural);
   Bitstream out(trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {
     if (trace[i] < level) out.set(i, true);
@@ -30,12 +35,26 @@ std::vector<std::uint32_t> make_trace(rng::Lfsr& source, std::size_t n) {
   return trace;
 }
 
+/// A layer reads x[i] against every weight row: any other input count
+/// reads past the rows or leaves weights out.
+void require_layer_inputs(const char* where, const Dense& layer,
+                          std::size_t inputs) {
+  if (inputs != layer.inputs()) {
+    throw std::invalid_argument(std::string(where) + ": " +
+                                std::to_string(inputs) +
+                                " inputs for a layer of " +
+                                std::to_string(layer.inputs()));
+  }
+}
+
 }  // namespace
 
 double sc_dot_bipolar(sc::span<const Bitstream> x,
                       sc::span<const Bitstream> w) {
-  assert(x.size() == w.size());
-  assert(!x.empty());
+  if (x.size() != w.size() || x.empty()) {
+    throw std::invalid_argument(
+        "nn::sc_dot_bipolar: needs equal, non-empty input and weight spans");
+  }
   // XNOR products accumulated by an APC: total ones / (k * N) is the mean
   // unipolar product value; map back to bipolar.
   std::uint64_t ones = 0;
@@ -50,7 +69,7 @@ double sc_dot_bipolar(sc::span<const Bitstream> x,
 
 std::vector<double> forward_float(const Dense& layer,
                                   sc::span<const double> x) {
-  assert(x.size() == layer.inputs());
+  require_layer_inputs("nn::forward_float", layer, x.size());
   std::vector<double> out(layer.outputs());
   for (std::size_t j = 0; j < layer.outputs(); ++j) {
     double pre = 0.0;
@@ -66,9 +85,10 @@ std::vector<double> forward_float(const Dense& layer,
 
 std::vector<double> forward_sc(const Dense& layer, sc::span<const double> x,
                                const MlpConfig& config) {
-  assert(x.size() == layer.inputs());
+  require_layer_inputs("nn::forward_sc", layer, x.size());
   const std::size_t n = config.stream_length;
-  const auto natural = static_cast<std::uint32_t>(1u << config.width);
+  // 64-bit: `1u << 32` is undefined.
+  const std::uint64_t natural = std::uint64_t{1} << config.width;
 
   // --- encode inputs and weights per strategy ------------------------------
   rng::Lfsr input_source(config.width, config.seed + 1);

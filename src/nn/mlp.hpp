@@ -33,7 +33,8 @@ namespace sc::nn {
 
 /// Bipolar stochastic dot product: mean_i over XNOR(x_i, w_i), read back
 /// through an APC.  Returns the bipolar mean (1/k) sum_i w_i x_i, exact up
-/// to stream quantization when all pairs are uncorrelated.
+/// to stream quantization when all pairs are uncorrelated.  Spans of
+/// unequal size, or empty ones, throw std::invalid_argument.
 double sc_dot_bipolar(sc::span<const Bitstream> x,
                       sc::span<const Bitstream> w);
 
@@ -49,7 +50,8 @@ struct Dense {
   [[nodiscard]] std::size_t outputs() const { return weights.size(); }
 };
 
-/// Floating-point reference forward pass of one layer.
+/// Floating-point reference forward pass of one layer.  Here and in
+/// forward_sc, x.size() != layer.inputs() throws std::invalid_argument.
 std::vector<double> forward_float(const Dense& layer,
                                   sc::span<const double> x);
 

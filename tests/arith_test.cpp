@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <tuple>
 
 #include "arith/add.hpp"
@@ -285,6 +286,17 @@ TEST(CaMax, MinPlusMaxConservesOnesPerCycle) {
   const Bitstream mn = ca_min(pair.x, pair.y);
   EXPECT_EQ(mx.count_ones() + mn.count_ones(),
             pair.x.count_ones() + pair.y.count_ones());
+}
+
+TEST(SequentialUnits, UnequalLengthsThrow) {
+  // Checked in every build mode: with an assert-only guard, dividing a
+  // 2^20-bit x by a 64-bit y read past y and returned 2^20 bits.
+  const Bitstream long_stream(std::size_t{1} << 20);
+  const Bitstream short_stream(64);
+  for (const auto unit : {&divide, &toggle_add, &ca_max, &ca_min}) {
+    EXPECT_THROW(unit(long_stream, short_stream), std::invalid_argument);
+    EXPECT_THROW(unit(short_stream, long_stream), std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <array>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "arith/bipolar.hpp"
 #include "arith/multiply.hpp"
@@ -82,6 +84,17 @@ TEST(WeightedSampler, UniformWeightsCoverAllCategories) {
     ++histogram[sampler.step()];
   }
   for (int count : histogram) EXPECT_EQ(count, 64);
+}
+
+TEST(WeightedSampler, InvalidConstructionThrows) {
+  // Checked in every build mode: all-zero weights reached `next() % 0`
+  // (SIGFPE) on the first step().
+  const auto source = [] { return std::make_unique<rng::Lfsr>(8, 1); };
+  EXPECT_THROW(convert::WeightedSampler({0, 0, 0}, source()),
+               std::invalid_argument);
+  EXPECT_THROW(convert::WeightedSampler({}, source()), std::invalid_argument);
+  EXPECT_THROW(convert::WeightedSampler({1, 2, 1}, nullptr),
+               std::invalid_argument);
 }
 
 TEST(WeightedSampler, BinomialKernelWeightsMatchProbabilities) {

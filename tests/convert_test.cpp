@@ -82,6 +82,12 @@ TEST(Sng, Width32SourceProducesNonZeroStreams) {
   EXPECT_NEAR(half.value(), 0.5, 0.02);
 }
 
+TEST(Sng, NullSourceThrows) {
+  // The natural length reads the source's width: a null source crashed
+  // in the constructor before its assert could run.
+  EXPECT_THROW(Sng(nullptr), std::invalid_argument);
+}
+
 TEST(Sng, SameSourceTwoStreamsPositivelyCorrelated) {
   // Two levels encoded from one shared RNG trace: SCC = +1 (paper §II-B).
   rng::VanDerCorput vdc(8);

@@ -1,18 +1,23 @@
 /// Tests for the batched streaming execution engine: thread pool
-/// semantics, deterministic per-job seeding, chunked processing that is
-/// bit-identical to whole-stream core::apply, bounded buffering on long
-/// streams, and thread-count invariance of the batch entry points.
+/// semantics, deterministic per-job seeding, the chunk SNG source,
+/// chunked processing (test::chunked_apply, the executor's way of driving
+/// a circuit) that is bit-identical to whole-stream core::apply, bounded
+/// buffering on long streams, and thread-count invariance of the batch
+/// entry points.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "bitstream/correlation.hpp"
 #include "core/decorrelator.hpp"
 #include "core/pair_transform.hpp"
 #include "core/synchronizer.hpp"
@@ -146,30 +151,24 @@ TEST(ChunkedStream, SngSourceFullScaleLevelAtWidth32) {
 
 TEST(ChunkedStream, SngSourceMatchesWholeStreamSng) {
   const std::size_t n = 1000;
+  const std::size_t chunk_bits = 96;
   convert::Sng whole(std::make_unique<rng::Lfsr>(8, 5));
   const Bitstream expected = whole.generate(144, n);
 
   SngChunkSource source(std::make_unique<rng::Lfsr>(8, 5), 144, n);
-  CollectSink sink;
-  const ChunkedRunStats stats =
-      run_chunked(source, nullptr, sink, /*chunk_bits=*/96);
-  EXPECT_EQ(sink.stream(), expected);
+  Bitstream collected(n);
+  Bitstream chunk;
+  ChunkedRunStats stats;
+  while (source.next_chunk(chunk, chunk_bits) > 0) {
+    test::copy_bits(chunk, 0, collected, stats.bits, chunk.size());
+    stats.bits += chunk.size();
+    ++stats.chunks;
+    stats.peak_buffer_bits = std::max(stats.peak_buffer_bits, chunk.size());
+  }
+  EXPECT_EQ(collected, expected);
   EXPECT_EQ(stats.bits, n);
-  EXPECT_EQ(stats.chunks, (n + 95) / 96);
-  EXPECT_LE(stats.peak_buffer_bits, 96u);
-}
-
-TEST(ChunkedStream, BitstreamSourceRoundTrips) {
-  const Bitstream original = test::lfsr_stream(100, 9, 777);
-  BitstreamChunkSource source(original);
-  CollectSink sink;
-  run_chunked(source, nullptr, sink, 64);
-  EXPECT_EQ(sink.stream(), original);
-
-  source.reset();
-  ValueSink value;
-  run_chunked(source, nullptr, value, 50);  // non-word-aligned chunks
-  EXPECT_DOUBLE_EQ(value.value(), original.value());
+  EXPECT_EQ(stats.chunks, (n + chunk_bits - 1) / chunk_bits);
+  EXPECT_LE(stats.peak_buffer_bits, chunk_bits);
 }
 
 // --- chunked vs whole-stream FSM equivalence -----------------------------------
@@ -186,14 +185,12 @@ TEST(ChunkedStream, DecorrelatorChunkedEqualsWholeStream) {
 
     core::Decorrelator chunked(8, std::make_unique<rng::Lfsr>(8, 11),
                                std::make_unique<rng::Lfsr>(8, 12, 3));
-    BitstreamChunkSource sx(x);
-    BitstreamChunkSource sy(y);
-    CollectPairSink sink;
-    const ChunkedRunStats stats =
-        run_chunked_pair(sx, sy, &chunked, sink, chunk_bits);
+    ChunkedRunStats stats;
+    const sc::StreamPair got =
+        test::chunked_apply(chunked, x, y, chunk_bits, &stats);
 
-    EXPECT_EQ(sink.stream_x(), expected.x) << "chunk_bits=" << chunk_bits;
-    EXPECT_EQ(sink.stream_y(), expected.y) << "chunk_bits=" << chunk_bits;
+    EXPECT_EQ(got.x, expected.x) << "chunk_bits=" << chunk_bits;
+    EXPECT_EQ(got.y, expected.y) << "chunk_bits=" << chunk_bits;
     EXPECT_LE(stats.peak_buffer_bits, 2 * chunk_bits);
   }
 }
@@ -210,13 +207,11 @@ TEST(ChunkedStream, SynchronizerFlushSurvivesChunking) {
     const sc::StreamPair expected = core::apply(whole, x, y);
 
     core::Synchronizer chunked({2, flush});
-    BitstreamChunkSource sx(x);
-    BitstreamChunkSource sy(y);
-    CollectPairSink sink;
-    run_chunked_pair(sx, sy, &chunked, sink, /*chunk_bits=*/100);
+    const sc::StreamPair got =
+        test::chunked_apply(chunked, x, y, /*chunk_bits=*/100);
 
-    EXPECT_EQ(sink.stream_x(), expected.x) << "flush=" << flush;
-    EXPECT_EQ(sink.stream_y(), expected.y) << "flush=" << flush;
+    EXPECT_EQ(got.x, expected.x) << "flush=" << flush;
+    EXPECT_EQ(got.y, expected.y) << "flush=" << flush;
   }
 }
 
@@ -230,51 +225,41 @@ TEST(ChunkedStream, TfmChunkedEqualsWholeStream) {
 
   core::TrackingForecastMemory chunked({8, 3, 0.5},
                                        std::make_unique<rng::Lfsr>(8, 31));
-  BitstreamChunkSource sx(x);
-  CollectSink sink;
-  run_chunked(sx, &chunked, sink, 130);
-  EXPECT_EQ(sink.stream(), expected);
-}
-
-TEST(ChunkedStream, PairStatsSinkMatchesWholeStreamMetrics) {
-  const std::size_t n = 2048;
-  const Bitstream x = test::vdc_stream(128, n);
-  const Bitstream y = test::halton3_stream(64, n);
-
-  BitstreamChunkSource sx(x);
-  BitstreamChunkSource sy(y);
-  PairStatsSink sink;
-  run_chunked_pair(sx, sy, nullptr, sink, 333);
-
-  EXPECT_DOUBLE_EQ(sink.value_x(), x.value());
-  EXPECT_DOUBLE_EQ(sink.value_y(), y.value());
-  EXPECT_DOUBLE_EQ(sink.scc(), scc(x, y));
+  EXPECT_EQ(test::chunked_apply(chunked, x, 130), expected);
 }
 
 // --- long-stream processing ----------------------------------------------------
 
 TEST(ChunkedStream, LongStreamBoundedBuffering) {
   // A 2^24-bit maximally correlated pair through the chunked decorrelator:
-  // peak engine-side buffering stays at the two chunk buffers (never the
-  // 2 MiB stream) while values are preserved and SCC is driven toward 0.
+  // peak buffering stays at the two chunk buffers (never the 2 MiB
+  // stream), the output equals the whole-stream run, values are preserved
+  // and SCC is driven toward 0.
   const std::size_t n = std::size_t{1} << 24;
   const std::size_t chunk = kDefaultChunkBits;
+  const Bitstream x = test::packed_lfsr_stream(16, 0xACE1, 0, 24000, n);
+  const Bitstream y = test::packed_lfsr_stream(16, 0xACE1, 0, 24000, n);
 
-  SngChunkSource sx(std::make_unique<rng::Lfsr>(16, 0xACE1), 24000, n);
-  SngChunkSource sy(std::make_unique<rng::Lfsr>(16, 0xACE1), 24000, n);
-  core::Decorrelator dec(64, std::make_unique<rng::Lfsr>(16, 0xBEEF),
-                         std::make_unique<rng::Lfsr>(16, 0xCAFE, 5));
-  PairStatsSink sink;
-  const ChunkedRunStats stats = run_chunked_pair(sx, sy, &dec, sink, chunk);
+  const auto decorrelator = [] {
+    return core::Decorrelator(64, std::make_unique<rng::Lfsr>(16, 0xBEEF),
+                              std::make_unique<rng::Lfsr>(16, 0xCAFE, 5));
+  };
+  core::Decorrelator whole = decorrelator();
+  const sc::StreamPair expected = core::apply(whole, x, y);
+  core::Decorrelator dec = decorrelator();
+  ChunkedRunStats stats;
+  const sc::StreamPair out = test::chunked_apply(dec, x, y, chunk, &stats);
+  EXPECT_EQ(out.x, expected.x);
+  EXPECT_EQ(out.y, expected.y);
 
   EXPECT_EQ(stats.bits, n);
   EXPECT_EQ(stats.chunks, n / chunk);
   EXPECT_LE(stats.peak_buffer_bits, 2 * chunk);  // never the whole stream
 
   const double p = 24000.0 / 65536.0;
-  EXPECT_NEAR(sink.value_x(), p, 0.01);
-  EXPECT_NEAR(sink.value_y(), p, 0.01);
-  EXPECT_LT(std::abs(sink.scc()), 0.05);  // decorrelated from SCC = +1
+  EXPECT_NEAR(out.x.value(), p, 0.01);
+  EXPECT_NEAR(out.y.value(), p, 0.01);
+  EXPECT_LT(std::abs(scc(out.x, out.y)), 0.05);  // decorrelated from SCC = +1
 }
 
 // --- batch / session invariance ------------------------------------------------
@@ -301,12 +286,14 @@ TEST(Session, MapPreservesIndexOrder) {
   EXPECT_EQ(session.stats().batches, 1u);
 
   // Chunked-run accounting is caller-folded: jobs report their run stats
-  // back into the session (safe from worker threads).
-  const Bitstream stream = test::lfsr_stream(100, 3, 512);
-  session.for_each(4, [&session, &stream](std::size_t) {
-    BitstreamChunkSource source(stream);
-    ValueSink sink;
-    session.note_chunked(run_chunked(source, nullptr, sink, 128));
+  // back into the session (safe from worker threads).  Each job reports
+  // one 512-bit run in four 128-bit chunks.
+  session.for_each(4, [&session](std::size_t) {
+    ChunkedRunStats stats;
+    stats.bits = 512;
+    stats.chunks = 4;
+    stats.peak_buffer_bits = 128;
+    session.note_chunked(stats);
   });
   EXPECT_EQ(session.stats().chunked_runs, 4u);
   EXPECT_EQ(session.stats().stream_bits, 4u * 512u);

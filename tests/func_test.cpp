@@ -245,5 +245,27 @@ TEST(Resc, DecorrelatorChainRecoversMostOfTheAccuracy) {
   EXPECT_LT(err_indep, err_shared);        // ...approaching the ideal
 }
 
+TEST(Resc, Width32SourcesEncodeAtFullScale) {
+  // At sng_width 32 the natural length was `1u << 32` (undefined), and
+  // every strategy returned 0.0.  x^2 at 0.5 has the degree-4 Bernstein
+  // value 0.3125; shared copies collapse it to (b_0 + b_4) / 2 = 0.5.
+  const auto square = [](double t) { return t * t; };
+  const struct {
+    CopyStrategy strategy;
+    double expected;
+  } cases[] = {
+      {CopyStrategy::kIndependentSources, 0.3125},
+      {CopyStrategy::kSharedSource, 0.5},
+      {CopyStrategy::kDecorrelatorChain, 0.3125},
+  };
+  for (const auto& c : cases) {
+    RescConfig config;
+    config.sng_width = 32;
+    config.strategy = c.strategy;
+    EXPECT_NEAR(resc_apply(square, 0.5, config), c.expected, 0.08)
+        << static_cast<int>(c.strategy);
+  }
+}
+
 }  // namespace
 }  // namespace sc::func

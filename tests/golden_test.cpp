@@ -474,7 +474,9 @@ void mix_stream(Fnv1a& fnv, const Bitstream& stream) {
 /// uncorrelated VDC / Halton-3 pair, and two LFSRs with distinct seeds.
 sc::StreamPair operand_pair(const std::string& source, std::uint32_t lx,
                             std::uint32_t ly, std::size_t n) {
-  if (source == "vdc") return {test::vdc_stream(lx, n), test::vdc_stream(ly, n)};
+  if (source == "vdc") {
+    return {test::vdc_stream(lx, n), test::vdc_stream(ly, n)};
+  }
   if (source == "halton") {
     return {test::vdc_stream(lx, n), test::halton3_stream(ly, n)};
   }

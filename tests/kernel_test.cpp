@@ -1,12 +1,14 @@
 /// Differential tests for the circuits' word paths (the process()
-/// overrides in src/core/, driven through kernel::apply, a single-stream
-/// helper and the chunked engine): every override must be bit-identical
-/// to the bit-serial step() loop it replaces — across configurations,
-/// seeds, stream lengths that are not multiples of 8 (or 64), chunk
-/// boundaries, runs that mix step() and process() on one circuit, and
-/// bit-serial continuation afterwards.  The RNG-coupled circuits' draw
-/// counts also pin which side of its cap each configuration runs on, so
-/// an override that quietly falls back to step() fails.
+/// overrides in src/core/, driven whole-stream through core::apply and
+/// chunk by chunk through test::chunked_apply): every override must be
+/// bit-identical to the bit-serial oracle test::reference_apply, which
+/// calls the base process() non-virtually (one step() per cycle) —
+/// across configurations, seeds, stream lengths that are not multiples
+/// of 8 (or 64), chunk boundaries, runs that mix step() and process() on
+/// one circuit, and bit-serial continuation afterwards.  The RNG-coupled
+/// circuits' draw counts also pin which side of its cap each
+/// configuration runs on, so an override that quietly falls back to
+/// step() fails.
 
 #include <gtest/gtest.h>
 
@@ -25,13 +27,13 @@
 #include "core/shuffle_buffer.hpp"
 #include "core/synchronizer.hpp"
 #include "core/tfm.hpp"
-#include "engine/chunked_stream.hpp"
 #include "graph/backend.hpp"
 #include "graph/planner.hpp"
 #include "graph/program.hpp"
 #include "kernel/apply.hpp"
 #include "rng/lfsr.hpp"
 #include "rng/mt_source.hpp"
+#include "test_util.hpp"
 
 namespace sc::kernel {
 namespace {
@@ -50,25 +52,19 @@ Bitstream random_stream(std::mt19937& gen, std::size_t n, double p) {
   return out;
 }
 
-/// Single-stream counterpart of kernel::apply: begin_stream, then the
-/// virtual process() call, so the circuit runs its word path.
-Bitstream apply_word_path(core::StreamTransform& transform,
-                          const Bitstream& x) {
-  Bitstream out = x;
-  transform.begin_stream(x.size());
-  transform.process(out.word_data(), x.size());
-  return out;
-}
+using test::chunked_apply;
+using test::reference_apply;
 
-/// Applies two identically configured transforms — one through core::apply
-/// (bit-serial reference), one through kernel::apply (the word path) — and
-/// requires bit-identical outputs, matching residual state, and matching
-/// bit-serial continuation after the run (which proves the word path
-/// leaves the circuit's state exact, including RNG sequence positions).
+/// Applies two identically configured transforms — one through
+/// reference_apply (the bit-serial oracle), one through core::apply (the
+/// word path) — and requires bit-identical outputs, matching residual
+/// state, and matching bit-serial continuation after the run (which
+/// proves the word path leaves the circuit's state exact, including RNG
+/// sequence positions).
 void expect_equivalent(core::PairTransform& serial, core::PairTransform& fast,
                        const Bitstream& x, const Bitstream& y) {
-  const sc::StreamPair ref = core::apply(serial, x, y);
-  const sc::StreamPair got = kernel::apply(fast, x, y);
+  const sc::StreamPair ref = reference_apply(serial, x, y);
+  const sc::StreamPair got = core::apply(fast, x, y);
   ASSERT_EQ(ref.x, got.x);
   ASSERT_EQ(ref.y, got.y);
   EXPECT_EQ(serial.saved_ones(), fast.saved_ones());
@@ -103,7 +99,8 @@ TEST(WordPath, OversizedDepthsStepInsteadOfWrapping) {
 }
 
 TEST(KernelApply, MismatchedSizesThrow) {
-  // Both whole-stream helpers check in every build mode: under NDEBUG an
+  // The whole-stream helper (kernel::apply names core::apply) and the
+  // chunked applier check in every build mode: under NDEBUG an
   // assert-only guard would read past the shorter stream.
   core::Synchronizer sync({1, false, 0});
   EXPECT_THROW(kernel::apply(sync, Bitstream(1024), Bitstream(64)),
@@ -294,7 +291,7 @@ TEST(WordKernels, ShuffleBufferBitIdenticalAcrossWordAndBlockBoundaries) {
       core::ShuffleBuffer serial(depth, std::make_unique<rng::Lfsr>(9, 33));
       core::ShuffleBuffer fast(depth, std::make_unique<rng::Lfsr>(9, 33));
       const Bitstream in = random_stream(gen, n, 0.5);
-      ASSERT_EQ(core::apply(serial, in), apply_word_path(fast, in))
+      ASSERT_EQ(reference_apply(serial, in), core::apply(fast, in))
           << "depth=" << depth << " n=" << n;
       for (int i = 0; i < 64; ++i) {
         ASSERT_EQ(serial.step(i % 3 == 0), fast.step(i % 3 == 0));
@@ -312,7 +309,7 @@ TEST(WordKernels, TfmStreamBitIdenticalAcrossWordAndBlockBoundaries) {
       core::TrackingForecastMemory fast(
           {precision, 3, 0.5}, std::make_unique<rng::Lfsr>(precision, 77));
       const Bitstream in = random_stream(gen, n, 0.4);
-      ASSERT_EQ(core::apply(serial, in), apply_word_path(fast, in))
+      ASSERT_EQ(reference_apply(serial, in), core::apply(fast, in))
           << "precision=" << precision << " n=" << n;
       EXPECT_EQ(serial.estimate(), fast.estimate());
     }
@@ -328,8 +325,8 @@ TEST(StreamKernel, ShuffleBufferMatchesBitSerial) {
       core::ShuffleBuffer serial(depth, std::make_unique<rng::Lfsr>(9, 33));
       core::ShuffleBuffer fast(depth, std::make_unique<rng::Lfsr>(9, 33));
       const Bitstream x = random_stream(gen, n, 0.5);
-      const Bitstream ref = core::apply(serial, x);
-      const Bitstream got = apply_word_path(fast, x);
+      const Bitstream ref = reference_apply(serial, x);
+      const Bitstream got = core::apply(fast, x);
       ASSERT_EQ(ref, got) << "depth=" << depth << " n=" << n;
       EXPECT_EQ(serial.saved_ones(), fast.saved_ones());
       for (int i = 0; i < 64; ++i) {
@@ -347,7 +344,7 @@ TEST(StreamKernel, TfmMatchesBitSerial) {
     core::TrackingForecastMemory fast({8, 3, 0.5},
                                       std::make_unique<rng::Lfsr>(8, 77));
     const Bitstream x = random_stream(gen, n, 0.4);
-    ASSERT_EQ(core::apply(serial, x), apply_word_path(fast, x)) << "n=" << n;
+    ASSERT_EQ(reference_apply(serial, x), core::apply(fast, x)) << "n=" << n;
     EXPECT_EQ(serial.estimate(), fast.estimate());
   }
 }
@@ -363,7 +360,7 @@ TEST(StreamKernel, TransformWithoutWordPathSteps) {
   Inverter serial;
   Inverter fast;
   const Bitstream x = Bitstream::from_string("1011001110001");
-  EXPECT_EQ(core::apply(serial, x), apply_word_path(fast, x));
+  EXPECT_EQ(reference_apply(serial, x), core::apply(fast, x));
 }
 
 // --- mixed step() / process() runs -------------------------------------------
@@ -443,7 +440,7 @@ using PairFactory = std::function<std::unique_ptr<core::PairTransform>()>;
 using StreamFactory = std::function<std::unique_ptr<core::StreamTransform>()>;
 
 /// A mixed run over two fresh circuits from `make` must equal a pure
-/// step() run (core::apply), leave the same saved bits, and continue
+/// step() run (reference_apply), leave the same saved bits, and continue
 /// identically bit-serially.
 void expect_mixed_runs_match_step(const PairFactory& make, std::mt19937& gen) {
   const std::vector<Run> runs = mixed_runs(gen);
@@ -452,7 +449,7 @@ void expect_mixed_runs_match_step(const PairFactory& make, std::mt19937& gen) {
   const Bitstream y = random_stream(gen, total, 0.45);
   const std::unique_ptr<core::PairTransform> serial = make();
   const std::unique_ptr<core::PairTransform> mixed = make();
-  const sc::StreamPair want = core::apply(*serial, x, y);
+  const sc::StreamPair want = reference_apply(*serial, x, y);
 
   Bitstream got_x(total);
   Bitstream got_y(total);
@@ -493,7 +490,7 @@ void expect_mixed_runs_match_step(const StreamFactory& make,
   const Bitstream x = random_stream(gen, total, 0.55);
   const std::unique_ptr<core::StreamTransform> serial = make();
   const std::unique_ptr<core::StreamTransform> mixed = make();
-  const Bitstream want = core::apply(*serial, x);
+  const Bitstream want = reference_apply(*serial, x);
 
   Bitstream got(total);
   mixed->begin_stream(total);
@@ -695,20 +692,20 @@ TEST(WordPath, RngCoupledCircuitsTakeTheirWordPathUpToTheCap) {
     {
       DrawCounts counts;
       core::ShuffleBuffer buffer(depth, counting(10, 41, counts));
-      apply_word_path(buffer, x);
+      core::apply(buffer, x);
       expect_draws(counts, word_path, n);
     }
     {
       DrawCounts counts;
       core::Decorrelator decorrelator(depth, counting(10, 43, counts),
                                       counting(10, 47, counts));
-      kernel::apply(decorrelator, x, y);
+      core::apply(decorrelator, x, y);
       expect_draws(counts, word_path, 2 * n);
     }
     {
       DrawCounts counts;
       core::DecorrelatorChainLink link(depth, counting(10, 53, counts));
-      kernel::apply(link, x, y);
+      core::apply(link, x, y);
       expect_draws(counts, word_path, n);
     }
   }
@@ -720,42 +717,33 @@ TEST(WordPath, RngCoupledCircuitsTakeTheirWordPathUpToTheCap) {
       DrawCounts counts;
       core::TrackingForecastMemory tfm(config,
                                        counting(precision, 61, counts));
-      apply_word_path(tfm, x);
+      core::apply(tfm, x);
       expect_draws(counts, word_path, n);
     }
     {
       DrawCounts counts;
       core::TfmPair pair(config, counting(precision, 67, counts),
                          counting(precision, 71, counts));
-      kernel::apply(pair, x, y);
+      core::apply(pair, x, y);
       expect_draws(counts, word_path, 2 * n);
     }
   }
 }
 
-// --- chunked engine path ---------------------------------------------------
+// --- chunked runs ----------------------------------------------------------
 
-/// kAuto (kernel) and kSerial chunked runs over the same sources must
-/// produce identical streams, including flush tails that span chunk
-/// boundaries and chunk sizes that are not multiples of 64.
+/// A chunked word-path run must equal the whole-stream bit-serial oracle,
+/// including flush tails that span chunk boundaries and chunk sizes that
+/// are not multiples of 64.
 void expect_chunked_equivalent(core::PairTransform& serial_fsm,
                                core::PairTransform& fast_fsm,
                                std::size_t length, std::size_t chunk_bits) {
-  using namespace sc::engine;
-  SngChunkSource sx_a(std::make_unique<rng::Lfsr>(12, 0xACE), 2000, length);
-  SngChunkSource sy_a(std::make_unique<rng::Lfsr>(12, 0xACE, 5), 2000, length);
-  CollectPairSink fast_sink;
-  run_chunked_pair(sx_a, sy_a, &fast_fsm, fast_sink, chunk_bits,
-                   KernelPolicy::kAuto);
-
-  SngChunkSource sx_b(std::make_unique<rng::Lfsr>(12, 0xACE), 2000, length);
-  SngChunkSource sy_b(std::make_unique<rng::Lfsr>(12, 0xACE, 5), 2000, length);
-  CollectPairSink serial_sink;
-  run_chunked_pair(sx_b, sy_b, &serial_fsm, serial_sink, chunk_bits,
-                   KernelPolicy::kSerial);
-
-  ASSERT_EQ(serial_sink.stream_x(), fast_sink.stream_x());
-  ASSERT_EQ(serial_sink.stream_y(), fast_sink.stream_y());
+  const Bitstream x = test::packed_lfsr_stream(12, 0xACE, 0, 2000, length);
+  const Bitstream y = test::packed_lfsr_stream(12, 0xACE, 5, 2000, length);
+  const sc::StreamPair fast = chunked_apply(fast_fsm, x, y, chunk_bits);
+  const sc::StreamPair serial = reference_apply(serial_fsm, x, y);
+  ASSERT_EQ(serial.x, fast.x);
+  ASSERT_EQ(serial.y, fast.y);
 }
 
 TEST(ChunkedKernel, SynchronizerFlushAcrossChunkBoundaries) {
@@ -775,20 +763,11 @@ TEST(ChunkedKernel, DecorrelatorAcrossChunkBoundaries) {
 }
 
 TEST(ChunkedKernel, SingleStreamAuto) {
-  using namespace sc::engine;
   const std::size_t length = 10007;
   core::ShuffleBuffer serial(8, std::make_unique<rng::Lfsr>(9, 3));
   core::ShuffleBuffer fast(8, std::make_unique<rng::Lfsr>(9, 3));
-
-  SngChunkSource src_a(std::make_unique<rng::Lfsr>(12, 0xB0B), 1000, length);
-  CollectSink fast_sink;
-  run_chunked(src_a, &fast, fast_sink, 1000, KernelPolicy::kAuto);
-
-  SngChunkSource src_b(std::make_unique<rng::Lfsr>(12, 0xB0B), 1000, length);
-  CollectSink serial_sink;
-  run_chunked(src_b, &serial, serial_sink, 1000, KernelPolicy::kSerial);
-
-  ASSERT_EQ(serial_sink.stream(), fast_sink.stream());
+  const Bitstream x = test::packed_lfsr_stream(12, 0xB0B, 0, 1000, length);
+  ASSERT_EQ(reference_apply(serial, x), chunked_apply(fast, x, 1000));
 }
 
 // --- graph executor --------------------------------------------------------

@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "bitstream/encoding.hpp"
 #include "convert/sng.hpp"
@@ -166,6 +168,50 @@ TEST(Mlp, LongerStreamsReduceError) {
     return std::abs(got[0] - expected[0]);
   };
   EXPECT_LE(error_at(4096), error_at(64) + 0.02);
+}
+
+TEST(Mlp, Width32SourcesEncodeAtFullScale) {
+  // A width-32 source's natural length 2^32 does not fit uint32: computed
+  // as `1u << 32` it is undefined, and every stream came out near
+  // constant (0.76 here for float outputs of -0.02 and 0.11).
+  Dense layer;
+  layer.weights = {{0.5, -0.4, 0.3}, {-0.2, 0.6, 0.1}};
+  layer.bias = {0.0, 0.1};
+  layer.alpha = 1.0;
+  const std::vector<double> x = {0.3, 0.2, -0.4};
+  const auto expected = forward_float(layer, x);
+  for (const RngStrategy strategy :
+       {RngStrategy::kTwoRngs, RngStrategy::kDecorrelated}) {
+    MlpConfig config;
+    config.width = 32;
+    config.strategy = strategy;
+    const auto got = forward_sc(layer, x, config);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t j = 0; j < got.size(); ++j) {
+      EXPECT_NEAR(got[j], expected[j], 0.1) << "output " << j;
+    }
+  }
+}
+
+TEST(Mlp, WrongInputCountThrows) {
+  // Checked in every build mode: a longer x read past the weight rows.
+  Dense layer;
+  layer.weights = {{0.5, -0.4}};
+  layer.bias = {0.0};
+  for (const std::vector<double>& x :
+       {std::vector<double>{0.1}, std::vector<double>{0.1, 0.2, 0.3}}) {
+    EXPECT_THROW(forward_sc(layer, x), std::invalid_argument) << x.size();
+    EXPECT_THROW(forward_float(layer, x), std::invalid_argument) << x.size();
+  }
+}
+
+TEST(ScDot, UnequalOrEmptySpansThrow) {
+  const std::vector<Bitstream> two = {Bitstream(64), Bitstream(64)};
+  const std::vector<Bitstream> one = {Bitstream(64)};
+  const std::vector<Bitstream> none;
+  EXPECT_THROW(sc_dot_bipolar(two, one), std::invalid_argument);
+  EXPECT_THROW(sc_dot_bipolar(one, two), std::invalid_argument);
+  EXPECT_THROW(sc_dot_bipolar(none, none), std::invalid_argument);
 }
 
 }  // namespace
