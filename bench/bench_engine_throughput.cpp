@@ -6,7 +6,7 @@
 ///      decorrelated, and reduced chunk-at-a-time (never materialized) —
 ///      reports Mbit/s and the peak engine-side buffer.
 ///   2. graph-batch: independent seeded executions of the planner's
-///      product-sum graph fanned through BatchRunner — reports jobs/s and
+///      product-sum graph fanned through Session::map — reports jobs/s and
 ///      verifies bit-identical results against the single-thread run.
 ///   3. tiled-pipeline: the §IV image accelerator with tiles fanned across
 ///      the pool — reports tiles/s.
@@ -31,7 +31,6 @@
 #include "bench_harness.hpp"
 #include "bitstream/correlation.hpp"
 #include "core/decorrelator.hpp"
-#include "engine/batch.hpp"
 #include "engine/chunked_stream.hpp"
 #include "engine/session.hpp"
 #include "engine/thread_pool.hpp"

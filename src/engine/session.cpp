@@ -1,59 +1,53 @@
 #include "engine/session.hpp"
 
+#include <chrono>
+
 #include "obs/telemetry.hpp"
 
 namespace sc::engine {
 
+std::uint64_t job_seed(std::uint64_t base_seed, std::size_t job_index) {
+  // splitmix64: advance by the index, then finalize.
+  std::uint64_t z = base_seed + 0x9e3779b97f4a7c15ULL *
+                                    (static_cast<std::uint64_t>(job_index) + 1);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+std::uint32_t strided_seed32(std::uint64_t base_seed, std::size_t job_index) {
+  const auto base = static_cast<std::uint32_t>(job_seed(base_seed, 0));
+  // 0x9e3779b1 is odd, hence invertible mod 2^w for every w: consecutive
+  // indices cover all residues of a width-w register before repeating.
+  return base + static_cast<std::uint32_t>(job_index) * 0x9e3779b1u;
+}
+
 Session::Session(SessionConfig config)
-    : config_(config), pool_(config.threads), runner_(pool_) {
+    : config_(config), pool_(config.threads) {
   if (config_.chunk_bits == 0) config_.chunk_bits = kDefaultChunkBits;
   telemetry_ = obs::fallback(config_.telemetry);
   pool_.attach_telemetry(telemetry_);
 }
 
-void Session::note_chunked(const ChunkedRunStats& stats) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.chunked_runs;
-    stats_.stream_bits += stats.bits;
+void Session::for_each(std::size_t count,
+                       const std::function<void(std::size_t)>& fn) {
+  if (telemetry_ == nullptr) {
+    pool_.for_each(count, fn);
+    return;
   }
-  if (telemetry_ != nullptr) {
-    obs::MetricsRegistry& metrics = telemetry_->metrics();
-    metrics.counter("engine.chunked_runs").inc();
-    metrics.counter("engine.chunks").add(stats.chunks);
-    metrics.counter("engine.stream_bits").add(stats.bits);
-    metrics.gauge("engine.buffer.peak_bits")
-        .set(static_cast<double>(stats.peak_buffer_bits));
-  }
-}
+  const auto start = std::chrono::steady_clock::now();
+  pool_.for_each(count, fn);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
 
-void Session::note_batch(std::size_t jobs) {
-  BatchStats batch = runner_.last_stats();
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.batches;
-    stats_.jobs += jobs;
-    // The chunked bits accumulated since the previous batch are the bits
-    // this batch's jobs pushed (jobs run synchronously inside map()).
-    batch.stream_bits = stats_.stream_bits - batch_bits_mark_;
-    batch_bits_mark_ = stats_.stream_bits;
-    last_batch_ = batch;
-  }
-  if (telemetry_ != nullptr && batch.stream_bits != 0) {
-    telemetry_->metrics()
-        .gauge("engine.batch.bits_per_second")
-        .set(batch.bits_per_second());
-  }
-}
-
-SessionStats Session::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
-}
-
-BatchStats Session::last_batch() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return last_batch_;
+  obs::MetricsRegistry& metrics = telemetry_->metrics();
+  metrics.counter("engine.batches").inc();
+  metrics.counter("engine.jobs").add(count);
+  metrics.gauge("engine.batch.jobs_per_second")
+      .set(seconds > 0.0 ? static_cast<double>(count) / seconds : 0.0);
+  metrics.histogram("engine.batch.duration_us")
+      .observe(static_cast<std::uint64_t>(seconds * 1e6));
 }
 
 }  // namespace sc::engine

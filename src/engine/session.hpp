@@ -1,6 +1,5 @@
 /// \file session.hpp
-/// Top-level handle of the execution engine: one pool, one batch runner,
-/// one configuration.
+/// Top-level handle of the execution engine: one pool, one configuration.
 ///
 /// A Session is what callers thread through the high-level entry points
 /// (`graph::make_engine_backend`, `img::run_pipeline_tiled`, benches): it owns
@@ -13,13 +12,38 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
+#include <functional>
+#include <type_traits>
+#include <vector>
 
-#include "engine/batch.hpp"
 #include "engine/chunked_stream.hpp"
 #include "engine/thread_pool.hpp"
 
 namespace sc::engine {
+
+/// Mixes a base seed and a job index into an independent 64-bit seed
+/// (splitmix64 finalizer: consecutive indices land far apart, so per-job
+/// LFSRs / generators start decorrelated).
+std::uint64_t job_seed(std::uint64_t base_seed, std::size_t job_index);
+
+/// Per-job 32-bit seed for width-masked generators.  The library's LFSRs
+/// keep only the low `width` bits of their seed (rng::Lfsr masks, then
+/// remaps 0 to 1), so hashed seeds birthday-collide in the low 8 bits
+/// after a few dozen jobs — silently running duplicate RNG schedules.
+/// This variant walks an odd stride from a hashed base, which is a unit
+/// mod every power of two: any 2^w consecutive indices yield 2^w
+/// *distinct* residues mod 2^w, the strongest decorrelation a width-w
+/// generator can express.  Use it whenever the consumer is an LFSR-style
+/// seed; use job_seed for full-width consumers.
+///
+/// Residual limit (pigeonhole): a width-w LFSR has only 2^w - 1 nonzero
+/// states, and rng::Lfsr remaps a masked-zero seed to 1 — so in each
+/// window of 2^w consecutive jobs, the one job whose masked seed is 0
+/// shares that single generator's schedule with the residue-1 job.
+/// Consumers that derive several generators with distinct offsets (the
+/// executor, the pipeline tile engines) only ever alias one
+/// sub-generator per window this way, never a whole job.
+std::uint32_t strided_seed32(std::uint64_t base_seed, std::size_t job_index);
 
 struct SessionConfig {
   /// Worker threads; 0 = one per hardware thread.
@@ -29,19 +53,14 @@ struct SessionConfig {
   /// Base seed of the deterministic per-job seeding scheme.
   std::uint64_t base_seed = 0x5eedULL;
   /// Telemetry context (src/obs/): the session attaches it to its pool
-  /// (queue depth / task wait / backpressure metrics) and folds batch and
-  /// chunked-run accounting into it as engine.* metrics.  Non-owning;
+  /// (queue depth / task wait / backpressure metrics), records each
+  /// map()/for_each() batch into it as engine.batches / engine.jobs /
+  /// engine.batch.*, and engine-backend runs bound to the session also
+  /// record their engine.chunked_runs / engine.chunks /
+  /// engine.stream_bits / engine.buffer.peak_bits there.  Non-owning;
   /// nullptr = env fallback (SC_TRACE/SC_METRICS), exactly as
   /// graph::ExecConfig::telemetry.  Observation never changes results.
   obs::Telemetry* telemetry = nullptr;
-};
-
-/// Lifetime totals across everything a session ran.
-struct SessionStats {
-  std::size_t batches = 0;
-  std::size_t jobs = 0;
-  std::size_t chunked_runs = 0;
-  std::uint64_t stream_bits = 0;  ///< bits pushed through chunked runs
 };
 
 class Session {
@@ -50,62 +69,41 @@ class Session {
 
   const SessionConfig& config() const noexcept { return config_; }
   ThreadPool& pool() noexcept { return pool_; }
-  BatchRunner& runner() noexcept { return runner_; }
   [[nodiscard]] unsigned threads() const noexcept { return pool_.size(); }
   /// The resolved telemetry context (config's, else env; may be nullptr).
   [[nodiscard]] obs::Telemetry* telemetry() const noexcept { return telemetry_; }
 
-  /// Full-width seed for job `index` under this session's base seed
-  /// (hashed; for consumers that use all 64 bits).
-  [[nodiscard]] std::uint64_t seed_for(std::size_t index) const {
-    return job_seed(config_.base_seed, index);
-  }
   /// Width-safe per-job seed for LFSR-style consumers that mask seeds to
   /// their register width — see strided_seed32.
   [[nodiscard]] std::uint32_t strided_seed_for(std::size_t index) const {
     return strided_seed32(config_.base_seed, index);
   }
 
-  /// Runs fn(i) for i in [0, count) across the pool (deterministic result
-  /// order) and records batch stats.
+  /// Runs fn(i) for i in [0, count) across the pool and returns the
+  /// results ordered by index.  R must be default-constructible (results
+  /// are written into preallocated slots).  Rethrows the first job
+  /// exception.
   template <typename R>
   std::vector<R> map(std::size_t count,
                      const std::function<R(std::size_t)>& fn) {
-    std::vector<R> out = runner_.map<R>(count, fn);
-    note_batch(count);
-    return out;
+    static_assert(!std::is_same_v<R, bool>,
+                  "std::vector<bool> packs bits: concurrent writes to "
+                  "distinct indices race; map to char/int instead");
+    std::vector<R> results(count);
+    for_each(count, [&results, &fn](std::size_t i) { results[i] = fn(i); });
+    return results;
   }
 
-  void for_each(std::size_t count, const std::function<void(std::size_t)>& fn) {
-    runner_.for_each(count, fn);
-    note_batch(count);
-  }
-
-  /// Folds a chunked run's accounting into the session totals
-  /// (thread-safe; chunked runs may execute on workers).  With telemetry
-  /// bound, also maintains the engine.chunked_runs / engine.chunks /
-  /// engine.stream_bits counters and the engine.buffer.peak_bits gauge —
-  /// the same names session-less chunked runs record directly.
-  void note_chunked(const ChunkedRunStats& stats);
-
-  [[nodiscard]] SessionStats stats() const;
-
-  /// Stats of the most recent map()/for_each(), including the stream-bits
-  /// delta its jobs pushed through chunked runs (so bits_per_second() is
-  /// meaningful for graph batches).
-  [[nodiscard]] BatchStats last_batch() const;
+  /// Index-only form for jobs that write their own output slots.  With
+  /// telemetry bound, records the batch as engine.batches, engine.jobs,
+  /// the engine.batch.jobs_per_second gauge and the
+  /// engine.batch.duration_us histogram.
+  void for_each(std::size_t count, const std::function<void(std::size_t)>& fn);
 
  private:
-  void note_batch(std::size_t jobs);
-
   SessionConfig config_;
   ThreadPool pool_;
-  BatchRunner runner_;
   obs::Telemetry* telemetry_ = nullptr;
-  mutable std::mutex stats_mutex_;
-  SessionStats stats_;
-  BatchStats last_batch_;
-  std::uint64_t batch_bits_mark_ = 0;  ///< stream_bits at last note_batch
 };
 
 }  // namespace sc::engine

@@ -1,5 +1,5 @@
 /// \file thread_pool.hpp
-/// Fixed-size worker pool with a task queue and futures.
+/// Fixed-size worker pool with one entry point, for_each.
 ///
 /// The engine's unit of parallelism is the *job*: an independent,
 /// deterministic function of its inputs (a graph execution, an image tile,
@@ -9,23 +9,20 @@
 ///
 /// Determinism contract: the pool schedules jobs in an arbitrary order, so
 /// callers that need reproducible output must make every job a pure
-/// function of its index (see BatchRunner::map, which writes each result
-/// into a preallocated slot).  Under that contract results are bit-identical
-/// for every pool size, including 1.
+/// function of its index (see Session::map, which writes each result into a
+/// preallocated slot).  Under that contract results are bit-identical for
+/// every pool size, including 1.
 
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace sc::obs {
@@ -42,7 +39,7 @@ class ThreadPool {
   /// Spawns `threads` workers; 0 means one per hardware thread.
   explicit ThreadPool(unsigned threads = 0);
 
-  /// Drains outstanding tasks, then joins the workers.
+  /// Joins the workers.  No for_each may be in flight.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -51,19 +48,18 @@ class ThreadPool {
   /// Number of worker threads.
   [[nodiscard]] unsigned size() const noexcept { return static_cast<unsigned>(workers_.size()); }
 
-  /// Total tasks completed since construction.
-  [[nodiscard]] std::size_t tasks_executed() const noexcept;
-
-  /// Enqueues a callable; the returned future delivers its result (or
-  /// rethrows its exception).
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> result = task->get_future();
-    enqueue([task] { (*task)(); });
-    return result;
-  }
+  /// Runs body(i) for every i in [0, count) and returns once every index
+  /// has run.  The indices are split into min(count, 4 x size())
+  /// contiguous blocks, so a slow block does not serialize the tail and
+  /// the queue never holds one task per index.  After every block has
+  /// finished — blocks may reference the caller's frame — rethrows the
+  /// first exception a block threw (a block stops at its throwing index).
+  ///
+  /// Called from one of this pool's own workers (a job that fans out
+  /// again, e.g. an engine-backend run inside Session::map on the same
+  /// session), the indices run inline on that worker: waiting on the queue
+  /// there could deadlock once every worker waits.
+  void for_each(std::size_t count, const std::function<void(std::size_t)>& body);
 
   /// Resolved worker count for a requested thread count (0 = hardware).
   static unsigned resolve_threads(unsigned requested);
@@ -71,46 +67,43 @@ class ThreadPool {
   /// Binds (or, with nullptr, unbinds) a telemetry context.  While bound,
   /// the pool maintains the "engine.pool.queue_depth" gauge (value + max),
   /// the "engine.pool.task_wait_us" histogram (enqueue -> dequeue latency),
-  /// and the "engine.pool.backpressure_stalls" counter (submissions that
-  /// found work already queued, i.e. every worker busy).  Unbound — the
-  /// default — the queue carries no timestamps and no clock is read.
-  /// Call before submitting work; instrument pointers are swapped under
-  /// the queue lock.
+  /// and the "engine.pool.backpressure_stalls" counter (blocks enqueued
+  /// while the queue already held work, a for_each's own earlier blocks
+  /// included).  Unbound — the default — the queue carries no timestamps
+  /// and no clock is read.  Call before running work; instrument pointers
+  /// are swapped under the queue lock.
   void attach_telemetry(obs::Telemetry* telemetry);
 
-  /// The bound telemetry context (nullptr when unbound).
-  [[nodiscard]] obs::Telemetry* telemetry() const noexcept { return telemetry_; }
-
  private:
-  /// Queue entry: the callable plus its enqueue timestamp (0 when the pool
-  /// had no telemetry at submission — no clock read on the untracked path).
-  struct Task {
-    std::function<void()> fn;
+  /// One for_each call's shared state (thread_pool.cpp), guarded by
+  /// mutex_; it lives on the caller's stack until its last block has
+  /// finished.
+  struct Batch;
+
+  /// Queue entry: indices [lo, hi) of one batch plus the enqueue timestamp
+  /// (0 when the pool had no telemetry — no clock read on that path).
+  struct Block {
+    Batch* batch = nullptr;
+    std::size_t lo = 0;
+    std::size_t hi = 0;
     std::uint64_t enqueued_us = 0;
   };
 
-  void enqueue(std::function<void()> task);
   void worker_loop();
+  static std::exception_ptr run_block(const Block& block);
 
-  std::vector<std::thread> workers_;
-  std::queue<Task> queue_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::atomic<std::size_t> executed_{0};
+  std::mutex mutex_;
+  std::queue<Block> queue_;         // guarded by mutex_
+  bool stop_ = false;               // guarded by mutex_
+  std::condition_variable cv_;      // work queued, or stop_
+  std::condition_variable done_;    // a block finished
 
-  obs::Telemetry* telemetry_ = nullptr;  // guarded by mutex_ for writes
-  obs::Gauge* queue_depth_ = nullptr;
+  obs::Gauge* queue_depth_ = nullptr;  // guarded by mutex_
   obs::Histogram* task_wait_ = nullptr;
   obs::Counter* stalls_ = nullptr;
-};
 
-/// Runs body(i) for every i in [begin, end) across the pool and waits for
-/// completion.  Indices are grouped into contiguous blocks (at least `grain`
-/// indices per task) to amortize queue traffic.  Rethrows the first task
-/// exception.
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t grain = 1);
+  // Last: the workers use every member above.
+  std::vector<std::thread> workers_;
+};
 
 }  // namespace sc::engine

@@ -156,6 +156,18 @@ void record_run_metrics(obs::Telemetry* telemetry, const char* backend,
       .add(derived_seeds(program, plan, config).size() * n);
 }
 
+/// An engine run's chunked accounting.
+void record_chunked_run(obs::Telemetry* telemetry,
+                        const engine::ChunkedRunStats& stats) {
+  if (telemetry == nullptr) return;
+  obs::MetricsRegistry& metrics = telemetry->metrics();
+  metrics.counter("engine.chunked_runs").inc();
+  metrics.counter("engine.chunks").add(stats.chunks);
+  metrics.counter("engine.stream_bits").add(stats.bits);
+  metrics.gauge("engine.buffer.peak_bits")
+      .set(static_cast<double>(stats.peak_buffer_bits));
+}
+
 /// Resolves the telemetry's probe specs against the *executed* program
 /// (same name contract as fault plans: absent edges are skipped).
 obs::ProbeSet make_probe_set(obs::Telemetry* telemetry,
@@ -459,7 +471,7 @@ ExecutionResult execute(const Program& program, const ProgramPlan& plan,
       // Nodes of one level only read lower-level chunks, so they advance
       // independently; fan them across the session pool when it helps.
       if (session != nullptr && session->threads() > 1 && level.size() > 1) {
-        session->runner().for_each(level.size(), [&](std::size_t i) {
+        session->pool().for_each(level.size(), [&](std::size_t i) {
           advance_node(level[i], take, offset);
         });
       } else {
@@ -483,19 +495,13 @@ ExecutionResult execute(const Program& program, const ProgramPlan& plan,
   }
 
   if (engine_run) {
-    stats.peak_buffer_bits = program.node_count() * chunk_bits;
-    if (session != nullptr) session->note_chunked(stats);
-    if (telemetry != nullptr &&
-        (session == nullptr || session->telemetry() != telemetry)) {
-      // Runs whose telemetry the session does not carry record the chunked
-      // accounting directly (a bound session's note_chunked uses the same
-      // metric names, into its own registry).
-      obs::MetricsRegistry& metrics = telemetry->metrics();
-      metrics.counter("engine.chunked_runs").inc();
-      metrics.counter("engine.chunks").add(stats.chunks);
-      metrics.counter("engine.stream_bits").add(stats.bits);
-      metrics.gauge("engine.buffer.peak_bits")
-          .set(static_cast<double>(stats.peak_buffer_bits));
+    // Each node holds one chunk of at most n bits.
+    stats.peak_buffer_bits = program.node_count() * std::min(chunk_bits, n);
+    obs::Telemetry* const session_telemetry =
+        session != nullptr ? session->telemetry() : nullptr;
+    record_chunked_run(telemetry, stats);
+    if (session_telemetry != telemetry) {
+      record_chunked_run(session_telemetry, stats);
     }
   }
   if (telemetry != nullptr) {

@@ -18,8 +18,10 @@
 ///    carried across chunk boundaries, so arbitrarily long streams execute
 ///    in O(nodes x chunk) memory (set ExecConfig::keep_streams = false);
 ///    optionally bound to an engine::Session whose pool fans independent
-///    nodes of each topological level and whose chunk size / accounting it
-///    uses.
+///    nodes of each topological level and whose chunk size it uses.  Each
+///    run records its chunked accounting (engine.chunked_runs,
+///    engine.chunks, engine.stream_bits, engine.buffer.peak_bits) into the
+///    run's telemetry and, when it is a different registry, the session's.
 ///
 /// Regeneration fixes are inherently stream-wide (they count the whole
 /// operand before re-encoding), so a plan containing one runs as one n-bit
@@ -139,9 +141,9 @@ std::unique_ptr<ExecutorBackend> make_backend(BackendKind kind);
 
 /// Engine backend bound to a session: uses its chunk size, fans the nodes
 /// of each topological level across its pool, and records chunked-run
-/// stats.  The session must outlive the backend.  Do not call run() from
-/// inside one of the same session's jobs (the fan-out would self-deadlock
-/// on the pool).
+/// stats into the session's telemetry too.  The session must outlive the
+/// backend.  run() may be called from inside one of the same session's
+/// jobs: on a pool worker the fan-out runs inline (ThreadPool::for_each).
 std::unique_ptr<ExecutorBackend> make_engine_backend(engine::Session& session);
 
 /// Every auxiliary seed a run of `plan` on `program` derives, in

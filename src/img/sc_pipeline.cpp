@@ -13,7 +13,6 @@
 #include "common/simd.hpp"
 #include "convert/regenerator.hpp"
 #include "core/synchronizer.hpp"
-#include "engine/batch.hpp"
 #include "engine/session.hpp"
 #include "hw/designs.hpp"
 #include "img/kernels.hpp"

@@ -2,34 +2,10 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
-
-#include "obs/telemetry.hpp"
 
 namespace sc::obs {
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string fmt_double(double v) {
   char buf[64];
@@ -67,18 +43,6 @@ std::string label_block(const Labels& labels, const std::string& extra_key = "",
   if (!extra_key.empty()) {
     if (!first) out += ",";
     out += extra_key + "=\"" + label_escape(extra_value) + "\"";
-  }
-  out += "}";
-  return out;
-}
-
-std::string labels_json(const Labels& labels) {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) out += ", ";
-    out += "\"" + json_escape(k) + "\": \"" + json_escape(v) + "\"";
-    first = false;
   }
   out += "}";
   return out;
@@ -133,114 +97,6 @@ std::string prometheus_text(const MetricsSnapshot& snapshot,
     out << pname << "_count" << block << " " << hist.count << "\n";
   }
   return out.str();
-}
-
-void write_prometheus(const MetricsSnapshot& snapshot, const std::string& path,
-                      const Labels& labels) {
-  std::ofstream out(path, std::ios::trunc);
-  out << prometheus_text(snapshot, labels);
-}
-
-std::string jsonl_records(const MetricsSnapshot& snapshot, const Labels& labels,
-                          std::uint64_t ts_ms) {
-  std::ostringstream out;
-  const std::string label_suffix =
-      ", \"labels\": " + labels_json(labels) + "}\n";
-  const std::string stamp = "{\"ts_ms\": " + std::to_string(ts_ms) + ", ";
-
-  for (const auto& [name, value] : snapshot.counters) {
-    out << stamp << "\"name\": \"" << json_escape(name)
-        << "\", \"kind\": \"counter\", \"value\": " << value << label_suffix;
-  }
-  for (const auto& [name, vm] : snapshot.gauges) {
-    out << stamp << "\"name\": \"" << json_escape(name)
-        << "\", \"kind\": \"gauge\", \"value\": " << fmt_double(vm.first)
-        << ", \"max\": " << fmt_double(vm.second) << label_suffix;
-  }
-  for (const auto& [name, hist] : snapshot.histograms) {
-    out << stamp << "\"name\": \"" << json_escape(name)
-        << "\", \"kind\": \"histogram\", \"count\": " << hist.count
-        << ", \"sum\": " << hist.sum
-        << ", \"mean\": " << fmt_double(hist.mean())
-        << ", \"p50\": " << fmt_double(hist.quantile(0.5))
-        << ", \"p99\": " << fmt_double(hist.quantile(0.99)) << label_suffix;
-  }
-  return out.str();
-}
-
-// -------------------------------------------------------------- JsonlSink
-
-JsonlSink::JsonlSink(std::string path, Labels labels)
-    : path_(std::move(path)), labels_(std::move(labels)) {}
-
-bool JsonlSink::append(const MetricsSnapshot& snapshot) {
-  const auto now = std::chrono::system_clock::now().time_since_epoch();
-  const auto ts_ms = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(now).count());
-  const std::string records = jsonl_records(snapshot, labels_, ts_ms);
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::ofstream out(path_, std::ios::app);
-  if (!out) return false;
-  out << records;
-  std::uint64_t lines = 0;
-  for (const char c : records) lines += c == '\n' ? 1 : 0;
-  lines_ += lines;
-  return true;
-}
-
-std::uint64_t JsonlSink::lines_written() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return lines_;
-}
-
-// ------------------------------------------------------- PeriodicExporter
-
-PeriodicExporter::PeriodicExporter(Telemetry& telemetry, ExportConfig config)
-    : telemetry_(telemetry),
-      config_(std::move(config)),
-      jsonl_(config_.jsonl_path, config_.labels) {
-  thread_ = std::thread([this] { run(); });
-}
-
-PeriodicExporter::~PeriodicExporter() { stop(); }
-
-void PeriodicExporter::run() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (!stopping_) {
-    if (cv_.wait_for(lock, config_.interval, [this] { return stopping_; })) {
-      break;
-    }
-    lock.unlock();
-    export_once();
-    lock.lock();
-  }
-}
-
-void PeriodicExporter::export_once() {
-  const MetricsSnapshot snapshot = telemetry_.snapshot();
-  if (!config_.prometheus_path.empty()) {
-    write_prometheus(snapshot, config_.prometheus_path, config_.labels);
-  }
-  if (!config_.jsonl_path.empty()) {
-    jsonl_.append(snapshot);
-  }
-  flushes_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void PeriodicExporter::flush_now() { export_once(); }
-
-void PeriodicExporter::stop() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_ && !thread_.joinable()) return;
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) {
-    thread_.join();
-    export_once();  // final flush: the last window is never lost
-  }
 }
 
 }  // namespace sc::obs

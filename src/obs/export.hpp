@@ -1,54 +1,30 @@
 /// \file export.hpp
-/// Metric export sinks: the scrape/aggregation surface of the telemetry
-/// subsystem.
+/// Prometheus text exposition of a MetricsSnapshot: the scrape surface of
+/// the telemetry subsystem.
 ///
-/// Two wire formats over the same MetricsSnapshot:
+/// Instrument names are sanitized to the Prometheus grammar
+/// ("engine.pool.queue_depth" -> "sc_engine_pool_queue_depth"), counters
+/// export as counters, gauges as a value gauge plus a "_max" high-water
+/// gauge, and the log2 histograms as native Prometheus histograms with
+/// exact inclusive bucket bounds (bucket k holds values in [2^(k-1), 2^k),
+/// so its upper bound is le="2^k - 1") plus _sum/_count.
 ///
-///  * Prometheus text exposition (prometheus_text / write_prometheus) —
-///    the de-facto scrape format.  Instrument names are sanitized to the
-///    Prometheus grammar ("engine.pool.queue_depth" ->
-///    "sc_engine_pool_queue_depth"), counters export as counters, gauges
-///    as a value gauge plus a "_max" high-water gauge, and the log2
-///    histograms as native Prometheus histograms with exact inclusive
-///    bucket bounds (bucket k holds values in [2^(k-1), 2^k), so its
-///    upper bound is le="2^k - 1") plus _sum/_count.
+/// Labels: an ordered (key, value) label set stamped on each sample —
+/// `tenant`, `session`, and `backend` are the conventional keys; nothing
+/// restricts the set.
 ///
-///  * Append-only JSONL time series (JsonlSink / jsonl_records) — one
-///    self-describing line per instrument per flush, wall-clock stamped:
-///      {"ts_ms":...,"name":"backend.runs","kind":"counter","value":7,
-///       "labels":{"tenant":"acme"}}
-///    Lines only ever append, so the file is a durable time series any
-///    `jq`/pandas one-liner can aggregate — the poor-man's TSDB the
-///    multi-tenant server can ship per tenant before a real one exists.
-///
-/// Labels: every sink takes an ordered (key, value) label set stamped on
-/// each sample — `tenant`, `session`, and `backend` are the conventional
-/// keys the ROADMAP server will populate; nothing restricts the set.
-///
-/// PeriodicExporter is the always-on glue: a background thread that
-/// snapshots a Telemetry every `interval` and rewrites the Prometheus
-/// file / appends to the JSONL file, so an external scraper (or tail -f)
-/// sees fresh numbers without the workload ever calling flush().  The
-/// thread holds no locks while exporting (snapshots are value copies) and
-/// shuts down promptly on stop()/destruction, flushing once more so the
-/// last window is never lost.
+/// Telemetry::flush writes this exposition to SC_PROM /
+/// TelemetryConfig::prometheus_path.
 
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
-#include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
 
 namespace sc::obs {
-
-class Telemetry;
 
 /// Ordered label set stamped on every exported sample.
 using Labels = std::vector<std::pair<std::string, std::string>>;
@@ -60,82 +36,5 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 /// Full text exposition of a snapshot (# TYPE comments + samples).
 [[nodiscard]] std::string prometheus_text(const MetricsSnapshot& snapshot,
                                           const Labels& labels = {});
-
-/// Whole-file rewrite of the exposition (atomic enough for scrapers that
-/// re-read per scrape).
-void write_prometheus(const MetricsSnapshot& snapshot, const std::string& path,
-                      const Labels& labels = {});
-
-/// One JSONL line per instrument, newline-terminated, stamped `ts_ms`
-/// (milliseconds since the Unix epoch; pass your own for testability).
-[[nodiscard]] std::string jsonl_records(const MetricsSnapshot& snapshot,
-                                        const Labels& labels,
-                                        std::uint64_t ts_ms);
-
-/// Append-only JSONL time-series sink.  Each append() stamps the current
-/// wall clock and appends one line per instrument; the file is opened in
-/// append mode per call so concurrent sinks interleave whole lines.
-class JsonlSink {
- public:
-  explicit JsonlSink(std::string path, Labels labels = {});
-
-  /// Appends the snapshot; returns false if the file could not be opened.
-  bool append(const MetricsSnapshot& snapshot);
-
-  [[nodiscard]] const std::string& path() const { return path_; }
-  [[nodiscard]] std::uint64_t lines_written() const;
-
- private:
-  std::string path_;
-  Labels labels_;
-  mutable std::mutex mutex_;
-  std::uint64_t lines_ = 0;
-};
-
-struct ExportConfig {
-  std::string prometheus_path;  ///< empty = no Prometheus file
-  std::string jsonl_path;       ///< empty = no JSONL series
-  Labels labels;
-  std::chrono::milliseconds interval{1000};
-};
-
-/// Background flusher: exports a Telemetry's snapshot on a fixed cadence
-/// until stop() (or destruction).  One exporter per (telemetry, config);
-/// multiple exporters over one telemetry are fine — snapshots are value
-/// copies and the sinks never share file handles.
-class PeriodicExporter {
- public:
-  PeriodicExporter(Telemetry& telemetry, ExportConfig config);
-  ~PeriodicExporter();
-
-  PeriodicExporter(const PeriodicExporter&) = delete;
-  PeriodicExporter& operator=(const PeriodicExporter&) = delete;
-
-  /// Synchronous export of the current snapshot (also counted).
-  void flush_now();
-
-  /// Stops the background thread after one final flush.  Idempotent.
-  void stop();
-
-  /// Completed exports (periodic + flush_now + the stop flush).
-  [[nodiscard]] std::uint64_t flush_count() const {
-    return flushes_.load(std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] const ExportConfig& config() const { return config_; }
-
- private:
-  void run();
-  void export_once();
-
-  Telemetry& telemetry_;
-  ExportConfig config_;
-  JsonlSink jsonl_;
-  std::atomic<std::uint64_t> flushes_{0};
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
-  std::thread thread_;
-};
 
 }  // namespace sc::obs

@@ -34,9 +34,12 @@
 /// none of the variables set, env_telemetry() returns nullptr forever and
 /// never allocates — the disabled path stays state-free.
 ///
-/// Instrument families by prefix: backend.* / session.* (execution),
-/// plan.* (planner), opt.* (optimizer passes), fault.* (injection), and
-/// analysis.* — the static analyzer (analysis/analyzer.hpp) records an
+/// Instrument families by prefix: backend.* (executor runs), engine.*
+/// (the session pool's queue, Session::map/for_each batches, and engine
+/// runs' chunked accounting), planner.* (planner), opt.* (optimizer
+/// passes), fault.* (injection), probe.* (stream-health probes),
+/// trace.dropped_events (the trace ring), and analysis.* — the static
+/// analyzer (analysis/analyzer.hpp) records an
 /// "analysis.analyze" span plus analysis.runs / analysis.pairs_checked /
 /// analysis.diagnostics (and errors / warnings / seed_collisions /
 /// redundant_fixes) counters, so a traced run shows how much wall time

@@ -24,6 +24,7 @@
 #include "graph/seeds.hpp"
 #include "graph_fixtures.hpp"
 #include "img/sc_pipeline.hpp"
+#include "obs/telemetry.hpp"
 #include "rng/lfsr.hpp"
 
 namespace sc::graph {
@@ -190,7 +191,8 @@ TEST(Backends, EngineMatchesKernelAcrossChunkBoundaries) {
   // Tiny session chunks force many boundary crossings (1000 = 7x128 + 104,
   // with a non-word tail); the pooled engine backend must still match the
   // whole-stream kernel path bit for bit.
-  engine::Session session({2, /*chunk_bits=*/128, 0x5eed});
+  obs::Telemetry telemetry;
+  engine::Session session({2, /*chunk_bits=*/128, 0x5eed, &telemetry});
   const auto engine_backend = make_engine_backend(session);
   const auto kernel_backend = make_backend(BackendKind::kKernel);
 
@@ -199,8 +201,10 @@ TEST(Backends, EngineMatchesKernelAcrossChunkBoundaries) {
   const ExecutionResult chunked = engine_backend->run(p, plan, config);
   const ExecutionResult whole = kernel_backend->run(p, plan, config);
   expect_identical(chunked, whole, "chunked-vs-whole");
-  EXPECT_GT(session.stats().chunked_runs, 0u);
-  EXPECT_EQ(session.stats().stream_bits, 1000u);
+  const obs::MetricsSnapshot snapshot = telemetry.snapshot();
+  EXPECT_EQ(snapshot.counters.at("engine.chunked_runs"), 1u);
+  EXPECT_EQ(snapshot.counters.at("engine.chunks"), 8u);
+  EXPECT_EQ(snapshot.counters.at("engine.stream_bits"), 1000u);
 }
 
 TEST(Backends, EngineRunsLongStreamsWithoutMaterializing) {

@@ -22,7 +22,6 @@
 #include "core/pair_transform.hpp"
 #include "core/synchronizer.hpp"
 #include "core/tfm.hpp"
-#include "engine/batch.hpp"
 #include "engine/chunked_stream.hpp"
 #include "engine/session.hpp"
 #include "engine/thread_pool.hpp"
@@ -31,6 +30,7 @@
 #include "graph/program.hpp"
 #include "img/image.hpp"
 #include "img/sc_pipeline.hpp"
+#include "obs/telemetry.hpp"
 #include "rng/lfsr.hpp"
 #include "test_util.hpp"
 
@@ -39,57 +39,31 @@ namespace {
 
 // --- thread pool ---------------------------------------------------------------
 
-TEST(ThreadPool, SubmitDeliversResults) {
+TEST(ThreadPool, ForEachCoversEveryIndexOnce) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.size(), 4u);
-  auto f1 = pool.submit([] { return 41 + 1; });
-  auto f2 = pool.submit([] { return std::string("ok"); });
-  EXPECT_EQ(f1.get(), 42);
-  EXPECT_EQ(f2.get(), "ok");
-}
-
-TEST(ThreadPool, FuturePropagatesException) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for(pool, 0, hits.size(),
-               [&hits](std::size_t i) { hits[i].fetch_add(1); });
+  pool.for_each(hits.size(), [&hits](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, ParallelForDrainsBeforeRethrowing) {
+TEST(ThreadPool, ForEachDrainsBeforeRethrowing) {
   // An early job failure must not unwind while queued blocks still hold
-  // references into the caller's frame: parallel_for may only rethrow
-  // after every block has finished.
+  // references into the caller's frame: for_each may only rethrow after
+  // every block has finished.
   ThreadPool pool(4);
   std::atomic<int> ran{0};
-  EXPECT_THROW(
-      parallel_for(pool, 0, 200,
-                   [&ran](std::size_t i) {
-                     if (i == 0) throw std::runtime_error("boom");
-                     std::this_thread::sleep_for(std::chrono::microseconds(50));
-                     ran.fetch_add(1);
-                   }),
-      std::runtime_error);
+  EXPECT_THROW(pool.for_each(200,
+                             [&ran](std::size_t i) {
+                               if (i == 0) throw std::runtime_error("boom");
+                               std::this_thread::sleep_for(
+                                   std::chrono::microseconds(50));
+                               ran.fetch_add(1);
+                             }),
+               std::runtime_error);
   const int settled = ran.load();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   EXPECT_EQ(ran.load(), settled);  // no task still touching `ran` after return
-}
-
-TEST(ThreadPool, DestructorDrainsQueue) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 64; ++i) {
-      pool.submit([&ran] { ran.fetch_add(1); });
-    }
-  }  // destructor must finish all 64, not drop queued work
-  EXPECT_EQ(ran.load(), 64);
 }
 
 // --- seeding -------------------------------------------------------------------
@@ -102,17 +76,15 @@ TEST(ThreadPool, ZeroRequestAlwaysResolvesToAtLeastOneWorker) {
   EXPECT_EQ(ThreadPool::resolve_threads(3), 3u);
   ThreadPool pool(0);
   EXPECT_GE(pool.size(), 1u);
-  auto f = pool.submit([] { return 41 + 1; });
-  EXPECT_EQ(f.get(), 42);
+  std::atomic<int> ran{0};
+  pool.for_each(3, [&ran](std::size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 3);
 }
 
 TEST(JobSeed, DeterministicAndDistinct) {
   EXPECT_EQ(job_seed(7, 3), job_seed(7, 3));
   EXPECT_NE(job_seed(7, 3), job_seed(7, 4));
   EXPECT_NE(job_seed(7, 3), job_seed(8, 3));
-  for (std::size_t i = 0; i < 1000; ++i) {
-    EXPECT_NE(job_seed32(0, i), 0u);  // LFSR seeds must never be zero
-  }
 }
 
 TEST(JobSeed, StridedSeedsDistinctInLowWidthBits) {
@@ -277,26 +249,46 @@ graph::Program batch_graph() {
 }
 
 TEST(Session, MapPreservesIndexOrder) {
-  Session session({4, kDefaultChunkBits, 99});
+  obs::Telemetry telemetry;
+  Session session({4, kDefaultChunkBits, 99, &telemetry});
   const std::vector<std::size_t> out = session.map<std::size_t>(
       100, [](std::size_t i) { return i * i; });
   ASSERT_EQ(out.size(), 100u);
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
-  EXPECT_EQ(session.stats().jobs, 100u);
-  EXPECT_EQ(session.stats().batches, 1u);
+  const obs::MetricsSnapshot snapshot = telemetry.snapshot();
+  EXPECT_EQ(snapshot.counters.at("engine.jobs"), 100u);
+  EXPECT_EQ(snapshot.counters.at("engine.batches"), 1u);
+}
 
-  // Chunked-run accounting is caller-folded: jobs report their run stats
-  // back into the session (safe from worker threads).  Each job reports
-  // one 512-bit run in four 128-bit chunks.
-  session.for_each(4, [&session](std::size_t) {
-    ChunkedRunStats stats;
-    stats.bits = 512;
-    stats.chunks = 4;
-    stats.peak_buffer_bits = 128;
-    session.note_chunked(stats);
-  });
-  EXPECT_EQ(session.stats().chunked_runs, 4u);
-  EXPECT_EQ(session.stats().stream_bits, 4u * 512u);
+TEST(Session, MapJobsMayRunTheSessionsEngineBackend) {
+  // A job that runs an engine backend bound to its own session fans the
+  // program's levels out from a pool worker; those run inline there
+  // rather than waiting on a queue that every worker may be waiting on.
+  graph::GraphBuilder b;
+  const graph::Value x = b.input("x", 0.6, 0);
+  const graph::Value y = b.input("y", 0.3, 1);
+  b.output(b.op("multiply", {x, y}), "xy");
+  const graph::Program g = b.build();
+  const graph::ProgramPlan plan =
+      graph::plan_program(g, graph::Strategy::kManipulation);
+
+  for (const unsigned threads : {1u, 2u}) {
+    Session session({threads, 256, 0x5eed});
+    const auto backend = graph::make_engine_backend(session);
+    std::vector<graph::ExecConfig> configs(4);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      configs[i].stream_length = 1000;
+      configs[i].seed = session.strided_seed_for(i);
+    }
+    const std::vector<double> nested = session.map<double>(
+        configs.size(), [&](std::size_t i) {
+          return backend->run(g, plan, configs[i]).values.at(0);
+        });
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      EXPECT_EQ(nested[i], backend->run(g, plan, configs[i]).values.at(0))
+          << threads << " workers, job " << i;
+    }
+  }
 }
 
 TEST(GraphBatch, BitIdenticalAcrossThreadCounts) {

@@ -1,18 +1,14 @@
 /// \file export_test.cpp
-/// The metric export sinks (src/obs/export.hpp): Prometheus text
-/// exposition (with an in-test grammar validator), the append-only JSONL
-/// time series, label stamping, and the periodic background flusher.
+/// The Prometheus text exposition (src/obs/export.hpp): name
+/// sanitization, the exposition checked by an in-test grammar validator,
+/// histogram buckets, label stamping, and the trace ring's drop counter.
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cstdio>
+#include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -144,109 +140,8 @@ TEST(Prometheus, LabelsStampedOnEverySample) {
   EXPECT_NE(text.find("backend=\"engine\",le=\"+Inf\""), std::string::npos);
 }
 
-TEST(Jsonl, OneSelfDescribingLinePerInstrument) {
-  Telemetry telemetry({false});
-  populated_registry(telemetry);
-  const Labels labels = {{"tenant", "acme"}};
-  const std::string records =
-      jsonl_records(telemetry.snapshot(), labels, 1754600000000ull);
-
-  std::istringstream in(records);
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(in, line)) {
-    EXPECT_EQ(line.front(), '{') << line;
-    EXPECT_EQ(line.back(), '}') << line;
-    EXPECT_NE(line.find("\"ts_ms\": 1754600000000"), std::string::npos);
-    EXPECT_NE(line.find("\"labels\": {\"tenant\": \"acme\"}"),
-              std::string::npos);
-    ++lines;
-  }
-  // 2 counters + 1 gauge + 1 histogram.
-  EXPECT_EQ(lines, 4u);
-  EXPECT_NE(records.find("\"kind\": \"histogram\""), std::string::npos);
-  EXPECT_NE(records.find("\"p99\":"), std::string::npos);
-}
-
-TEST(Jsonl, SinkAppendsAndCounts) {
-  const std::string path = ::testing::TempDir() + "sc_export_test.jsonl";
-  std::remove(path.c_str());
-  Telemetry telemetry({false});
-  populated_registry(telemetry);
-
-  JsonlSink sink(path, {{"backend", "kernel"}});
-  ASSERT_TRUE(sink.append(telemetry.snapshot()));
-  ASSERT_TRUE(sink.append(telemetry.snapshot()));
-  EXPECT_EQ(sink.lines_written(), 8u);
-
-  std::ifstream in(path);
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(in, line)) ++lines;
-  EXPECT_EQ(lines, 8u) << "append-only: two flushes accumulate";
-  std::remove(path.c_str());
-}
-
-TEST(PeriodicExporter, FlushesOnCadenceAndOnStop) {
-  const std::string prom = ::testing::TempDir() + "sc_export_test.prom";
-  const std::string jsonl = ::testing::TempDir() + "sc_export_test_p.jsonl";
-  std::remove(prom.c_str());
-  std::remove(jsonl.c_str());
-
-  Telemetry telemetry({false});
-  populated_registry(telemetry);
-  ExportConfig config;
-  config.prometheus_path = prom;
-  config.jsonl_path = jsonl;
-  config.labels = {{"tenant", "acme"}};
-  config.interval = std::chrono::milliseconds(5);
-  {
-    PeriodicExporter exporter(telemetry, config);
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    exporter.stop();
-    const std::uint64_t flushed = exporter.flush_count();
-    EXPECT_GE(flushed, 2u) << "periodic flushes plus the stop flush";
-    exporter.stop();  // idempotent
-    EXPECT_EQ(exporter.flush_count(), flushed);
-  }
-
-  std::ifstream prom_in(prom);
-  std::ostringstream prom_text;
-  prom_text << prom_in.rdbuf();
-  validate_prometheus(prom_text.str());
-  EXPECT_NE(prom_text.str().find("tenant=\"acme\""), std::string::npos);
-
-  std::ifstream jsonl_in(jsonl);
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(jsonl_in, line)) ++lines;
-  EXPECT_GE(lines, 8u) << "at least two windows of 4 instruments";
-  std::remove(prom.c_str());
-  std::remove(jsonl.c_str());
-}
-
-TEST(PeriodicExporter, FlushNowIsSynchronous) {
-  Telemetry telemetry({false});
-  populated_registry(telemetry);
-  const std::string jsonl = ::testing::TempDir() + "sc_export_now.jsonl";
-  std::remove(jsonl.c_str());
-  ExportConfig config;
-  config.jsonl_path = jsonl;
-  config.interval = std::chrono::hours(1);  // cadence never fires
-  PeriodicExporter exporter(telemetry, config);
-  exporter.flush_now();
-  EXPECT_GE(exporter.flush_count(), 1u);
-  std::ifstream in(jsonl);
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(in, line)) ++lines;
-  EXPECT_EQ(lines, 4u);
-  exporter.stop();
-  std::remove(jsonl.c_str());
-}
-
 /// Exporting a tracing-enabled telemetry carries the ring-health counter.
-TEST(PeriodicExporter, TraceDropCounterReachesTheExposition) {
+TEST(Prometheus, TraceDropCounterReachesTheExposition) {
   TelemetryConfig tconfig;
   tconfig.trace_capacity = 4;
   Telemetry telemetry(tconfig);

@@ -412,8 +412,88 @@ TEST(Metrics, EngineRunsOfRegenerationPlansAreRecordedAsEngineRuns) {
   EXPECT_EQ(counter("engine.chunked_runs"), 1u);
   EXPECT_EQ(counter("engine.chunks"), 1u);
   EXPECT_EQ(counter("engine.stream_bits"), 1000u);
-  EXPECT_EQ(session.stats().chunked_runs, 1u);
-  EXPECT_EQ(session.stats().stream_bits, 1000u);
+}
+
+// An engine run's accounting is recorded once, by the executor, into the
+// run's registry and (when different) the session's; the level fan-out is
+// not a Session batch.
+
+/// x, y -> multiply: level 0 holds two nodes, so a pooled run fans it out.
+graph::Program product_program() {
+  graph::GraphBuilder b;
+  const graph::Value x = b.input("x", 0.6, 0);
+  const graph::Value y = b.input("y", 0.3, 1);
+  b.output(b.op("multiply", {x, y}), "xy");
+  return b.build();
+}
+
+std::uint64_t counter_of(const MetricsSnapshot& snapshot,
+                         const std::string& name) {
+  const auto it = snapshot.counters.find(name);
+  return it == snapshot.counters.end() ? std::uint64_t{0} : it->second;
+}
+
+TEST(EngineAccounting, PooledRunRecordsOneChunkedRunAndNoBatch) {
+  using namespace sc::graph;
+  const Program program = product_program();
+  const ProgramPlan plan = plan_program(program, Strategy::kManipulation);
+
+  Telemetry telemetry;
+  engine::Session session({2, 4096, 0x5eed, &telemetry});
+  ExecConfig config;
+  config.stream_length = 1000;
+  config.telemetry = &telemetry;
+  make_engine_backend(session)->run(program, plan, config);
+
+  const MetricsSnapshot snapshot = telemetry.snapshot();
+  EXPECT_EQ(counter_of(snapshot, "engine.chunked_runs"), 1u);
+  EXPECT_EQ(counter_of(snapshot, "engine.chunks"), 1u);
+  EXPECT_EQ(counter_of(snapshot, "engine.stream_bits"), 1000u);
+  EXPECT_EQ(snapshot.counters.count("engine.batches"), 0u);
+  EXPECT_EQ(snapshot.counters.count("engine.jobs"), 0u);
+}
+
+TEST(EngineAccounting, PeakBufferIsOneChunkOfAtMostTheStreamPerNode) {
+  using namespace sc::graph;
+  const Program program = product_program();
+  const ProgramPlan plan = plan_program(program, Strategy::kManipulation);
+  ASSERT_EQ(program.node_count(), 3u);
+
+  for (const auto& [bits, peak] :
+       {std::pair<std::size_t, double>{1000, 3.0 * 1000},
+        std::pair<std::size_t, double>{10000, 3.0 * 4096}}) {
+    Telemetry telemetry;
+    engine::Session session({1, 4096, 0x5eed, &telemetry});
+    ExecConfig config;
+    config.stream_length = bits;
+    make_engine_backend(session)->run(program, plan, config);
+    EXPECT_EQ(telemetry.snapshot().gauges.at("engine.buffer.peak_bits").first,
+              peak)
+        << bits << "-bit run";
+  }
+}
+
+TEST(EngineAccounting, SeparateRunAndSessionRegistriesCountOnceEach) {
+  using namespace sc::graph;
+  const Program program = product_program();
+  const ProgramPlan plan = plan_program(program, Strategy::kManipulation);
+
+  Telemetry run_telemetry;
+  Telemetry session_telemetry;
+  engine::Session session({2, 256, 0x5eed, &session_telemetry});
+  ExecConfig config;
+  config.stream_length = 1000;
+  config.telemetry = &run_telemetry;
+  make_engine_backend(session)->run(program, plan, config);
+
+  for (Telemetry* telemetry : {&run_telemetry, &session_telemetry}) {
+    const MetricsSnapshot snapshot = telemetry->snapshot();
+    EXPECT_EQ(counter_of(snapshot, "engine.chunked_runs"), 1u);
+    EXPECT_EQ(counter_of(snapshot, "engine.chunks"), 4u);
+    EXPECT_EQ(counter_of(snapshot, "engine.stream_bits"), 1000u);
+    EXPECT_EQ(snapshot.gauges.at("engine.buffer.peak_bits").first,
+              3.0 * 256);
+  }
 }
 
 TEST(Neutrality, ProbeObservationIsIdenticalAcrossBackends) {

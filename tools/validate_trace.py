@@ -220,7 +220,7 @@ def main():
     parser.add_argument("--collapsed",
                         help="collapsed-stack profile written via SC_PROFILE")
     parser.add_argument("--prometheus",
-                        help="Prometheus exposition (obs::write_prometheus)")
+                        help="Prometheus exposition written via SC_PROM")
     options = parser.parse_args()
 
     count, phases = validate_trace(options.trace)
