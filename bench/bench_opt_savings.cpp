@@ -40,42 +40,19 @@
 #include "graph/planner.hpp"
 #include "graph/program.hpp"
 #include "graph/registry.hpp"
-#include "img/sc_pipeline.hpp"
 #include "opt/optimize.hpp"
 
-// The fan-out fixture is shared with tests/opt_test.cpp so the regression
-// test and this bench's CI self-check can never drift apart on the
-// workload they validate.
+// The workloads are shared with tests/opt_test.cpp and tests/golden_test.cpp
+// so the regression tests and this bench's CI self-check can never drift
+// apart on the workload they validate.
 #include "../tests/graph_fixtures.hpp"
 
 namespace {
 
 using namespace sc::graph;
 using fixtures::fanout16_program;
-
-Program siblings_program() {
-  GraphBuilder b;
-  const Value x = b.input("x", 0.7, 0);
-  const Value y = b.input("y", 0.9, 1);
-  const Value z = b.input("z", 0.4, 2);
-  const Value c1 = b.constant(0.5);
-  const Value c2 = b.constant(0.6);
-  const Value folded = b.op("multiply", {c1, c2});     // constant-fold
-  const Value xy = b.op("multiply", {x, y});
-  const Value xy_dup = b.op("multiply", {x, y});       // CSE duplicate
-  const Value diff = b.op("subtract", {xy, z});        // sync (shared...)
-  const Value floor = b.op("min", {xy_dup, z});        // ...with this one
-  (void)b.op("max", {x, z});                           // dead
-  b.output(b.op("scaled-add", {diff, b.op("multiply", {floor, folded})}),
-           "out");
-  return b.build();
-}
-
-Program window_program() {
-  std::array<double, 16> pixels{};
-  for (std::size_t i = 0; i < 16; ++i) pixels[i] = 0.1 + 0.05 * (i % 10);
-  return sc::img::window_program(pixels);
-}
+using fixtures::siblings_program;
+using fixtures::window16_program;
 
 struct WorkloadResult {
   std::size_t corrections_before = 0;
@@ -186,7 +163,7 @@ int main(int argc, char** argv) {
   const std::vector<std::pair<std::string, Program>> workloads = {
       {"fanout-16", fanout16_program()},
       {"siblings", siblings_program()},
-      {"window", window_program()},
+      {"window", window16_program()},
   };
   std::vector<WorkloadResult> results;
   bool ok = true;

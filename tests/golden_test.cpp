@@ -18,6 +18,11 @@
 /// helpers: the Fig. 5 operators and their serial compositions, the
 /// stochastic MLP layer and the ReSC evaluator, against
 /// tests/golden/operators.hpp.
+///
+/// GoldenOptimizer pins opt::optimize's rewrite (program, plan, node map,
+/// pass reports) and its area, fragility, error and cost report on random
+/// programs and the optimizer bench's workloads, against
+/// tests/golden/optimizer.hpp.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +33,7 @@
 #include <functional>
 #include <iterator>
 #include <memory>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,10 +47,12 @@
 #include "golden/corpus.hpp"
 #include "golden/frames.hpp"
 #include "golden/operators.hpp"
+#include "golden/optimizer.hpp"
 #include "graph/backend.hpp"
 #include "graph/planner.hpp"
 #include "graph/program.hpp"
 #include "graph_fixtures.hpp"
+#include "hw/cells.hpp"
 #include "img/image.hpp"
 #include "img/kernels.hpp"
 #include "img/median.hpp"
@@ -647,6 +655,169 @@ TEST(GoldenOperators, LibraryCallersMatchTheCommittedChecksums) {
         << "no golden entry for " << f.program << " " << f.label;
     EXPECT_EQ(f.checksum, golden->checksum)
         << f.program << " " << f.label << ": results changed";
+  }
+}
+
+// -------------------------------------------------------------- optimizer
+//
+// Each row hashes, per program: the rewritten program (kinds, names, ops,
+// operands, value bit patterns, groups, seed tags, outputs), the plan
+// (strategy, fixes with relation and shared_with, violations, inserted
+// units, overhead label and cell counts), the node map, the pass reports,
+// and the report's numbers as bit patterns.  The random programs draw
+// their input values through std::uniform_real_distribution, whose output
+// is the standard library's choice, so the random-64 rows hold for the
+// library they were recorded with (libstdc++).
+
+void mix_string(Fnv1a& fnv, const std::string& text) {
+  fnv.mix(text.size());
+  for (const char c : text) fnv.mix(static_cast<unsigned char>(c));
+}
+
+void mix_double(Fnv1a& fnv, double value) {
+  fnv.mix(std::bit_cast<std::uint64_t>(value));
+}
+
+void mix_program(Fnv1a& fnv, const Program& program) {
+  fnv.mix(program.node_count());
+  for (graph::NodeId id = 0; id < program.node_count(); ++id) {
+    const graph::ProgramNode& node = program.node(id);
+    fnv.mix(static_cast<std::uint64_t>(node.kind));
+    mix_string(fnv, node.name);
+    mix_double(fnv, node.value);
+    fnv.mix(node.rng_group);
+    fnv.mix(node.op);
+    fnv.mix(node.operands.size());
+    for (const graph::NodeId operand : node.operands) fnv.mix(operand);
+    fnv.mix(node.seed_tag);
+  }
+  fnv.mix(program.outputs().size());
+  for (const graph::NodeId output : program.outputs()) fnv.mix(output);
+}
+
+void mix_plan(Fnv1a& fnv, const ProgramPlan& plan) {
+  fnv.mix(static_cast<std::uint64_t>(plan.strategy));
+  fnv.mix(plan.fixes.size());
+  for (const graph::PairFix& fix : plan.fixes) {
+    fnv.mix(fix.op_node);
+    fnv.mix(fix.operand_a);
+    fnv.mix(fix.operand_b);
+    fnv.mix(static_cast<std::uint64_t>(fix.requirement));
+    fnv.mix(static_cast<std::uint64_t>(fix.relation));
+    fnv.mix(static_cast<std::uint64_t>(fix.fix));
+    fnv.mix(static_cast<std::uint64_t>(fix.shared_with));
+  }
+  fnv.mix(plan.violations.size());
+  for (const graph::NodeId op : plan.violations) fnv.mix(op);
+  fnv.mix(plan.inserted_units);
+  mix_string(fnv, plan.overhead.label());
+  for (std::size_t cell = 0; cell < hw::kCellCount; ++cell) {
+    fnv.mix(plan.overhead.count(static_cast<hw::Cell>(cell)));
+  }
+}
+
+void mix_rewrite(Fnv1a& fnv, const opt::OptResult& result) {
+  mix_program(fnv, result.program);
+  mix_plan(fnv, result.plan);
+  fnv.mix(result.node_map.size());
+  for (const graph::NodeId mapped : result.node_map) fnv.mix(mapped);
+  fnv.mix(result.reports.size());
+  for (const opt::PassReport& report : result.reports) {
+    mix_string(fnv, report.pass);
+    fnv.mix(report.changed);
+    fnv.mix(report.accepted);
+    fnv.mix(report.nodes_removed);
+    fnv.mix(report.nodes_folded);
+    fnv.mix(report.corrections_saved);
+    mix_double(fnv, report.area_delta_um2);
+    mix_double(fnv, report.error_delta);
+    mix_double(fnv, report.fragility_delta);
+    mix_string(fnv, report.detail);
+  }
+}
+
+void mix_report(Fnv1a& fnv, const opt::OptResult& report) {
+  mix_double(fnv, report.area_before_um2);
+  mix_double(fnv, report.area_after_um2);
+  mix_double(fnv, report.fragility_before);
+  mix_double(fnv, report.fragility_after);
+  mix_double(fnv, report.error_before);
+  mix_double(fnv, report.error_after);
+  mix_string(fnv, report.cost_delta.label);
+  mix_double(fnv, report.cost_delta.area_um2);
+  mix_double(fnv, report.cost_delta.leakage_uw);
+  mix_double(fnv, report.cost_delta.dynamic_uw);
+  mix_double(fnv, report.cost_delta.power_uw);
+  mix_double(fnv, report.cost_delta.energy_pj);
+}
+
+std::vector<FrameChecksum> optimizer_checksums() {
+  std::vector<Program> random;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    std::mt19937_64 gen(7000 + i);
+    random.push_back(graph::fixtures::random_program(gen));
+  }
+  const std::pair<const char*, std::vector<Program>> workloads[] = {
+      {"random-64", std::move(random)},
+      {"fanout-16", {graph::fixtures::fanout16_program()}},
+      {"siblings", {graph::fixtures::siblings_program()}},
+      {"window", {graph::fixtures::window16_program()}},
+  };
+  opt::OptConfig budgeted;
+  budgeted.error_budget = 0.05;
+  const std::pair<const char*, opt::OptConfig> configs[] = {
+      {"default", opt::OptConfig{}},
+      {"bit-identical", opt::OptConfig::bit_identical()},
+      {"error-budget-0.05", budgeted},
+  };
+  const std::pair<Strategy, const char*> strategies[] = {
+      {Strategy::kManipulation, "manipulation"},
+      {Strategy::kRegeneration, "regeneration"},
+  };
+  std::vector<FrameChecksum> out;
+  for (const auto& [workload, programs] : workloads) {
+    for (const auto& [strategy, strategy_label] : strategies) {
+      for (const auto& [config_label, config] : configs) {
+        Fnv1a fnv;
+        for (const Program& program : programs) {
+          const ProgramPlan plan = plan_program(program, strategy);
+          const opt::OptResult optimized =
+              opt::optimize(program, plan, config);
+          mix_rewrite(fnv, optimized);
+          mix_report(fnv, optimized);
+        }
+        out.push_back({workload,
+                       std::string(strategy_label) + "/" + config_label,
+                       fnv.hash});
+      }
+    }
+  }
+  return out;
+}
+
+TEST(GoldenOptimizer, RewritesAndReportsMatchTheCommittedChecksums) {
+  const std::vector<FrameChecksum> sums = optimizer_checksums();
+  if (std::getenv("SC_GOLDEN_PRINT") != nullptr) {
+    std::printf("inline constexpr GoldenEntry kGoldenOptimizer[] = {\n");
+    for (const FrameChecksum& f : sums) {
+      std::printf("    {\"%s\", \"%s\", 0x%016llXULL},\n", f.program.c_str(),
+                  f.label.c_str(), static_cast<unsigned long long>(f.checksum));
+    }
+    std::printf("};\n");
+    GTEST_SKIP() << "SC_GOLDEN_PRINT set: printed the optimizer rows instead "
+                    "of checking them";
+  }
+  EXPECT_EQ(sums.size(), std::size(kGoldenOptimizer));
+  for (const FrameChecksum& f : sums) {
+    const auto golden = std::find_if(
+        std::begin(kGoldenOptimizer), std::end(kGoldenOptimizer),
+        [&](const GoldenEntry& e) {
+          return f.program == e.program && f.label == e.backend;
+        });
+    ASSERT_NE(golden, std::end(kGoldenOptimizer))
+        << "no golden entry for " << f.program << " " << f.label;
+    EXPECT_EQ(f.checksum, golden->checksum)
+        << f.program << " " << f.label << ": optimizer output changed";
   }
 }
 

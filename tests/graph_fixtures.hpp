@@ -1,13 +1,15 @@
 /// \file graph_fixtures.hpp
 /// Shared registry-program fixtures for the graph/opt test suites and the
 /// optimizer bench: the 16-ary product operator + fan-out program behind
-/// the chain-decorrelator acceptance criterion, and the random registry
-/// program generator used by the differential/property tests.  One
-/// definition, so the regression tests and the CI bench self-checks can
-/// never drift apart on what workload they validate.
+/// the chain-decorrelator acceptance criterion, the bench's other two
+/// optimizer workloads, and the random registry program generator used by
+/// the differential/property tests.  One definition, so the regression
+/// tests and the CI bench self-checks can never drift apart on what
+/// workload they validate.
 
 #pragma once
 
+#include <array>
 #include <memory>
 #include <random>
 #include <string>
@@ -16,6 +18,7 @@
 #include "graph/program.hpp"
 #include "graph/registry.hpp"
 #include "hw/netlist.hpp"
+#include "img/sc_pipeline.hpp"
 
 namespace sc::graph::fixtures {
 
@@ -68,6 +71,35 @@ inline Program fanout16_program(double x_value = 0.9) {
   const std::vector<Value> copies(16, x);
   b.output(b.op("product-16", copies), "x^16");
   return b.build();
+}
+
+/// A mixed program that gives every default optimizer pass a rewrite: a
+/// foldable constant subtree, a CSE duplicate, a dead op, and two sibling
+/// ops whose synchronizers share one circuit.
+inline Program siblings_program() {
+  GraphBuilder b;
+  const Value x = b.input("x", 0.7, 0);
+  const Value y = b.input("y", 0.9, 1);
+  const Value z = b.input("z", 0.4, 2);
+  const Value c1 = b.constant(0.5);
+  const Value c2 = b.constant(0.6);
+  const Value folded = b.op("multiply", {c1, c2});     // constant-fold
+  const Value xy = b.op("multiply", {x, y});
+  const Value xy_dup = b.op("multiply", {x, y});       // CSE duplicate
+  const Value diff = b.op("subtract", {xy, z});        // sync (shared...)
+  const Value floor = b.op("min", {xy_dup, z});        // ...with this one
+  (void)b.op("max", {x, z});                           // dead
+  b.output(b.op("scaled-add", {diff, b.op("multiply", {floor, folded})}),
+           "out");
+  return b.build();
+}
+
+/// The §IV image-window program on a fixed 4x4 window: a realistic shape
+/// with little for the optimizer to rewrite.
+inline Program window16_program() {
+  std::array<double, 16> pixels{};
+  for (std::size_t i = 0; i < 16; ++i) pixels[i] = 0.1 + 0.05 * (i % 10);
+  return img::window_program(pixels);
 }
 
 /// Random registry program: a handful of grouped inputs and constants, a

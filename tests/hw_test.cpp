@@ -5,6 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "hw/cells.hpp"
 #include "hw/cost.hpp"
 #include "hw/designs.hpp"
@@ -234,6 +241,200 @@ TEST(Designs, SngRngDominatesComparator) {
 TEST(Designs, SdConverterScalesWithWidth) {
   EXPECT_GT(sd_converter_netlist(16).area_um2(),
             sd_converter_netlist(8).area_um2());
+}
+
+// Every builder's to_string(), label and cell counts, at two parameters
+// each, with flush on and off and both RNG variants, pinned as text so a
+// change to how the labels are built cannot move a byte.
+// SC_GOLDEN_PRINT=1 ./hw_test prints the replacement for kDesignStrings.
+
+#define SC_DESIGN(call) {#call, call}
+
+std::vector<std::pair<std::string, Netlist>> design_netlists() {
+  return {
+      SC_DESIGN(or_gate_netlist()),
+      SC_DESIGN(and_gate_netlist()),
+      SC_DESIGN(xor_gate_netlist()),
+      SC_DESIGN(xnor_gate_netlist()),
+      SC_DESIGN(mux_adder_netlist()),
+      SC_DESIGN(toggle_adder_netlist()),
+      SC_DESIGN(cordiv_netlist()),
+      SC_DESIGN(synchronizer_netlist(1)),
+      SC_DESIGN(synchronizer_netlist(1, true)),
+      SC_DESIGN(synchronizer_netlist(12, false, 5)),
+      SC_DESIGN(synchronizer_netlist(12, true, 5)),
+      SC_DESIGN(desynchronizer_netlist(1)),
+      SC_DESIGN(desynchronizer_netlist(1, true)),
+      SC_DESIGN(desynchronizer_netlist(12, false, 5)),
+      SC_DESIGN(desynchronizer_netlist(12, true, 5)),
+      SC_DESIGN(shuffle_buffer_netlist(1)),
+      SC_DESIGN(shuffle_buffer_netlist(24)),
+      SC_DESIGN(decorrelator_netlist(1)),
+      SC_DESIGN(decorrelator_netlist(8)),
+      SC_DESIGN(isolator_netlist(1)),
+      SC_DESIGN(isolator_netlist(16)),
+      SC_DESIGN(tfm_netlist(4)),
+      SC_DESIGN(tfm_netlist(10)),
+      SC_DESIGN(lfsr_netlist(8)),
+      SC_DESIGN(lfsr_netlist(12)),
+      SC_DESIGN(comparator_netlist(8)),
+      SC_DESIGN(comparator_netlist(16)),
+      SC_DESIGN(sng_netlist(8)),
+      SC_DESIGN(sng_netlist(8, false)),
+      SC_DESIGN(sng_netlist(16)),
+      SC_DESIGN(sng_netlist(16, false)),
+      SC_DESIGN(sd_converter_netlist(8)),
+      SC_DESIGN(sd_converter_netlist(16)),
+      SC_DESIGN(regenerator_netlist(8)),
+      SC_DESIGN(regenerator_netlist(8, true)),
+      SC_DESIGN(regenerator_netlist(12)),
+      SC_DESIGN(regenerator_netlist(12, true)),
+      SC_DESIGN(sync_max_netlist()),
+      SC_DESIGN(sync_max_netlist(4)),
+      SC_DESIGN(sync_min_netlist()),
+      SC_DESIGN(sync_min_netlist(4)),
+      SC_DESIGN(desync_sat_add_netlist()),
+      SC_DESIGN(desync_sat_add_netlist(4)),
+      SC_DESIGN(ca_max_netlist()),
+      SC_DESIGN(ca_max_netlist(8)),
+      SC_DESIGN(fsm_unit_netlist(8)),
+      SC_DESIGN(fsm_unit_netlist(33)),
+      SC_DESIGN(mux_tree_netlist(4, 8)),
+      SC_DESIGN(mux_tree_netlist(9, 12)),
+      SC_DESIGN(roberts_cross_netlist()),
+      SC_DESIGN(resc_netlist(3, 8)),
+      SC_DESIGN(resc_netlist(5, 10)),
+  };
+}
+
+#undef SC_DESIGN
+
+constexpr const char* kDesignStrings[][2] = {
+    {"or_gate_netlist()",
+     "or: 1xOR2"},
+    {"and_gate_netlist()",
+     "and: 1xAND2"},
+    {"xor_gate_netlist()",
+     "xor: 1xXOR2"},
+    {"xnor_gate_netlist()",
+     "xnor: 1xXNOR2"},
+    {"mux_adder_netlist()",
+     "mux-add: 1xMUX2"},
+    {"toggle_adder_netlist()",
+     "toggle-add: 1xINV 1xXOR2 1xMUX2 1xDFF"},
+    {"cordiv_netlist()",
+     "cordiv: 1xAND2 1xMUX2 1xDFF"},
+    {"synchronizer_netlist(1)",
+     "sync(D=1): 3xINV 4xNAND2 4xAND2 3xOR2 1xXOR2 2xDFF"},
+    {"synchronizer_netlist(1, true)",
+     "sync(D=1,flush): 3xINV 12xNAND2 4xAND2 8xOR2 1xXOR2 10xDFF 8xHADD"},
+    {"synchronizer_netlist(12, false, 5)",
+     "sync(D=12): 6xINV 10xNAND2 7xAND2 6xOR2 1xXOR2 5xDFF"},
+    {"synchronizer_netlist(12, true, 5)",
+     "sync(D=12,flush): 6xINV 15xNAND2 7xAND2 9xOR2 1xXOR2 10xDFF 5xHADD"},
+    {"desynchronizer_netlist(1)",
+     "desync(D=1): 3xINV 7xNAND2 4xAND2 3xOR2 1xXOR2 2xDFF"},
+    {"desynchronizer_netlist(1, true)",
+     "desync(D=1,flush): 3xINV 15xNAND2 4xAND2 8xOR2 1xXOR2 10xDFF 8xHADD"},
+    {"desynchronizer_netlist(12, false, 5)",
+     "desync(D=12): 6xINV 13xNAND2 7xAND2 6xOR2 1xXOR2 5xDFF"},
+    {"desynchronizer_netlist(12, true, 5)",
+     "desync(D=12,flush): 6xINV 18xNAND2 7xAND2 9xOR2 1xXOR2 10xDFF 5xHADD"},
+    {"shuffle_buffer_netlist(1)",
+     "shuffle(D=1): 1xINV 1xAND2 1xMUX2 1xDFFE"},
+    {"shuffle_buffer_netlist(24)",
+     "shuffle(D=24): 5xINV 24xAND2 24xMUX2 24xDFFE"},
+    {"decorrelator_netlist(1)",
+     "decorrelator(D=1): 2xINV 2xAND2 2xMUX2 2xDFFE"},
+    {"decorrelator_netlist(8)",
+     "decorrelator(D=8): 8xINV 16xAND2 16xMUX2 16xDFFE"},
+    {"isolator_netlist(1)",
+     "isolator(d=1): 1xDFF"},
+    {"isolator_netlist(16)",
+     "isolator(d=16): 16xDFF"},
+    {"tfm_netlist(4)",
+     "tfm(k=4): 4xAND2 4xXNOR2 5xDFF 4xFADD"},
+    {"tfm_netlist(10)",
+     "tfm(k=10): 10xAND2 10xXNOR2 11xDFF 10xFADD"},
+    {"lfsr_netlist(8)",
+     "lfsr8: 3xXOR2 8xDFF"},
+    {"lfsr_netlist(12)",
+     "lfsr12: 3xXOR2 12xDFF"},
+    {"comparator_netlist(8)",
+     "cmp8: 8xAND2 8xXNOR2"},
+    {"comparator_netlist(16)",
+     "cmp16: 16xAND2 16xXNOR2"},
+    {"sng_netlist(8)",
+     "sng8: 8xAND2 3xXOR2 8xXNOR2 8xDFF"},
+    {"sng_netlist(8, false)",
+     "sng8(shared-rng): 8xAND2 8xXNOR2"},
+    {"sng_netlist(16)",
+     "sng16: 16xAND2 3xXOR2 16xXNOR2 16xDFF"},
+    {"sng_netlist(16, false)",
+     "sng16(shared-rng): 16xAND2 16xXNOR2"},
+    {"sd_converter_netlist(8)",
+     "sd8: 8xDFF 8xHADD"},
+    {"sd_converter_netlist(16)",
+     "sd16: 16xDFF 16xHADD"},
+    {"regenerator_netlist(8)",
+     "regen8: 8xAND2 8xXNOR2 16xDFF 8xHADD"},
+    {"regenerator_netlist(8, true)",
+     "regen8(private-rng): 8xAND2 3xXOR2 8xXNOR2 24xDFF 8xHADD"},
+    {"regenerator_netlist(12)",
+     "regen12: 12xAND2 12xXNOR2 24xDFF 12xHADD"},
+    {"regenerator_netlist(12, true)",
+     "regen12(private-rng): 12xAND2 3xXOR2 12xXNOR2 36xDFF 12xHADD"},
+    {"sync_max_netlist()",
+     "sync-max(D=1): 3xINV 4xNAND2 4xAND2 4xOR2 1xXOR2 2xDFF"},
+    {"sync_max_netlist(4)",
+     "sync-max(D=4): 5xINV 8xNAND2 6xAND2 6xOR2 1xXOR2 4xDFF"},
+    {"sync_min_netlist()",
+     "sync-min(D=1): 3xINV 4xNAND2 5xAND2 3xOR2 1xXOR2 2xDFF"},
+    {"sync_min_netlist(4)",
+     "sync-min(D=4): 5xINV 8xNAND2 7xAND2 5xOR2 1xXOR2 4xDFF"},
+    {"desync_sat_add_netlist()",
+     "desync-satadd(D=1): 3xINV 7xNAND2 4xAND2 4xOR2 1xXOR2 2xDFF"},
+    {"desync_sat_add_netlist(4)",
+     "desync-satadd(D=4): 5xINV 11xNAND2 6xAND2 6xOR2 1xXOR2 4xDFF"},
+    {"ca_max_netlist()",
+     "ca-max(b=16): 1xINV 1xMUX2 16xDFF 16xFADD"},
+    {"ca_max_netlist(8)",
+     "ca-max(b=8): 1xINV 1xMUX2 8xDFF 8xFADD"},
+    {"fsm_unit_netlist(8)",
+     "fsm-unit(S=8): 4xINV 6xNAND2 8xAND2 4xOR2 1xXOR2 3xDFF"},
+    {"fsm_unit_netlist(33)",
+     "fsm-unit(S=33): 7xINV 12xNAND2 14xAND2 7xOR2 1xXOR2 6xDFF"},
+    {"mux_tree_netlist(4, 8)",
+     "mux-tree(4:1): 2xINV 2xAND2 3xMUX2"},
+    {"mux_tree_netlist(9, 12)",
+     "mux-tree(9:1): 4xINV 4xAND2 8xMUX2"},
+    {"roberts_cross_netlist()",
+     "roberts-cross: 2xXOR2 1xMUX2"},
+    {"resc_netlist(3, 8)",
+     "resc(n=3): 32xAND2 3xXOR2 32xXNOR2 3xMUX2 8xDFF 2xFADD"},
+    {"resc_netlist(5, 10)",
+     "resc(n=5): 60xAND2 3xXOR2 60xXNOR2 5xMUX2 10xDFF 4xFADD"},
+};
+
+TEST(Designs, EveryBuilderKeepsItsLabelAndCells) {
+  const std::vector<std::pair<std::string, Netlist>> designs =
+      design_netlists();
+  if (std::getenv("SC_GOLDEN_PRINT") != nullptr) {
+    std::printf("constexpr const char* kDesignStrings[][2] = {\n");
+    for (const auto& [call, netlist] : designs) {
+      std::printf("    {\"%s\",\n     \"%s\"},\n", call.c_str(),
+                  netlist.to_string().c_str());
+    }
+    std::printf("};\n");
+    GTEST_SKIP() << "SC_GOLDEN_PRINT set: printed the netlists instead of "
+                    "checking them";
+  }
+  ASSERT_EQ(designs.size(), std::size(kDesignStrings));
+  for (std::size_t i = 0; i < designs.size(); ++i) {
+    EXPECT_EQ(designs[i].first, kDesignStrings[i][0]);
+    EXPECT_EQ(designs[i].second.to_string(), kDesignStrings[i][1])
+        << designs[i].first;
+  }
 }
 
 }  // namespace

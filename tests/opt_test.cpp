@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/backend.hpp"
@@ -346,6 +349,91 @@ TEST(PassManager, CostGateRejectsAreaRaisingRewrites) {
     }
   }
   EXPECT_TRUE(fold_rejected);
+}
+
+// A pass that reports no rewrite must hand back its input unchanged: the
+// pass manager carries the accepted state's modeled area from one pass to
+// the next, and that is exact only under this invariant.
+
+bool same_program(const Program& a, const Program& b) {
+  if (a.node_count() != b.node_count() || a.outputs() != b.outputs()) {
+    return false;
+  }
+  for (NodeId id = 0; id < a.node_count(); ++id) {
+    const graph::ProgramNode& x = a.node(id);
+    const graph::ProgramNode& y = b.node(id);
+    if (x.kind != y.kind || x.name != y.name ||
+        std::bit_cast<std::uint64_t>(x.value) !=
+            std::bit_cast<std::uint64_t>(y.value) ||
+        x.rng_group != y.rng_group || x.op != y.op ||
+        x.operands != y.operands || x.seed_tag != y.seed_tag) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool same_plan(const ProgramPlan& a, const ProgramPlan& b) {
+  if (a.strategy != b.strategy || a.fixes.size() != b.fixes.size() ||
+      a.violations != b.violations || a.inserted_units != b.inserted_units ||
+      a.overhead.label() != b.overhead.label()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.fixes.size(); ++i) {
+    const PairFix& x = a.fixes[i];
+    const PairFix& y = b.fixes[i];
+    if (x.op_node != y.op_node || x.operand_a != y.operand_a ||
+        x.operand_b != y.operand_b || x.requirement != y.requirement ||
+        x.relation != y.relation || x.fix != y.fix ||
+        x.shared_with != y.shared_with) {
+      return false;
+    }
+  }
+  for (std::size_t cell = 0; cell < hw::kCellCount; ++cell) {
+    const auto c = static_cast<hw::Cell>(cell);
+    if (a.overhead.count(c) != b.overhead.count(c)) return false;
+  }
+  return true;
+}
+
+TEST(Passes, NoRewriteLeavesProgramAndPlanUntouched) {
+  using Factory = std::unique_ptr<Pass> (*)();
+  const Factory factories[] = {
+      &make_constant_folding_pass,       &make_cse_pass,
+      &make_dead_value_elimination_pass, &make_chain_decorrelator_pass,
+      &make_correction_sharing_pass,     &make_dead_fix_elimination_pass,
+  };
+  std::size_t unchanged = 0;
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    std::mt19937_64 gen(7000 + seed);
+    const Program program = random_program(gen);
+    for (const Strategy strategy :
+         {Strategy::kManipulation, Strategy::kRegeneration}) {
+      const ProgramPlan plan = plan_program(program, strategy);
+      // Each pass sees the planned program and the optimized one, where
+      // the other passes' rewrites are already applied.
+      const OptResult optimized = optimize(program, plan);
+      const std::pair<const Program*, const ProgramPlan*> inputs[] = {
+          {&program, &plan}, {&optimized.program, &optimized.plan}};
+      for (const auto& [in_program, in_plan] : inputs) {
+        for (const Factory factory : factories) {
+          const std::unique_ptr<Pass> pass = factory();
+          Program out_program = *in_program;
+          ProgramPlan out_plan = *in_plan;
+          PassReport report;
+          pass->run(out_program, out_plan, OptConfig{}, report);
+          if (report.changed) continue;
+          ++unchanged;
+          const std::string label = pass->name() + " seed " +
+                                    std::to_string(seed) + " " +
+                                    graph::to_string(strategy);
+          EXPECT_TRUE(same_program(out_program, *in_program)) << label;
+          EXPECT_TRUE(same_plan(out_plan, *in_plan)) << label;
+        }
+      }
+    }
+  }
+  EXPECT_GT(unchanged, 0u);
 }
 
 // --- satellite: optimized == unoptimized, statistically and bit-exactly ----
