@@ -76,11 +76,14 @@ int main() {
   // The Bernstein unit's three copies of `e` are a same-source group: the
   // planner's pairwise insertion charges 3 decorrelators, the optimizer's
   // chain pass (paper §III-C) needs only 2 single-buffer links.  Passing
-  // ExecConfig::optimize = true runs the same rewrite inside any backend.
+  // ExecConfig::optimize = true runs the same rewrite inside any backend;
+  // opt::assess prices it (area, fragility, predicted error) for printing.
   const sc::opt::OptResult optimized = sc::opt::optimize(program, plan);
+  const sc::opt::OptAssessment assessed =
+      sc::opt::assess(program, plan, optimized);
   std::printf("\noptimizer (opt::optimize, or ExecConfig::optimize = true):\n"
-              "%s\n",
-              optimized.summary().c_str());
+              "%s\n%s\n",
+              optimized.summary().c_str(), assessed.summary().c_str());
   ExecConfig optimizing;
   optimizing.optimize = true;
   const ExecutionResult opt_run = backend->run(program, plan, optimizing);

@@ -39,8 +39,9 @@
 ///     scores — the decorrelator-chain reconvergence structure
 ///     (BENCH_fault: one SEU in a chain link poisons every downstream
 ///     copy, recovery_depth ~ stream length, vs 2-5 cycles for
-///     sync/desync) becomes a number the optimizer's future Pareto gate
-///     can budget against (OptResult::fragility_before/after).
+///     sync/desync) becomes a number the optimizer's Pareto gate budgets
+///     against (OptConfig::fragility_budget) and opt::assess reports
+///     (OptAssessment::fragility_before/after).
 ///
 /// Validation: analysis_property_test checks predicted classes against
 /// measured bitstream::scc on random programs (all three backends) and

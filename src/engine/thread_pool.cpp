@@ -80,8 +80,10 @@ void ThreadPool::for_each(std::size_t count,
   batch.pending = (count + block - 1) / block;
   std::unique_lock<std::mutex> lock(mutex_);
   const std::uint64_t now = task_wait_ != nullptr ? steady_now_us() : 0;
+  // Whatever is queued now belongs to other calls, and every block of
+  // this one waits behind it.
+  if (stalls_ != nullptr && !queue_.empty()) stalls_->add(batch.pending);
   for (std::size_t lo = 0; lo < count; lo += block) {
-    if (stalls_ != nullptr && !queue_.empty()) stalls_->inc();
     queue_.push({&batch, lo, std::min(count, lo + block), now});
   }
   if (queue_depth_ != nullptr) {

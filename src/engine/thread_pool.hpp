@@ -67,11 +67,12 @@ class ThreadPool {
   /// Binds (or, with nullptr, unbinds) a telemetry context.  While bound,
   /// the pool maintains the "engine.pool.queue_depth" gauge (value + max),
   /// the "engine.pool.task_wait_us" histogram (enqueue -> dequeue latency),
-  /// and the "engine.pool.backpressure_stalls" counter (blocks enqueued
-  /// while the queue already held work, a for_each's own earlier blocks
-  /// included).  Unbound — the default — the queue carries no timestamps
-  /// and no clock is read.  Call before running work; instrument pointers
-  /// are swapped under the queue lock.
+  /// and the "engine.pool.backpressure_stalls" counter (blocks of a
+  /// for_each that found other calls' blocks still queued when it began
+  /// to enqueue; a call's own blocks never count against it).  Unbound —
+  /// the default — the queue carries no timestamps and no clock is read.
+  /// Call before running work; instrument pointers are swapped under the
+  /// queue lock.
   void attach_telemetry(obs::Telemetry* telemetry);
 
  private:

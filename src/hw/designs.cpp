@@ -1,13 +1,25 @@
 #include "hw/designs.hpp"
 
 #include <bit>
-#include <cassert>
-#include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace sc::hw {
 
+namespace {
+
+/// A zero depth or state count describes no circuit; pricing one anyway
+/// would report a plausible area for hardware that cannot exist.
+void require_positive(std::size_t value, const char* what) {
+  if (value == 0) {
+    throw std::invalid_argument(std::string(what) + " must be >= 1");
+  }
+}
+
+}  // namespace
+
 unsigned state_bits(std::size_t states) {
-  assert(states >= 1);
+  require_positive(states, "hw::state_bits: states");
   return states <= 1 ? 1u : static_cast<unsigned>(std::bit_width(states - 1));
 }
 
@@ -87,35 +99,30 @@ Netlist flush_tracker(unsigned offset_bits) {
 
 Netlist synchronizer_netlist(unsigned depth, bool flush,
                              unsigned offset_bits) {
-  assert(depth >= 1);
-  std::ostringstream label;
-  label << "sync(D=" << depth << (flush ? ",flush" : "") << ")";
+  require_positive(depth, "hw::synchronizer_netlist: depth");
   const unsigned bits = state_bits(2 * static_cast<std::size_t>(depth) + 1);
-  Netlist n = fsm_netlist(label.str(), bits, 0);
+  Netlist n = fsm_netlist(
+      "sync(D=" + std::to_string(depth) + (flush ? ",flush)" : ")"), bits, 0);
   if (flush) n += flush_tracker(offset_bits);
-  n.set_label(label.str());
   return n;
 }
 
 Netlist desynchronizer_netlist(unsigned depth, bool flush,
                                unsigned offset_bits) {
-  assert(depth >= 1);
-  std::ostringstream label;
-  label << "desync(D=" << depth << (flush ? ",flush" : "") << ")";
+  require_positive(depth, "hw::desynchronizer_netlist: depth");
   const unsigned bits = state_bits(2 * static_cast<std::size_t>(depth) + 2);
   // The desynchronizer's transition structure (alternating donor side) needs
   // a little more output logic than the synchronizer.
-  Netlist n = fsm_netlist(label.str(), bits, 3);
+  Netlist n = fsm_netlist(
+      "desync(D=" + std::to_string(depth) + (flush ? ",flush)" : ")"), bits,
+      3);
   if (flush) n += flush_tracker(offset_bits);
-  n.set_label(label.str());
   return n;
 }
 
 Netlist shuffle_buffer_netlist(std::size_t depth) {
-  assert(depth >= 1);
-  std::ostringstream label;
-  label << "shuffle(D=" << depth << ")";
-  Netlist n(label.str());
+  require_positive(depth, "hw::shuffle_buffer_netlist: depth");
+  Netlist n("shuffle(D=" + std::to_string(depth) + ")");
   n.add(Cell::kDffEn, depth);                       // bit slots
   n.add(Cell::kAnd2, depth);                        // address decode enables
   n.add(Cell::kMux2, depth);                        // output mux tree + pass
@@ -124,123 +131,97 @@ Netlist shuffle_buffer_netlist(std::size_t depth) {
 }
 
 Netlist decorrelator_netlist(std::size_t depth) {
-  std::ostringstream label;
-  label << "decorrelator(D=" << depth << ")";
-  Netlist n = shuffle_buffer_netlist(depth) + shuffle_buffer_netlist(depth);
-  n.set_label(label.str());
+  Netlist n = shuffle_buffer_netlist(depth) * 2;
+  n.set_label("decorrelator(D=" + std::to_string(depth) + ")");
   return n;
 }
 
 Netlist isolator_netlist(std::size_t delay) {
-  std::ostringstream label;
-  label << "isolator(d=" << delay << ")";
-  Netlist n(label.str());
+  Netlist n("isolator(d=" + std::to_string(delay) + ")");
   n.add(Cell::kDff, delay);
   return n;
 }
 
 Netlist tfm_netlist(unsigned precision) {
-  std::ostringstream label;
-  label << "tfm(k=" << precision << ")";
-  Netlist n(label.str());
+  Netlist n("tfm(k=" + std::to_string(precision) + ")");
   n.add(Cell::kDff, precision + 1);        // EMA register
   n.add(Cell::kFullAdder, precision);      // EMA update adder/subtractor
   n += comparator_netlist(precision);      // regeneration comparator
-  n.set_label(label.str());
   return n;
 }
 
 Netlist lfsr_netlist(unsigned width) {
-  std::ostringstream label;
-  label << "lfsr" << width;
-  Netlist n(label.str());
+  Netlist n("lfsr" + std::to_string(width));
   n.add(Cell::kDff, width);
   n.add(Cell::kXor2, 3);  // feedback taps (<= 4 taps for maximal LFSRs)
   return n;
 }
 
 Netlist comparator_netlist(unsigned width) {
-  std::ostringstream label;
-  label << "cmp" << width;
   // Ripple magnitude comparator: per bit XNOR (equality) + AND (chain).
-  Netlist n(label.str());
+  Netlist n("cmp" + std::to_string(width));
   n.add(Cell::kXnor2, width);
   n.add(Cell::kAnd2, width);
   return n;
 }
 
 Netlist sng_netlist(unsigned width, bool include_rng) {
-  std::ostringstream label;
-  label << "sng" << width << (include_rng ? "" : "(shared-rng)");
-  Netlist n(label.str());
+  Netlist n("sng" + std::to_string(width) +
+            (include_rng ? "" : "(shared-rng)"));
   if (include_rng) n += lfsr_netlist(width);
   n += comparator_netlist(width);
-  n.set_label(label.str());
   return n;
 }
 
 Netlist sd_converter_netlist(unsigned bits) {
-  std::ostringstream label;
-  label << "sd" << bits;
   // Ones counter: register + increment chain.
-  Netlist n(label.str());
+  Netlist n("sd" + std::to_string(bits));
   n.add(Cell::kDff, bits);
   n.add(Cell::kHalfAdder, bits);
   return n;
 }
 
 Netlist regenerator_netlist(unsigned bits, bool include_rng) {
-  std::ostringstream label;
-  label << "regen" << bits << (include_rng ? "(private-rng)" : "");
   // S/D counter + holding register (the counted level must persist while
   // the next stream is counted) + D/S comparator.
   Netlist n = sd_converter_netlist(bits);
   n.add(Cell::kDff, bits);
   n += comparator_netlist(bits);
   if (include_rng) n += lfsr_netlist(bits);
-  n.set_label(label.str());
+  n.set_label("regen" + std::to_string(bits) +
+              (include_rng ? "(private-rng)" : ""));
   return n;
 }
 
 Netlist sync_max_netlist(unsigned depth) {
-  std::ostringstream label;
-  label << "sync-max(D=" << depth << ")";
   Netlist n = synchronizer_netlist(depth) + or_gate_netlist();
-  n.set_label(label.str());
+  n.set_label("sync-max(D=" + std::to_string(depth) + ")");
   return n;
 }
 
 Netlist sync_min_netlist(unsigned depth) {
-  std::ostringstream label;
-  label << "sync-min(D=" << depth << ")";
   Netlist n = synchronizer_netlist(depth) + and_gate_netlist();
-  n.set_label(label.str());
+  n.set_label("sync-min(D=" + std::to_string(depth) + ")");
   return n;
 }
 
 Netlist desync_sat_add_netlist(unsigned depth) {
-  std::ostringstream label;
-  label << "desync-satadd(D=" << depth << ")";
   Netlist n = desynchronizer_netlist(depth) + or_gate_netlist();
-  n.set_label(label.str());
+  n.set_label("desync-satadd(D=" + std::to_string(depth) + ")");
   return n;
 }
 
 Netlist fsm_unit_netlist(std::size_t states) {
-  std::ostringstream label;
-  label << "fsm-unit(S=" << states << ")";
   // Saturating up/down counter + threshold decode on the state register.
   const unsigned bits = state_bits(states);
-  Netlist n = fsm_netlist(label.str(), bits, 0);
+  Netlist n =
+      fsm_netlist("fsm-unit(S=" + std::to_string(states) + ")", bits, 0);
   n.add(Cell::kAnd2, bits);  // threshold comparator
-  n.set_label(label.str());
   return n;
 }
 
 Netlist mux_tree_netlist(unsigned inputs, unsigned width) {
-  std::ostringstream label;
-  label << "mux-tree(" << inputs << ":1)";
-  Netlist n(label.str());
+  Netlist n("mux-tree(" + std::to_string(inputs) + ":1)");
   // inputs-1 two-input muxes plus the weighted select decode off the
   // shared RNG's low bits.
   n.add(Cell::kMux2, inputs >= 1 ? inputs - 1 : 0);
@@ -258,24 +239,19 @@ Netlist roberts_cross_netlist() {
 }
 
 Netlist resc_netlist(std::size_t degree, unsigned width) {
-  std::ostringstream label;
-  label << "resc(n=" << degree << ")";
   // Copy popcount adder tree, one comparator SNG per coefficient stream
   // (their RNG amortized to one LFSR), and the coefficient select tree.
-  Netlist n(label.str());
+  Netlist n("resc(n=" + std::to_string(degree) + ")");
   n.add(Cell::kFullAdder, degree >= 1 ? degree - 1 : 0);
   for (std::size_t i = 0; i <= degree; ++i) n += comparator_netlist(width);
   n += lfsr_netlist(width);
   n.add(Cell::kMux2, degree);  // (degree+1)-to-1 coefficient select
-  n.set_label(label.str());
   return n;
 }
 
 Netlist ca_max_netlist(unsigned counter_bits) {
-  std::ostringstream label;
-  label << "ca-max(b=" << counter_bits << ")";
   // Up/down counter tracking count(x) - count(y), sign bit steers a mux.
-  Netlist n(label.str());
+  Netlist n("ca-max(b=" + std::to_string(counter_bits) + ")");
   n.add(Cell::kDff, counter_bits);
   n.add(Cell::kFullAdder, counter_bits);
   n.add(Cell::kMux2, 1);

@@ -28,7 +28,9 @@ Netlist cordiv_netlist();         ///< correlated divider (ref [6])
 
 // --- correlation manipulating circuits (paper §III) ----------------------
 
-/// Synchronizer FSM with save depth D; 2D+1 states.
+/// Synchronizer FSM with save depth D; 2D+1 states.  Here and in the
+/// desynchronizer, shuffle buffer and decorrelator below, D = 0 throws
+/// std::invalid_argument.
 /// \param flush        adds the stream-offset tracking hardware of §III-B
 /// \param offset_bits  width of the offset counter when flush is enabled
 Netlist synchronizer_netlist(unsigned depth, bool flush = false,
@@ -94,7 +96,8 @@ Netlist roberts_cross_netlist();
 /// and the coefficient-select mux tree.
 Netlist resc_netlist(std::size_t degree, unsigned width);
 
-/// Number of FSM state bits for a state count (ceil(log2(states))).
+/// Number of FSM state bits for a state count (ceil(log2(states))); a
+/// count of 0 throws std::invalid_argument.
 unsigned state_bits(std::size_t states);
 
 }  // namespace sc::hw

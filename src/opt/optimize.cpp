@@ -26,10 +26,16 @@ std::size_t OptResult::corrections_saved() const {
 }
 
 std::string OptResult::summary() const {
-  std::ostringstream out;
+  std::string out;
   for (const PassReport& report : reports) {
-    out << "  " << to_string(report) << "\n";
+    if (!out.empty()) out += '\n';
+    out += "  " + to_string(report);
   }
+  return out;
+}
+
+std::string OptAssessment::summary() const {
+  std::ostringstream out;
   out << "  modeled area " << area_before_um2 << " -> " << area_after_um2
       << " um2 (" << (cost_delta.power_uw <= 0 ? "" : "+")
       << cost_delta.power_uw << " uW)\n";
@@ -48,36 +54,45 @@ OptResult optimize(const graph::Program& program,
   result.plan = plan;
   result.node_map.resize(program.node_count());
   std::iota(result.node_map.begin(), result.node_map.end(), 0u);
-  result.area_before_um2 = modeled_area(program, plan, config);
   const PassManager pipeline = default_pipeline(config);
   result.reports =
       pipeline.run(result.program, result.plan, result.node_map, config);
-  result.area_after_um2 = modeled_area(result.program, result.plan, config);
+  return result;
+}
+
+OptAssessment assess(const graph::Program& program,
+                     const graph::ProgramPlan& plan,
+                     const OptResult& optimized, const OptConfig& config) {
+  obs::Span span(obs::tracer_of(obs::fallback(config.telemetry)),
+                 "opt.assess", "opt");
+  OptAssessment out;
+  out.area_before_um2 = modeled_area(program, plan, config);
+  out.area_after_um2 = modeled_area(optimized.program, optimized.plan, config);
   analysis::AnalyzerConfig fragility_config;
   fragility_config.width = config.width;
   fragility_config.sync_depth = config.planner.sync_depth;
   fragility_config.shuffle_depth = config.planner.shuffle_depth;
   fragility_config.telemetry = config.telemetry;
-  result.fragility_before =
+  out.fragility_before =
       analysis::plan_fragility(program, plan, fragility_config);
-  result.fragility_after = analysis::plan_fragility(
-      result.program, result.plan, fragility_config);
+  out.fragility_after = analysis::plan_fragility(
+      optimized.program, optimized.plan, fragility_config);
   analysis::AnalyzerConfig error_config = fragility_config;
   error_config.stream_length = config.error_stream_length;
-  result.error_before = analysis::plan_error(program, plan, error_config);
-  result.error_after =
-      analysis::plan_error(result.program, result.plan, error_config);
-  span.arg("area_before_um2", result.area_before_um2);
-  span.arg("area_after_um2", result.area_after_um2);
-  span.arg("fragility_before", result.fragility_before);
-  span.arg("fragility_after", result.fragility_after);
-  span.arg("error_before", result.error_before);
-  span.arg("error_after", result.error_after);
-  result.cost_delta = hw::evaluate_delta(
+  out.error_before = analysis::plan_error(program, plan, error_config);
+  out.error_after =
+      analysis::plan_error(optimized.program, optimized.plan, error_config);
+  span.arg("area_before_um2", out.area_before_um2);
+  span.arg("area_after_um2", out.area_after_um2);
+  span.arg("fragility_before", out.fragility_before);
+  span.arg("fragility_after", out.fragility_after);
+  span.arg("error_before", out.error_before);
+  span.arg("error_after", out.error_after);
+  out.cost_delta = hw::evaluate_delta(
       program.base_netlist(config.width) + plan.overhead,
-      result.program.base_netlist(config.width) + result.plan.overhead,
+      optimized.program.base_netlist(config.width) + optimized.plan.overhead,
       config.cost);
-  return result;
+  return out;
 }
 
 }  // namespace sc::opt

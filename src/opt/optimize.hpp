@@ -2,8 +2,10 @@
 /// One-call front of the optimizer subsystem: opt::optimize runs the
 /// default pass pipeline (pass.hpp) over a planned program and returns the
 /// rewritten program/plan plus per-pass diff reports.  Backends invoke it
-/// automatically when ExecConfig::optimize is set; library users can call
-/// it directly to inspect or price the rewrites.
+/// automatically when ExecConfig::optimize is set.  opt::assess prices a
+/// rewrite — modeled area, static fragility, predicted error and the
+/// full-design cost change — for the callers that print or check it;
+/// optimize itself never builds that report.
 
 #pragma once
 
@@ -15,7 +17,7 @@
 
 namespace sc::opt {
 
-/// Everything optimize() produced.
+/// The rewrite optimize() produced.
 struct OptResult {
   graph::Program program;
   graph::ProgramPlan plan;
@@ -24,14 +26,22 @@ struct OptResult {
   /// streams are one and the same).
   std::vector<graph::NodeId> node_map;
   std::vector<PassReport> reports;
+
+  [[nodiscard]] std::size_t nodes_removed() const;
+  [[nodiscard]] std::size_t corrections_saved() const;
+  /// One line per pass report.
+  [[nodiscard]] std::string summary() const;
+};
+
+/// What a rewrite costs and buys, incoming design against optimized one.
+struct OptAssessment {
   double area_before_um2 = 0.0;
   double area_after_um2 = 0.0;
   /// Static fragility (analysis::plan_fragility: per-fix state_bits x
   /// blast x persistence, summed) of the incoming and optimized plans —
   /// the reliability axis the area numbers above cannot see.  The chain
   /// pass trades area *for* fragility (one chain link's upset poisons
-  /// every downstream copy), so a future cost gate budgets against this
-  /// pair; today they are reported in summary() and telemetry.
+  /// every downstream copy); OptConfig::fragility_budget bounds it.
   double fragility_before = 0.0;
   double fragility_after = 0.0;
   /// Predicted worst per-output |error| bound (analysis::plan_error at
@@ -44,9 +54,7 @@ struct OptResult {
   /// power, energy) at the config's operating point — negative is saved.
   hw::CostReport cost_delta;
 
-  [[nodiscard]] std::size_t nodes_removed() const;
-  [[nodiscard]] std::size_t corrections_saved() const;
-  /// One line per accepted pass plus the area totals.
+  /// The area, fragility and error totals, one line each.
   [[nodiscard]] std::string summary() const;
 };
 
@@ -56,5 +64,11 @@ struct OptResult {
 OptResult optimize(const graph::Program& program,
                    const graph::ProgramPlan& plan,
                    const OptConfig& config = {});
+
+/// Prices `optimized` — optimize(program, plan, config)'s result —
+/// against the (program, plan) it was made from, at the same config.
+OptAssessment assess(const graph::Program& program,
+                     const graph::ProgramPlan& plan,
+                     const OptResult& optimized, const OptConfig& config = {});
 
 }  // namespace sc::opt

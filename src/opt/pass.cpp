@@ -132,9 +132,12 @@ std::vector<PassReport> PassManager::run(graph::Program& program,
   obs::Tracer* const tracer = obs::tracer_of(telemetry);
   const bool budgeted = config.budgeted();
   const analysis::AnalyzerConfig gate_config = gate_analyzer_config(config);
-  // Carried across passes so each pass pays one error/fragility
-  // evaluation, not two (the accepted state's metrics become the next
-  // pass's "before").
+  // Carried across passes so each rewrite pays one area and one
+  // error/fragility evaluation, not two: the accepted state's metrics
+  // become the next pass's "before".  A pass that reports no rewrite
+  // leaves program and plan as they were, and a rejected one is rolled
+  // back, so neither moves them.
+  double area_before = modeled_area(program, plan, config);
   double error_before = 0.0;
   double fragility_before = 0.0;
   if (budgeted) {
@@ -147,7 +150,6 @@ std::vector<PassReport> PassManager::run(graph::Program& program,
     obs::Span span(tracer, "opt." + pass->name(), "opt");
     const graph::Program before_program = program;
     const ProgramPlan before_plan = plan;
-    const double area_before = modeled_area(program, plan, config);
 
     PassReport report;
     report.pass = pass->name();
@@ -216,6 +218,7 @@ std::vector<PassReport> PassManager::run(graph::Program& program,
 
     report.accepted = true;
     report.area_delta_um2 = area_after - area_before;
+    area_before = area_after;
     if (budgeted) {
       report.error_delta = error_after - error_before;
       report.fragility_delta = fragility_after - fragility_before;

@@ -157,7 +157,9 @@ class Pass {
   /// or an empty vector when the program was left untouched.  After a
   /// non-empty remap the manager replans the program under the plan's
   /// strategy, so plan-only passes must run after program passes (the
-  /// default pipeline does).
+  /// default pipeline does).  A pass that leaves report.changed false
+  /// must leave program and plan exactly as it found them: the manager
+  /// carries their modeled area on without re-modelling it.
   virtual std::vector<graph::NodeId> run(graph::Program& program,
                                          graph::ProgramPlan& plan,
                                          const OptConfig& config,
@@ -172,7 +174,10 @@ class PassManager {
 
   /// Runs every pass.  `node_map` (original id -> current id,
   /// graph::kInvalidNode for removed) is composed across accepted program
-  /// rewrites; pass an identity map sized to the original program.
+  /// rewrites; pass an identity map sized to the original program.  The
+  /// gate models the full design's area once before the first pass and
+  /// once per rewrite, and carries the accepted state's area (and, when
+  /// budgeted, its error and fragility) on as the next pass's baseline.
   std::vector<PassReport> run(graph::Program& program,
                               graph::ProgramPlan& plan,
                               std::vector<graph::NodeId>& node_map,

@@ -175,16 +175,21 @@ TEST(AccuracyCalibration, ChainRewriteBoundTracksMeasuredRegression) {
   tight.error_budget = 0.03;
   const opt::OptResult rejected = opt::optimize(program, pairwise, tight);
   EXPECT_FALSE(chain_accepted(rejected));
-  EXPECT_EQ(rejected.error_before, rejected.error_after);
+  const opt::OptAssessment rejected_report =
+      opt::assess(program, pairwise, rejected, tight);
+  EXPECT_EQ(rejected_report.error_before, rejected_report.error_after);
 
   opt::OptConfig loose = opt_config;
   loose.error_budget = 0.10;
   const opt::OptResult accepted = opt::optimize(program, pairwise, loose);
   EXPECT_TRUE(chain_accepted(accepted));
-  EXPECT_GT(accepted.error_after, accepted.error_before);
+  const opt::OptAssessment accepted_report =
+      opt::assess(program, pairwise, accepted, loose);
+  EXPECT_GT(accepted_report.error_after, accepted_report.error_before);
 
   // The summary reports the error axis beside area and fragility.
-  EXPECT_NE(accepted.summary().find("predicted |error|"), std::string::npos);
+  EXPECT_NE(accepted_report.summary().find("predicted |error|"),
+            std::string::npos);
 }
 
 TEST(AccuracyCalibration, MinStreamLengthAnswersTheRmseQuestion) {

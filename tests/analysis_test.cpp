@@ -316,7 +316,9 @@ TEST(Analyzer, ChainFragilityExceedsSyncBaseline) {
             plan_fragility(base_program, base_plan));
   // ... and the chain is *more* fragile than it is cheap: the optimizer
   // surfaces both ends of that trade.
-  EXPECT_LT(optimized.area_after_um2, optimized.area_before_um2);
+  const opt::OptAssessment assessed =
+      opt::assess(program, plan, optimized, opt_config);
+  EXPECT_LT(assessed.area_after_um2, assessed.area_before_um2);
 }
 
 TEST(Optimizer, ReportsPlanFragilityBeforeAndAfter) {
@@ -324,12 +326,14 @@ TEST(Optimizer, ReportsPlanFragilityBeforeAndAfter) {
   const ProgramPlan plan = plan_program(program, Strategy::kManipulation);
   opt::OptConfig config;
   const opt::OptResult result = opt::optimize(program, plan, config);
-  EXPECT_DOUBLE_EQ(result.fragility_before, plan_fragility(program, plan));
-  EXPECT_DOUBLE_EQ(result.fragility_after,
+  const opt::OptAssessment assessed =
+      opt::assess(program, plan, result, config);
+  EXPECT_DOUBLE_EQ(assessed.fragility_before, plan_fragility(program, plan));
+  EXPECT_DOUBLE_EQ(assessed.fragility_after,
                    plan_fragility(result.program, result.plan));
   // 3 pairwise shuffles -> 2 chain links: less inserted state.
-  EXPECT_LT(result.fragility_after, result.fragility_before);
-  EXPECT_NE(result.summary().find("fragility"), std::string::npos);
+  EXPECT_LT(assessed.fragility_after, assessed.fragility_before);
+  EXPECT_NE(assessed.summary().find("fragility"), std::string::npos);
 }
 
 TEST(Optimizer, DeadFixPassDropsProvablyRedundantDecorrelators) {

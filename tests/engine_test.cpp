@@ -66,6 +66,51 @@ TEST(ThreadPool, ForEachDrainsBeforeRethrowing) {
   EXPECT_EQ(ran.load(), settled);  // no task still touching `ran` after return
 }
 
+TEST(ThreadPool, FanOutsOnAnIdlePoolCountNoBackpressureStalls) {
+  // Each for_each returns after its last block has run, so the next call
+  // finds the queue empty: a call's own blocks queued behind one another
+  // are not backpressure.
+  obs::Telemetry telemetry;
+  ThreadPool pool(4);
+  pool.attach_telemetry(&telemetry);
+  for (int call = 0; call < 3; ++call) pool.for_each(64, [](std::size_t) {});
+  pool.attach_telemetry(nullptr);
+  EXPECT_EQ(
+      telemetry.metrics().counter("engine.pool.backpressure_stalls").value(),
+      0u);
+}
+
+TEST(ThreadPool, FanOutQueuedBehindAnotherCallsBlocksCountsStalls) {
+  // One worker, held inside the first call's first block, so that call's
+  // other three blocks stay queued; a second call's four blocks then
+  // queue behind them and count as stalled.
+  obs::Telemetry telemetry;
+  const obs::Counter& stalls =
+      telemetry.metrics().counter("engine.pool.backpressure_stalls");
+  ThreadPool pool(1);
+  pool.attach_telemetry(&telemetry);
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  std::thread first([&] {
+    pool.for_each(8, [&](std::size_t) {
+      holding = true;
+      while (!release) std::this_thread::yield();
+    });
+  });
+  while (!holding) std::this_thread::yield();
+  std::thread second([&] { pool.for_each(4, [](std::size_t) {}); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (stalls.value() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  release = true;
+  first.join();
+  second.join();
+  pool.attach_telemetry(nullptr);
+  EXPECT_EQ(stalls.value(), 4u);
+}
+
 // --- seeding -------------------------------------------------------------------
 
 TEST(ThreadPool, ZeroRequestAlwaysResolvesToAtLeastOneWorker) {

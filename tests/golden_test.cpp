@@ -441,30 +441,39 @@ std::vector<FrameChecksum> frame_checksums() {
   return out;
 }
 
-TEST(GoldenFrames, ImageFramesMatchTheCommittedChecksums) {
-  const std::vector<FrameChecksum> frames = frame_checksums();
+/// Under SC_GOLDEN_PRINT, prints `rows` as the `table_name` initializer
+/// and skips; otherwise checks each row against the committed `table`.
+template <std::size_t N>
+void expect_committed(const std::vector<FrameChecksum>& rows,
+                      const GoldenEntry (&table)[N], const char* table_name,
+                      const char* what_changed) {
   if (std::getenv("SC_GOLDEN_PRINT") != nullptr) {
-    std::printf("inline constexpr GoldenEntry kGoldenFrames[] = {\n");
-    for (const FrameChecksum& f : frames) {
+    std::printf("inline constexpr GoldenEntry %s[] = {\n", table_name);
+    for (const FrameChecksum& f : rows) {
       std::printf("    {\"%s\", \"%s\", 0x%016llXULL},\n", f.program.c_str(),
                   f.label.c_str(), static_cast<unsigned long long>(f.checksum));
     }
     std::printf("};\n");
-    GTEST_SKIP() << "SC_GOLDEN_PRINT set: printed the frames instead of "
-                    "checking them";
+    GTEST_SKIP() << "SC_GOLDEN_PRINT set: printed " << table_name
+                 << " instead of checking it";
   }
-  EXPECT_EQ(frames.size(), std::size(kGoldenFrames));
-  for (const FrameChecksum& f : frames) {
-    const auto golden = std::find_if(
-        std::begin(kGoldenFrames), std::end(kGoldenFrames),
-        [&](const GoldenEntry& e) {
-          return f.program == e.program && f.label == e.backend;
-        });
-    ASSERT_NE(golden, std::end(kGoldenFrames))
+  EXPECT_EQ(rows.size(), N);
+  for (const FrameChecksum& f : rows) {
+    const auto golden =
+        std::find_if(std::begin(table), std::end(table),
+                     [&](const GoldenEntry& e) {
+                       return f.program == e.program && f.label == e.backend;
+                     });
+    ASSERT_NE(golden, std::end(table))
         << "no golden entry for " << f.program << " " << f.label;
     EXPECT_EQ(f.checksum, golden->checksum)
-        << f.program << " " << f.label << ": frame pixels changed";
+        << f.program << " " << f.label << ": " << what_changed;
   }
+}
+
+TEST(GoldenFrames, ImageFramesMatchTheCommittedChecksums) {
+  expect_committed(frame_checksums(), kGoldenFrames, "kGoldenFrames",
+                   "frame pixels changed");
 }
 
 // -------------------------------------------------------------- operators
@@ -633,29 +642,8 @@ std::vector<FrameChecksum> operator_checksums() {
 }
 
 TEST(GoldenOperators, LibraryCallersMatchTheCommittedChecksums) {
-  const std::vector<FrameChecksum> sums = operator_checksums();
-  if (std::getenv("SC_GOLDEN_PRINT") != nullptr) {
-    std::printf("inline constexpr GoldenEntry kGoldenOperators[] = {\n");
-    for (const FrameChecksum& f : sums) {
-      std::printf("    {\"%s\", \"%s\", 0x%016llXULL},\n", f.program.c_str(),
-                  f.label.c_str(), static_cast<unsigned long long>(f.checksum));
-    }
-    std::printf("};\n");
-    GTEST_SKIP() << "SC_GOLDEN_PRINT set: printed the operators instead of "
-                    "checking them";
-  }
-  EXPECT_EQ(sums.size(), std::size(kGoldenOperators));
-  for (const FrameChecksum& f : sums) {
-    const auto golden = std::find_if(
-        std::begin(kGoldenOperators), std::end(kGoldenOperators),
-        [&](const GoldenEntry& e) {
-          return f.program == e.program && f.label == e.backend;
-        });
-    ASSERT_NE(golden, std::end(kGoldenOperators))
-        << "no golden entry for " << f.program << " " << f.label;
-    EXPECT_EQ(f.checksum, golden->checksum)
-        << f.program << " " << f.label << ": results changed";
-  }
+  expect_committed(operator_checksums(), kGoldenOperators, "kGoldenOperators",
+                   "results changed");
 }
 
 // -------------------------------------------------------------- optimizer
@@ -736,7 +724,7 @@ void mix_rewrite(Fnv1a& fnv, const opt::OptResult& result) {
   }
 }
 
-void mix_report(Fnv1a& fnv, const opt::OptResult& report) {
+void mix_report(Fnv1a& fnv, const opt::OptAssessment& report) {
   mix_double(fnv, report.area_before_um2);
   mix_double(fnv, report.area_after_um2);
   mix_double(fnv, report.fragility_before);
@@ -784,7 +772,7 @@ std::vector<FrameChecksum> optimizer_checksums() {
           const opt::OptResult optimized =
               opt::optimize(program, plan, config);
           mix_rewrite(fnv, optimized);
-          mix_report(fnv, optimized);
+          mix_report(fnv, opt::assess(program, plan, optimized, config));
         }
         out.push_back({workload,
                        std::string(strategy_label) + "/" + config_label,
@@ -796,29 +784,8 @@ std::vector<FrameChecksum> optimizer_checksums() {
 }
 
 TEST(GoldenOptimizer, RewritesAndReportsMatchTheCommittedChecksums) {
-  const std::vector<FrameChecksum> sums = optimizer_checksums();
-  if (std::getenv("SC_GOLDEN_PRINT") != nullptr) {
-    std::printf("inline constexpr GoldenEntry kGoldenOptimizer[] = {\n");
-    for (const FrameChecksum& f : sums) {
-      std::printf("    {\"%s\", \"%s\", 0x%016llXULL},\n", f.program.c_str(),
-                  f.label.c_str(), static_cast<unsigned long long>(f.checksum));
-    }
-    std::printf("};\n");
-    GTEST_SKIP() << "SC_GOLDEN_PRINT set: printed the optimizer rows instead "
-                    "of checking them";
-  }
-  EXPECT_EQ(sums.size(), std::size(kGoldenOptimizer));
-  for (const FrameChecksum& f : sums) {
-    const auto golden = std::find_if(
-        std::begin(kGoldenOptimizer), std::end(kGoldenOptimizer),
-        [&](const GoldenEntry& e) {
-          return f.program == e.program && f.label == e.backend;
-        });
-    ASSERT_NE(golden, std::end(kGoldenOptimizer))
-        << "no golden entry for " << f.program << " " << f.label;
-    EXPECT_EQ(f.checksum, golden->checksum)
-        << f.program << " " << f.label << ": optimizer output changed";
-  }
+  expect_committed(optimizer_checksums(), kGoldenOptimizer, "kGoldenOptimizer",
+                   "optimizer output changed");
 }
 
 // Telemetry neutrality at golden granularity: the full corpus — faults,

@@ -65,12 +65,13 @@ TEST(ChainDecorrelators, SixteenWayFanOutGetsFifteenNotOneHundredTwenty) {
             15u);
   EXPECT_EQ(count_active_fixes(optimized.plan, FixKind::kDecorrelator), 0u);
   EXPECT_EQ(optimized.corrections_saved(), 105u);
-  EXPECT_LT(optimized.area_after_um2, optimized.area_before_um2);
+  const OptAssessment assessed = assess(p, pairwise, optimized);
+  EXPECT_LT(assessed.area_after_um2, assessed.area_before_um2);
   // The cost delta prices the saved cells: strictly negative across the
   // board for a 105-circuit reduction.
-  EXPECT_LT(optimized.cost_delta.area_um2, 0.0);
-  EXPECT_LT(optimized.cost_delta.power_uw, 0.0);
-  EXPECT_LT(optimized.cost_delta.energy_pj, 0.0);
+  EXPECT_LT(assessed.cost_delta.area_um2, 0.0);
+  EXPECT_LT(assessed.cost_delta.power_uw, 0.0);
+  EXPECT_LT(assessed.cost_delta.energy_pj, 0.0);
   EXPECT_TRUE(plan_covers(optimized.plan));
   // The program itself is untouched (plan-only rewrite).
   EXPECT_EQ(optimized.program.node_count(), p.node_count());
@@ -119,13 +120,15 @@ TEST(Passes, CseMergesDuplicateRngFreeOps) {
   b.output(b.op("toggle-add", {m1, m2}), "out");
   const Program p = b.build();
 
-  const OptResult o = optimize(p, plan_program(p, Strategy::kManipulation));
+  const ProgramPlan plan = plan_program(p, Strategy::kManipulation);
+  const OptResult o = optimize(p, plan);
   EXPECT_EQ(o.nodes_removed(), 1u);
   EXPECT_EQ(o.program.node_count(), p.node_count() - 1);
   // The duplicate maps onto the survivor, not kInvalidNode: its stream
   // still exists (it IS the survivor's).
   EXPECT_EQ(o.node_map[m2.id], o.node_map[m1.id]);
-  EXPECT_LT(o.area_after_um2, o.area_before_um2);
+  const OptAssessment assessed = assess(p, plan, o);
+  EXPECT_LT(assessed.area_after_um2, assessed.area_before_um2);
 }
 
 TEST(Passes, CseNeverMergesOpsWhosePlannedFixesDrawRng) {
@@ -255,11 +258,13 @@ TEST(Passes, ConstantFoldingReplacesConstantSubtreesAndDropsOrphans) {
   const Program p = b.build();
   const double exact_before = p.exact_value(p.outputs()[0]);
 
-  const OptResult o = optimize(p, plan_program(p, Strategy::kManipulation));
+  const ProgramPlan plan = plan_program(p, Strategy::kManipulation);
+  const OptResult o = optimize(p, plan);
   // multiply(c1,c2) became a constant; c1 and c2 are orphaned and dropped.
   EXPECT_EQ(o.nodes_removed(), 2u);
   EXPECT_EQ(o.program.node_count(), 3u);  // x, folded const, the multiply
-  EXPECT_LT(o.area_after_um2, o.area_before_um2);
+  const OptAssessment assessed = assess(p, plan, o);
+  EXPECT_LT(assessed.area_after_um2, assessed.area_before_um2);
   EXPECT_DOUBLE_EQ(o.program.exact_value(o.program.outputs()[0]),
                    exact_before);
   const NodeId folded = o.node_map[prod.id];
@@ -279,11 +284,13 @@ TEST(Passes, DeadValueEliminationDropsUnreachableNodes) {
   b.output(b.op("min", {x, y}), "out");
   const Program p = b.build();
 
-  const OptResult o = optimize(p, plan_program(p, Strategy::kManipulation));
+  const ProgramPlan plan = plan_program(p, Strategy::kManipulation);
+  const OptResult o = optimize(p, plan);
   EXPECT_EQ(o.nodes_removed(), 2u);
   EXPECT_EQ(o.node_map[dead_in.id], graph::kInvalidNode);
   EXPECT_EQ(o.node_map[dead_op.id], graph::kInvalidNode);
-  EXPECT_LT(o.area_after_um2, o.area_before_um2);
+  const OptAssessment assessed = assess(p, plan, o);
+  EXPECT_LT(assessed.area_after_um2, assessed.area_before_um2);
 }
 
 TEST(Passes, CorrectionSharingChargesSiblingSynchronizersOnce) {
@@ -304,7 +311,8 @@ TEST(Passes, CorrectionSharingChargesSiblingSynchronizersOnce) {
   const OptResult o = optimize(p, plan);
   EXPECT_EQ(o.plan.inserted_units, 1u);
   EXPECT_EQ(o.corrections_saved(), 1u);
-  EXPECT_LT(o.area_after_um2, o.area_before_um2);
+  const OptAssessment assessed = assess(p, plan, o);
+  EXPECT_LT(assessed.area_after_um2, assessed.area_before_um2);
 
   std::size_t shared = 0;
   for (const PairFix& fix : o.plan.fixes) {
@@ -338,10 +346,12 @@ TEST(PassManager, CostGateRejectsAreaRaisingRewrites) {
   b.output(c1, "c1-out").output(c2, "c2-out");
   const Program p = b.build();
 
-  const OptResult o = optimize(p, plan_program(p, Strategy::kManipulation));
+  const ProgramPlan plan = plan_program(p, Strategy::kManipulation);
+  const OptResult o = optimize(p, plan);
   EXPECT_EQ(o.program.node_count(), p.node_count());
   EXPECT_EQ(o.nodes_removed(), 0u);
-  EXPECT_DOUBLE_EQ(o.area_after_um2, o.area_before_um2);
+  const OptAssessment assessed = assess(p, plan, o);
+  EXPECT_DOUBLE_EQ(assessed.area_after_um2, assessed.area_before_um2);
   bool fold_rejected = false;
   for (const PassReport& report : o.reports) {
     if (report.pass == "constant-fold") {
