@@ -80,11 +80,6 @@ AnalyzerConfig AnalyzerConfig::from(const graph::ExecConfig& config) {
 
 namespace {
 
-/// Must match backend.cpp's fix_lane (stable operand-slot pair lanes).
-std::uint32_t fix_lane(const PairFix& fix) {
-  return fix.operand_a * graph::kMaxArity + fix.operand_b;
-}
-
 void insert_sorted(std::vector<GeneratorId>& set, const GeneratorId& id) {
   const auto it = std::lower_bound(set.begin(), set.end(), id);
   if (it == set.end() || *it != id) set.insert(it, id);
@@ -328,6 +323,12 @@ class Analyzer {
     return std::move(report_);
   }
 
+  /// The fragility pass alone: it needs no node facts or pair predictions.
+  double fragility() {
+    compute_fragility();
+    return report_.fragility;
+  }
+
  private:
   [[nodiscard]] graph::ExecConfig exec_config() const {
     graph::ExecConfig exec;
@@ -356,6 +357,14 @@ class Analyzer {
   void compute_facts() {
     const std::uint64_t natural = std::uint64_t{1} << config_.width;
     report_.facts.resize(program_.node_count());
+    // Each op's own generators (private slots, fix aux RNGs) join its
+    // randomness cone before its consumers merge it into theirs.
+    for (const graph::SeedSite& site : graph::seed_sites(program_, plan_)) {
+      if (site.role == Role::kGroupTrace) continue;
+      insert_sorted(report_.facts[site.node].provenance,
+                    effective_generator(site.seed32(config_.seed),
+                                        config_.width, site.rotation));
+    }
     for (NodeId id = 0; id < program_.node_count(); ++id) {
       const ProgramNode& node = program_.node(id);
       AnalysisReport::NodeFacts& facts = report_.facts[id];
@@ -388,45 +397,6 @@ class Analyzer {
         fix_sig += std::to_string(static_cast<int>(fix->fix)) + ":" +
                    std::to_string(fix->operand_a) + ":" +
                    std::to_string(fix->operand_b) + ";";
-        // Fix aux RNGs join the node's randomness cone.
-        const std::uint32_t lane = fix_lane(*fix);
-        switch (fix->fix) {
-          case FixKind::kDecorrelator:
-            insert_sorted(facts.provenance,
-                          effective_generator(
-                              derive_seed32(config_.seed, node.seed_tag,
-                                            Role::kFixAuxA, lane),
-                              config_.width));
-            insert_sorted(facts.provenance,
-                          effective_generator(
-                              derive_seed32(config_.seed, node.seed_tag,
-                                            Role::kFixAuxB, lane),
-                              config_.width, /*rotation=*/3));
-            break;
-          case FixKind::kRegenerateDistinct:
-            insert_sorted(facts.provenance,
-                          effective_generator(
-                              derive_seed32(config_.seed, node.seed_tag,
-                                            Role::kFixAuxA, lane),
-                              config_.width));
-            insert_sorted(facts.provenance,
-                          effective_generator(
-                              derive_seed32(config_.seed, node.seed_tag,
-                                            Role::kFixAuxB, lane),
-                              config_.width));
-            break;
-          case FixKind::kDecorrelatorChain:
-          case FixKind::kRegenerateShared:
-          case FixKind::kRegenerateComplementary:
-            insert_sorted(facts.provenance,
-                          effective_generator(
-                              derive_seed32(config_.seed, node.seed_tag,
-                                            Role::kFixAuxA, lane),
-                              config_.width));
-            break;
-          default:
-            break;
-        }
       }
 
       facts.constant_only = !node.operands.empty();
@@ -436,13 +406,6 @@ class Analyzer {
           insert_sorted(facts.provenance, gen);
         }
         if (!of.constant_only) facts.constant_only = false;
-      }
-      for (unsigned slot = 0; slot < def.rng_slots; ++slot) {
-        insert_sorted(facts.provenance,
-                      effective_generator(
-                          derive_seed32(config_.seed, node.seed_tag,
-                                        Role::kOpPrivate, slot),
-                          config_.width));
       }
 
       // Threshold-generator propagation: monotone gates over threshold
@@ -475,13 +438,17 @@ class Analyzer {
 
       // Value number: the CSE criterion — (operator, operand identity,
       // fix shapes, and the seed tag whenever private/fix RNG is drawn).
-      std::string key = "o|" + std::to_string(node.op);
+      std::string key = "o|";
+      key += std::to_string(node.op);
       for (const NodeId operand : node.operands) {
-        key += "|" + std::to_string(report_.facts[operand].value_number);
+        key += '|';
+        key += std::to_string(report_.facts[operand].value_number);
       }
-      key += "|f:" + fix_sig;
+      key += "|f:";
+      key += fix_sig;
       if (def.rng_slots > 0 || fix_rng) {
-        key += "|t:" + std::to_string(node.seed_tag);
+        key += "|t:";
+        key += std::to_string(node.seed_tag);
       }
       facts.value_number = intern(key);
     }
@@ -890,7 +857,7 @@ AnalysisReport analyze(const graph::Program& program,
 double plan_fragility(const graph::Program& program,
                       const graph::ProgramPlan& plan,
                       const AnalyzerConfig& config) {
-  return Analyzer(program, plan, config).run(false).fragility;
+  return Analyzer(program, plan, config).fragility();
 }
 
 AnalysisReport analyze_facts(const graph::Program& program,

@@ -227,8 +227,8 @@ AnalysisReport analyze(const graph::Program& program,
                        const graph::ProgramPlan& plan,
                        const AnalyzerConfig& config = {});
 
-/// Just the fragility total of a plan (the opt:: hook; avoids paying for
-/// diagnostics rendering when only the metric is wanted).
+/// Just the fragility total of a plan (the opt:: hook): runs the
+/// fragility pass alone, without the correlation dataflow or diagnostics.
 double plan_fragility(const graph::Program& program,
                       const graph::ProgramPlan& plan,
                       const AnalyzerConfig& config = {});

@@ -2,40 +2,11 @@
 
 #include <map>
 #include <string>
+#include <utility>
 
 namespace sc::analysis {
 
-using graph::NodeId;
-using graph::OperatorDef;
-using graph::PairFix;
-using graph::FixKind;
-using graph::ProgramNode;
 using graph::seeds::Role;
-using graph::seeds::derive_seed32;
-
-namespace {
-
-/// Stable per-fix seed lane — must match backend.cpp's fix_lane (the
-/// operand-slot pair, invariant under plan rewrites).
-std::uint32_t fix_lane(const PairFix& fix) {
-  return fix.operand_a * graph::kMaxArity + fix.operand_b;
-}
-
-SeedRecord make_record(std::uint32_t seed32, unsigned width,
-                       unsigned rotation, Role role, std::uint32_t key,
-                       std::uint32_t lane, NodeId node, std::string label) {
-  SeedRecord record;
-  record.seed32 = seed32;
-  record.generator = effective_generator(seed32, width, rotation);
-  record.role = role;
-  record.key = key;
-  record.lane = lane;
-  record.node = node;
-  record.label = std::move(label);
-  return record;
-}
-
-}  // namespace
 
 GeneratorId effective_generator(std::uint32_t seed32, unsigned width,
                                 unsigned rotation) {
@@ -86,63 +57,30 @@ SeedReport seed_provenance(const graph::Program& program,
                            const graph::ProgramPlan& plan,
                            const graph::ExecConfig& config) {
   SeedReport report;
-  std::map<unsigned, bool> groups;
-  for (NodeId id = 0; id < program.node_count(); ++id) {
-    const ProgramNode& node = program.node(id);
-    if (node.kind != ProgramNode::Kind::kOp) {
-      if (!groups.emplace(node.rng_group, true).second) continue;
-      const std::uint32_t seed =
-          derive_seed32(config.seed, node.rng_group, Role::kGroupTrace);
-      report.records.push_back(make_record(
-          seed, config.width, /*rotation=*/0, Role::kGroupTrace,
-          node.rng_group, 0, id,
-          "trace of RNG group " + std::to_string(node.rng_group)));
-      continue;
-    }
-    const OperatorDef& def = program.def_of(id);
-    const std::uint32_t tag = node.seed_tag;
-    for (unsigned slot = 0; slot < def.rng_slots; ++slot) {
-      const std::uint32_t seed =
-          derive_seed32(config.seed, tag, Role::kOpPrivate, slot);
-      report.records.push_back(make_record(
-          seed, config.width, /*rotation=*/0, Role::kOpPrivate, tag, slot, id,
-          def.name + " '" + node.name + "' private slot " +
-              std::to_string(slot)));
-    }
-    for (const PairFix* fix : plan.fixes_for(id)) {
-      const std::uint32_t lane = fix_lane(*fix);
-      const std::string pair_label =
-          " '" + node.name + "' pair (" + std::to_string(fix->operand_a) +
-          ", " + std::to_string(fix->operand_b) + ")";
-      switch (fix->fix) {
-        case FixKind::kDecorrelator:
-        case FixKind::kRegenerateDistinct:
-          report.records.push_back(make_record(
-              derive_seed32(config.seed, tag, Role::kFixAuxA, lane),
-              config.width, /*rotation=*/0, Role::kFixAuxA, tag, lane, id,
-              to_string(fix->fix) + pair_label + " aux A"));
-          // The decorrelator's second buffer keeps its output rotation (3)
-          // precisely so a masked collision with aux A still yields a
-          // distinct address schedule — model the rotation, or the pair
-          // would self-report as colliding.
-          report.records.push_back(make_record(
-              derive_seed32(config.seed, tag, Role::kFixAuxB, lane),
-              config.width,
-              fix->fix == FixKind::kDecorrelator ? 3u : 0u, Role::kFixAuxB,
-              tag, lane, id, to_string(fix->fix) + pair_label + " aux B"));
-          break;
-        case FixKind::kDecorrelatorChain:
-        case FixKind::kRegenerateShared:
-        case FixKind::kRegenerateComplementary:
-          report.records.push_back(make_record(
-              derive_seed32(config.seed, tag, Role::kFixAuxA, lane),
-              config.width, /*rotation=*/0, Role::kFixAuxA, tag, lane, id,
-              to_string(fix->fix) + pair_label + " aux"));
-          break;
-        default:
-          break;  // synchronizer / desynchronizer draw no RNG
+  for (const graph::SeedSite& site : graph::seed_sites(program, plan)) {
+    SeedRecord record;
+    record.seed32 = site.seed32(config.seed);
+    record.generator =
+        effective_generator(record.seed32, config.width, site.rotation);
+    record.role = site.role;
+    record.key = site.key;
+    record.lane = site.lane;
+    record.node = site.node;
+    const graph::ProgramNode& node = program.node(site.node);
+    if (site.role == Role::kGroupTrace) {
+      record.label = "trace of RNG group " + std::to_string(site.key);
+    } else if (site.fix == nullptr) {
+      record.label = program.def_of(site.node).name + " '" + node.name +
+                     "' private slot " + std::to_string(site.lane);
+    } else {
+      record.label = to_string(site.fix->fix) + " '" + node.name +
+                     "' pair (" + std::to_string(site.fix->operand_a) + ", " +
+                     std::to_string(site.fix->operand_b) + ") aux";
+      if (graph::fix_seed_sites(*site.fix, site.key).size() > 1) {
+        record.label += site.role == Role::kFixAuxA ? " A" : " B";
       }
     }
+    report.records.push_back(std::move(record));
   }
   report.collisions = find_collisions(report.records);
   return report;

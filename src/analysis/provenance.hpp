@@ -2,11 +2,12 @@
 /// Static RNG/seed provenance for planned programs.
 ///
 /// Every random decision a backend makes derives from seeds.hpp's
-/// (node, role, lane) scheme, and backend.cpp's derived_seeds() already
-/// enumerates the 32-bit folds for runtime audits.  This module makes the
-/// same enumeration *inspectable*: each derived seed becomes a SeedRecord
-/// carrying its origin (which node, which role, which lane) and — the part
-/// no runtime audit sees — its **effective generator identity**.
+/// (node, role, lane) scheme, and graph::seed_sites() lists every
+/// generator a run constructs — the list the executor builds its fix
+/// generators from.  This module makes that list *inspectable*: each site
+/// becomes a SeedRecord carrying its origin (which node, which role, which
+/// lane) and — the part no runtime audit sees — its **effective generator
+/// identity**.
 ///
 /// rng::Lfsr keeps only the low `width` bits of its seed (remapping a
 /// masked zero to 1) and its output sequence is fully determined by that
@@ -20,7 +21,7 @@
 /// classes statically:
 ///
 ///   * exact collisions — identical 32-bit folds (derivation-scheme bug or
-///     birthday collision; derived_seeds' regression test guards the
+///     birthday collision; backend_test's regression test guards the
 ///     default seed, this reports any seed),
 ///   * masked collisions — distinct folds, same effective generator
 ///     (pigeonhole in the masked space; unavoidable in general, but a
@@ -99,9 +100,9 @@ struct SeedReport {
   [[nodiscard]] std::vector<const SeedRecord*> sharing(const GeneratorId& id) const;
 };
 
-/// Enumerates the derived seeds of a run exactly as the backends would
-/// draw them (mirrors backend.cpp's derived_seeds(), which the regression
-/// test cross-checks), and detects exact + masked collisions.
+/// One record per graph::seed_sites() entry of the run, in that order —
+/// the generators the backends construct — and the exact + masked
+/// collisions among them.
 SeedReport seed_provenance(const graph::Program& program,
                            const graph::ProgramPlan& plan,
                            const graph::ExecConfig& config);

@@ -150,7 +150,8 @@ std::string serialize_program(const graph::Program& program) {
   std::vector<std::string> names(program.node_count());
   for (graph::NodeId id = 0; id < program.node_count(); ++id) {
     const ProgramNode& node = program.node(id);
-    names[id] = node.name.empty() ? "v" + std::to_string(id) : node.name;
+    names[id] = node.name;
+    if (names[id].empty()) names[id].append("v").append(std::to_string(id));
     switch (node.kind) {
       case ProgramNode::Kind::kInput:
         out << "input " << names[id] << " " << node.value << " group="

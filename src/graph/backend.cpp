@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -53,81 +54,59 @@ std::pair<Bitstream, Bitstream> regenerate_complementary(
   return {std::move(out_a), std::move(out_b)};
 }
 
-/// Stable per-fix seed lane: the operand slot pair, not the fix's
-/// positional index in the op's fix list.  Positional lanes would reseed
-/// every surviving fix whenever a plan rewrite drops an earlier one
-/// (e.g. the optimizer's replan after CSE proving a kPositive pair
-/// satisfied), breaking the dedup-only pipeline's bit-identity contract;
-/// the slot pair is invariant under such rewrites and unique within an
-/// op (operand_a < operand_b < kMaxArity).
-unsigned fix_lane(const PairFix& fix) {
-  return fix.operand_a * kMaxArity + fix.operand_b;
+/// A fix's aux generators (fix_seed_sites), constructed.
+std::vector<std::unique_ptr<rng::Lfsr>> fix_generators(
+    const PairFix& fix, const ExecConfig& config, std::uint32_t seed_tag) {
+  std::vector<std::unique_ptr<rng::Lfsr>> out;
+  for (const SeedSite& site : fix_seed_sites(fix, seed_tag)) {
+    out.push_back(std::make_unique<rng::Lfsr>(
+        config.width, site.seed32(config.seed), site.rotation));
+  }
+  return out;
 }
 
 /// In-stream manipulator FSM for a planned fix (nullptr for regeneration
-/// kinds, which are not per-cycle transforms).  `node` is the op node's
-/// seed_tag, not its id — the tag survives optimizer rewrites, so a plan
-/// that only dropped or merged other nodes draws identical aux sequences.
+/// kinds, which are not per-cycle transforms).
 std::unique_ptr<core::PairTransform> make_fix_transform(
-    FixKind kind, const ExecConfig& config, NodeId node, unsigned lane) {
-  switch (kind) {
+    const PairFix& fix, const ExecConfig& config, std::uint32_t seed_tag) {
+  switch (fix.fix) {
     case FixKind::kSynchronizer:
       return std::make_unique<core::Synchronizer>(
           core::Synchronizer::Config{config.sync_depth, false, 0});
     case FixKind::kDesynchronizer:
       return std::make_unique<core::Desynchronizer>(
           core::Desynchronizer::Config{config.sync_depth, false});
-    case FixKind::kDecorrelator:
-      // The second buffer's source is rotated so the two address schedules
-      // stay distinct even if the width-masked seeds alias (lockstep
-      // buffers do not decorrelate).
+    case FixKind::kDecorrelator: {
+      auto sources = fix_generators(fix, config, seed_tag);
       return std::make_unique<core::Decorrelator>(
-          config.shuffle_depth,
-          std::make_unique<rng::Lfsr>(
-              config.width,
-              derive_seed32(config.seed, node, Role::kFixAuxA, lane)),
-          std::make_unique<rng::Lfsr>(
-              config.width,
-              derive_seed32(config.seed, node, Role::kFixAuxB, lane),
-              /*rotation=*/3));
+          config.shuffle_depth, std::move(sources[0]), std::move(sources[1]));
+    }
     case FixKind::kDecorrelatorChain:
       return std::make_unique<core::DecorrelatorChainLink>(
           config.shuffle_depth,
-          std::make_unique<rng::Lfsr>(
-              config.width,
-              derive_seed32(config.seed, node, Role::kFixAuxA, lane)));
+          std::move(fix_generators(fix, config, seed_tag)[0]));
     default:
       return nullptr;
   }
 }
 
 /// Whole-stream regeneration fix (counts the operands, then re-encodes).
-void apply_regeneration(FixKind kind, Bitstream& a, Bitstream& b,
-                        const ExecConfig& config, NodeId node, unsigned lane) {
-  switch (kind) {
+void apply_regeneration(const PairFix& fix, Bitstream& a, Bitstream& b,
+                        const ExecConfig& config, std::uint32_t seed_tag) {
+  const auto sources = fix_generators(fix, config, seed_tag);
+  switch (fix.fix) {
     case FixKind::kRegenerateShared: {
-      rng::Lfsr source(config.width,
-                       derive_seed32(config.seed, node, Role::kFixAuxA, lane));
-      const auto bus = convert::regenerate_bus_correlated({a, b}, source);
+      const auto bus = convert::regenerate_bus_correlated({a, b}, *sources[0]);
       a = bus[0];
       b = bus[1];
       return;
     }
-    case FixKind::kRegenerateDistinct: {
-      rng::Lfsr source_a(
-          config.width,
-          derive_seed32(config.seed, node, Role::kFixAuxA, lane));
-      rng::Lfsr source_b(
-          config.width,
-          derive_seed32(config.seed, node, Role::kFixAuxB, lane));
-      a = convert::regenerate(a, source_a);
-      b = convert::regenerate(b, source_b);
+    case FixKind::kRegenerateDistinct:
+      a = convert::regenerate(a, *sources[0]);
+      b = convert::regenerate(b, *sources[1]);
       return;
-    }
     case FixKind::kRegenerateComplementary: {
-      rng::Lfsr source(config.width,
-                       derive_seed32(config.seed, node, Role::kFixAuxA, lane));
-      auto pair = regenerate_complementary(a, b, source);
+      auto pair = regenerate_complementary(a, b, *sources[0]);
       a = std::move(pair.first);
       b = std::move(pair.second);
       return;
@@ -149,11 +128,11 @@ void record_run_metrics(obs::Telemetry* telemetry, const char* backend,
   metrics.counter("backend.runs").inc();
   metrics.counter(std::string("backend.") + backend + ".runs").inc();
   metrics.counter("backend.bits_processed").add(n * program.node_count());
-  // Every derived seed seeds one generator that draws one value per
-  // cycle (group traces, operator-private slots, fix aux sources), so the
-  // draw count is exact and costs nothing on the hot path.
+  // Every seed site is one generator that draws one value per cycle
+  // (group traces, operator-private slots, fix aux sources), so the draw
+  // count is exact and costs nothing on the hot path.
   metrics.counter("backend.rng_draws")
-      .add(derived_seeds(program, plan, config).size() * n);
+      .add(seed_sites(program, plan).size() * n);
 }
 
 /// An engine run's chunked accounting.
@@ -353,8 +332,7 @@ ExecutionResult execute(const Program& program, const ProgramPlan& plan,
           // landing the corruption on the same absolute cycle on every
           // backend.
           state.fix_transforms.push_back(fault::wrap_fsm_faults(
-              make_fix_transform(state.fixes[lane]->fix, config,
-                                 node.seed_tag, fix_lane(*state.fixes[lane])),
+              make_fix_transform(*state.fixes[lane], config, node.seed_tag),
               faults, id, static_cast<unsigned>(lane)));
           if (state.fix_transforms.back() != nullptr) {
             state.fix_transforms.back()->begin_stream(n);
@@ -427,8 +405,7 @@ ExecutionResult execute(const Program& program, const ProgramPlan& plan,
         // As with the evaluator below, the non-virtual base call is the
         // bit-serial reference and the override is the circuit's word path.
         if (transform == nullptr) {
-          apply_regeneration(fix.fix, a, b, config, node.seed_tag,
-                             fix_lane(fix));
+          apply_regeneration(fix, a, b, config, node.seed_tag);
         } else if (bit_serial) {
           transform->core::PairTransform::process(a.word_data(),
                                                   b.word_data(), take);
@@ -625,41 +602,63 @@ std::unique_ptr<ExecutorBackend> make_engine_backend(
   return std::make_unique<Backend>(BackendKind::kEngine, &session);
 }
 
-std::vector<std::uint32_t> derived_seeds(const Program& program,
-                                          const ProgramPlan& plan,
-                                          const ExecConfig& config) {
-  std::vector<std::uint32_t> out;
-  std::map<unsigned, bool> groups;
+std::vector<SeedSite> fix_seed_sites(const PairFix& fix,
+                                     std::uint32_t seed_tag) {
+  SeedSite a;
+  a.role = Role::kFixAuxA;
+  a.key = seed_tag;
+  // The operand slot pair, not the fix's position in the op's fix list:
+  // positional lanes would reseed every surviving fix whenever a plan
+  // rewrite drops an earlier one (e.g. the optimizer's replan after CSE
+  // proving a kPositive pair satisfied), breaking the dedup-only
+  // pipeline's bit-identity; the pair is invariant under such rewrites
+  // and unique within an op (operand_a < operand_b < kMaxArity).
+  a.lane = fix.operand_a * kMaxArity + fix.operand_b;
+  a.node = fix.op_node;
+  a.fix = &fix;
+  SeedSite b = a;
+  b.role = Role::kFixAuxB;
+  switch (fix.fix) {
+    case FixKind::kDecorrelator:
+      // The second buffer's source is rotated so the two address schedules
+      // stay distinct even if the width-masked seeds alias (lockstep
+      // buffers do not decorrelate).
+      b.rotation = 3;
+      [[fallthrough]];
+    case FixKind::kRegenerateDistinct:
+      return {a, b};
+    case FixKind::kDecorrelatorChain:
+    case FixKind::kRegenerateShared:
+    case FixKind::kRegenerateComplementary:
+      return {a};
+    default:
+      return {};  // synchronizer / desynchronizer draw no RNG
+  }
+}
+
+std::vector<SeedSite> seed_sites(const Program& program,
+                                 const ProgramPlan& plan) {
+  std::vector<SeedSite> out;
+  std::set<unsigned> groups;
   for (NodeId id = 0; id < program.node_count(); ++id) {
     const ProgramNode& node = program.node(id);
+    SeedSite site;
+    site.node = id;
     if (node.kind != ProgramNode::Kind::kOp) {
-      if (!groups.emplace(node.rng_group, true).second) continue;
-      out.push_back(derive_seed32(config.seed, node.rng_group,
-                                  Role::kGroupTrace));
+      if (!groups.insert(node.rng_group).second) continue;
+      site.key = node.rng_group;
+      out.push_back(site);
       continue;
     }
-    const OperatorDef& def = program.def_of(id);
-    const std::uint32_t tag = node.seed_tag;
-    for (unsigned slot = 0; slot < def.rng_slots; ++slot) {
-      out.push_back(derive_seed32(config.seed, tag, Role::kOpPrivate, slot));
+    site.role = Role::kOpPrivate;
+    site.key = node.seed_tag;
+    for (unsigned slot = 0; slot < program.def_of(id).rng_slots; ++slot) {
+      site.lane = slot;
+      out.push_back(site);
     }
-    const std::vector<const PairFix*> fixes = plan.fixes_for(id);
-    for (const PairFix* fix : fixes) {
-      const std::uint32_t lane32 = fix_lane(*fix);
-      switch (fix->fix) {
-        case FixKind::kDecorrelator:
-        case FixKind::kRegenerateDistinct:
-          out.push_back(derive_seed32(config.seed, tag, Role::kFixAuxA, lane32));
-          out.push_back(derive_seed32(config.seed, tag, Role::kFixAuxB, lane32));
-          break;
-        case FixKind::kDecorrelatorChain:
-        case FixKind::kRegenerateShared:
-        case FixKind::kRegenerateComplementary:
-          out.push_back(derive_seed32(config.seed, tag, Role::kFixAuxA, lane32));
-          break;
-        default:
-          break;  // synchronizer/desynchronizer draw no RNG
-      }
+    for (const PairFix* fix : plan.fixes_for(id)) {
+      const std::vector<SeedSite> aux = fix_seed_sites(*fix, node.seed_tag);
+      out.insert(out.end(), aux.begin(), aux.end());
     }
   }
   return out;

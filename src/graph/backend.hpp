@@ -43,6 +43,7 @@
 #include "bitstream/bitstream.hpp"
 #include "graph/planner.hpp"
 #include "graph/program.hpp"
+#include "graph/seeds.hpp"
 
 namespace sc::engine {
 class Session;
@@ -146,19 +147,51 @@ std::unique_ptr<ExecutorBackend> make_backend(BackendKind kind);
 /// jobs: on a pool worker the fan-out runs inline (ThreadPool::for_each).
 std::unique_ptr<ExecutorBackend> make_engine_backend(engine::Session& session);
 
-/// Every auxiliary seed a run of `plan` on `program` derives, in
-/// deterministic order: group traces, operator-private slots
-/// (OperatorDef::rng_slots), and per-fix RNGs.  These are the *32-bit
-/// folds the LFSRs are actually seeded with* (seeds::derive_seed32,
-/// including its 0 -> 1 remap), not the 64-bit mixes — the 64-bit values
-/// are distinct by construction, so auditing them would be vacuous; the
-/// fold is where a birthday or remap collision could silently run two
-/// "independent" generators on one schedule.  The regression test asserts
-/// pairwise distinctness on large plans under the default base seed.
-/// Each seed drives one generator that draws one value per cycle, so
-/// size() * stream_length is the run's backend.rng_draws metric.
-std::vector<std::uint32_t> derived_seeds(const Program& program,
-                                         const ProgramPlan& plan,
-                                         const ExecConfig& config);
+/// One generator a run constructs: an rng::Lfsr of the run's width,
+/// seeded with seed32(ExecConfig::seed) and emitting through `rotation`.
+struct SeedSite {
+  seeds::Role role = seeds::Role::kGroupTrace;
+  /// The RNG group id for kGroupTrace, the op node's seed_tag otherwise.
+  std::uint32_t key = 0;
+  /// Private slot index (kOpPrivate) or the fix's operand-pair lane
+  /// (kFixAux*); 0 for traces.
+  std::uint32_t lane = 0;
+  unsigned rotation = 0;  ///< rng::Lfsr output rotation
+  /// The op node for private slots and fix RNGs, the first node of the
+  /// group for traces.
+  NodeId node = kInvalidNode;
+  /// The fix drawing it (kFixAux* only), in the plan the list was made
+  /// from.
+  const PairFix* fix = nullptr;
+
+  /// The 32-bit fold the Lfsr is seeded with (seeds::derive_seed32,
+  /// including its 0 -> 1 remap).  Seed audits compare these folds, not
+  /// the 64-bit mixes: the mixes are distinct by construction, so
+  /// auditing them would be vacuous, while the fold is where a birthday
+  /// or remap collision could silently run two "independent" generators
+  /// on one schedule.
+  [[nodiscard]] std::uint32_t seed32(std::uint64_t base) const {
+    return seeds::derive_seed32(base, key, role, lane);
+  }
+};
+
+/// The aux generators one planned fix draws, keyed by its op node's
+/// `seed_tag` (not its id, so a rewrite that only drops or merges other
+/// nodes draws identical sequences): two for a decorrelator (the second
+/// with output rotation 3) and a regen-distinct, one for a chain link,
+/// regen-shared and regen-complementary, none for the (de)synchronizers.
+std::vector<SeedSite> fix_seed_sites(const PairFix& fix,
+                                     std::uint32_t seed_tag);
+
+/// Every generator a run of `plan` on `program` constructs, in
+/// deterministic order: per node, its group's trace (first node of the
+/// group only), then an op's private slots (OperatorDef::rng_slots), then
+/// its fixes' fix_seed_sites, from which the executor builds each fix's
+/// generators.  The seed audit (analysis::seed_provenance) and the
+/// analyzer's provenance read this list.  Each generator draws one value
+/// per cycle, so size() * stream_length is the run's backend.rng_draws
+/// metric.
+std::vector<SeedSite> seed_sites(const Program& program,
+                                 const ProgramPlan& plan);
 
 }  // namespace sc::graph

@@ -197,6 +197,17 @@ bool ProgramPlan::has_regeneration() const {
   return false;
 }
 
+void price_plan(ProgramPlan& plan, const PlannerConfig& config) {
+  plan.overhead =
+      hw::Netlist("insertion-overhead(" + to_string(plan.strategy) + ")");
+  plan.inserted_units = 0;
+  for (const PairFix& fix : plan.fixes) {
+    if (fix.fix == FixKind::kNone || fix.shared_with >= 0) continue;
+    plan.overhead += fix_netlist(fix.fix, config);
+    ++plan.inserted_units;
+  }
+}
+
 ProgramPlan plan_program(const Program& program, Strategy strategy,
                          const PlannerConfig& config) {
   obs::Telemetry* const telemetry = obs::fallback(config.telemetry);
@@ -206,7 +217,6 @@ ProgramPlan plan_program(const Program& program, Strategy strategy,
   span.arg("nodes", static_cast<std::uint64_t>(program.node_count()));
   ProgramPlan plan;
   plan.strategy = strategy;
-  plan.overhead.set_label("insertion-overhead(" + to_string(strategy) + ")");
 
   const std::vector<std::set<unsigned>> lineage = lineages(program);
 
@@ -226,18 +236,14 @@ ProgramPlan plan_program(const Program& program, Strategy strategy,
                                      node.operands[b]);
         if (!requirement_satisfied(fix.requirement, fix.relation)) {
           fix.fix = fix_for_requirement(fix.requirement, strategy);
-          if (fix.fix == FixKind::kNone) {
-            violated = true;
-          } else {
-            plan.overhead += fix_netlist(fix.fix, config);
-            ++plan.inserted_units;
-          }
+          violated |= fix.fix == FixKind::kNone;
         }
         plan.fixes.push_back(fix);
       }
     }
     if (violated) plan.violations.push_back(op_node);
   }
+  price_plan(plan, config);
   span.arg("fixes", static_cast<std::uint64_t>(plan.fixes.size()));
   span.arg("inserted_units", static_cast<std::uint64_t>(plan.inserted_units));
   span.arg("violations", static_cast<std::uint64_t>(plan.violations.size()));

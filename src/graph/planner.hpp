@@ -139,13 +139,17 @@ struct ProgramPlan {
 ProgramPlan plan_program(const Program& program, Strategy strategy,
                          const PlannerConfig& config = {});
 
+/// Sets plan.overhead / plan.inserted_units from plan.fixes, charging
+/// each non-kNone, non-shared fix's fix_netlist once.  plan_program
+/// prices its plan with it, and the optimizer re-prices each rewrite.
+void price_plan(ProgramPlan& plan, const PlannerConfig& config);
+
 /// True when `relation` provably meets `requirement` (the planner's
 /// satisfaction rule, shared with the optimizer's safety verifier).
 bool requirement_satisfied(Requirement requirement, Relation relation);
 
-/// Inserted hardware of one fix kind under a PlannerConfig — the unit the
-/// planner charges per planned fix; the optimizer uses it to re-price a
-/// rewritten plan.
+/// Inserted hardware of one fix kind under a PlannerConfig — the unit
+/// price_plan charges per planned fix.
 hw::Netlist fix_netlist(FixKind kind, const PlannerConfig& config);
 
 }  // namespace sc::graph

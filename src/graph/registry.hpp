@@ -161,7 +161,7 @@ struct OperatorDef {
 
   /// Number of operator-private RNG slots the evaluator draws via
   /// OpContext::make_rng (0 for pure gates).  Lets seed audits enumerate
-  /// every derived seed of a plan (backend.hpp's derived_seeds).
+  /// every generator of a run (backend.hpp's seed_sites).
   unsigned rng_slots = 0;
 
   /// Transfer function of the static *accuracy* analysis

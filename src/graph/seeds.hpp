@@ -10,8 +10,9 @@
 /// word, so distinct (node, role, lane) triples produce distinct keys, and
 /// the SplitMix64 finalizer (a bijection on 64-bit words) maps distinct
 /// keys under one base seed to distinct 64-bit seeds *by construction*.
-/// tests/backend_test.cpp enumerates every seed of a large plan and
-/// asserts pairwise distinctness as a regression guard.
+/// backend.hpp's seed_sites() lists the (node, role, lane) key of every
+/// generator a run constructs; tests/backend_test.cpp folds every site of
+/// a large plan and asserts pairwise distinctness as a regression guard.
 ///
 /// Width-masked consumers (rng::Lfsr keeps the low `width` bits) can still
 /// alias in the masked space — unavoidable by pigeonhole — but the mix

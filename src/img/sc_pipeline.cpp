@@ -359,8 +359,10 @@ graph::Program window_program(const std::array<double, 16>& pixels,
   graph::GraphBuilder b;
   std::array<graph::Value, 16> px;
   for (unsigned i = 0; i < 16; ++i) {
-    px[i] = b.input("p" + std::to_string(i / 4) + std::to_string(i % 4),
-                    pixels[i], i % rng_groups);
+    std::string name = "p";
+    name += std::to_string(i / 4);
+    name += std::to_string(i % 4);
+    px[i] = b.input(name, pixels[i], i % rng_groups);
   }
   // Four overlapping 3x3 blur windows centered on the inner 2x2.
   std::array<graph::Value, 4> blurred;

@@ -78,17 +78,6 @@ double modeled_area(const graph::Program& program, const ProgramPlan& plan,
       .area_um2;
 }
 
-void reprice_plan(ProgramPlan& plan, const graph::PlannerConfig& config) {
-  plan.overhead =
-      hw::Netlist("insertion-overhead(" + to_string(plan.strategy) + ")");
-  plan.inserted_units = 0;
-  for (const PairFix& fix : plan.fixes) {
-    if (fix.fix == FixKind::kNone || fix.shared_with >= 0) continue;
-    plan.overhead += graph::fix_netlist(fix.fix, config);
-    ++plan.inserted_units;
-  }
-}
-
 bool plan_covers(const ProgramPlan& plan) {
   // Slots of each op that some decorrelator fix re-shuffles (a chain link
   // only re-shuffles its second operand; the first passes through).
@@ -165,7 +154,7 @@ std::vector<PassReport> PassManager::run(graph::Program& program,
       // relations, and violations track the rewritten operand identities.
       plan = plan_program(program, plan.strategy, config.planner);
     }
-    reprice_plan(plan, config.planner);
+    graph::price_plan(plan, config.planner);
 
     const double area_after = modeled_area(program, plan, config);
     const bool lowers =

@@ -208,11 +208,6 @@ PassManager default_pipeline(const OptConfig& config);
 double modeled_area(const graph::Program& program,
                     const graph::ProgramPlan& plan, const OptConfig& config);
 
-/// Recomputes plan.overhead / plan.inserted_units from plan.fixes,
-/// charging each non-kNone, non-shared fix once.
-void reprice_plan(graph::ProgramPlan& plan,
-                  const graph::PlannerConfig& config);
-
 /// True when every examined operand pair of the plan is provably
 /// satisfied, carries a fix, is covered by a decorrelator chain (a slot
 /// re-shuffled by an independent schedule is uncorrelated with every other

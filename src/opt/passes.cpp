@@ -151,30 +151,39 @@ class CsePass final : public Pass {
     for (const PairFix& fix : plan.fixes) {
       if (graph::fix_draws_rng(fix.fix)) rng_fixed[fix.op_node] = true;
     }
+    // Each op maps to the first op with its key, operands read through
+    // the same map; the program is rebuilt only when something repeats.
+    std::vector<NodeId> first(n);
     std::map<Key, NodeId> seen;
+    for (NodeId id = 0; id < n; ++id) {
+      first[id] = id;
+      const ProgramNode& node = program.node(id);
+      if (node.kind != ProgramNode::Kind::kOp) continue;
+      std::vector<NodeId> operands = node.operands;
+      for (NodeId& operand : operands) operand = first[operand];
+      const bool draws_rng = program.def_of(id).rng_slots > 0 || rng_fixed[id];
+      const auto [it, inserted] = seen.emplace(
+          Key{node.op, draws_rng ? node.seed_tag : 0, std::move(operands)},
+          id);
+      if (!inserted) {
+        first[id] = it->second;
+        ++report.nodes_removed;
+      }
+    }
+    if (report.nodes_removed == 0) return {};
+    report.changed = true;
+
     GraphBuilder builder(program.reg());
     std::vector<NodeId> remap(n, graph::kInvalidNode);
     for (NodeId id = 0; id < n; ++id) {
-      ProgramNode copy = program.node(id);
-      if (copy.kind == ProgramNode::Kind::kOp) {
-        for (NodeId& operand : copy.operands) operand = remap[operand];
-        const bool draws_rng =
-            program.def_of(id).rng_slots > 0 || rng_fixed[id];
-        Key key{copy.op, draws_rng ? copy.seed_tag : 0, copy.operands};
-        const auto it = seen.find(key);
-        if (it != seen.end()) {
-          remap[id] = it->second;
-          ++report.nodes_removed;
-          report.changed = true;
-          continue;
-        }
-        remap[id] = builder.raw_node(std::move(copy)).id;
-        seen.emplace(std::move(key), remap[id]);
+      if (first[id] != id) {
+        remap[id] = remap[first[id]];
         continue;
       }
+      ProgramNode copy = program.node(id);
+      for (NodeId& operand : copy.operands) operand = remap[operand];
       remap[id] = builder.raw_node(std::move(copy)).id;
     }
-    if (!report.changed) return {};
     for (NodeId out : program.outputs()) builder.output(Value{remap[out]});
     program = builder.build();
     return remap;

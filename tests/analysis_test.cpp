@@ -117,15 +117,16 @@ TEST(SeedProvenance, RecordsMatchBackendDerivedSeeds) {
        {Strategy::kNone, Strategy::kManipulation, Strategy::kRegeneration}) {
     const ProgramPlan plan = plan_program(program, strategy);
     const SeedReport report = seed_provenance(program, plan, config);
-    const std::vector<std::uint32_t> expected =
-        graph::derived_seeds(program, plan, config);
+    std::vector<std::uint32_t> expected;
+    for (const graph::SeedSite& site : graph::seed_sites(program, plan)) {
+      expected.push_back(site.seed32(config.seed));
+    }
     std::vector<std::uint32_t> got;
     got.reserve(report.records.size());
     for (const SeedRecord& record : report.records) {
       got.push_back(record.seed32);
     }
-    // The provenance pass mirrors the backends' enumeration exactly —
-    // order included — so a drift in either is caught here.
+    // One record per seed site of the run, order included.
     EXPECT_EQ(got, expected) << "strategy " << to_string(strategy);
   }
 }

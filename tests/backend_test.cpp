@@ -16,6 +16,8 @@
 #include <utility>
 #include <vector>
 
+#include "convert/regenerator.hpp"
+#include "core/decorrelator.hpp"
 #include "engine/session.hpp"
 #include "graph/backend.hpp"
 #include "graph/planner.hpp"
@@ -91,10 +93,13 @@ TEST(SeedDerivation, AllSeedsOfALargePlanAreDistinct) {
        {Strategy::kManipulation, Strategy::kRegeneration}) {
     const ProgramPlan plan = plan_program(p, strategy);
     ASSERT_GT(plan.inserted_units, 50u);
-    // derived_seeds returns the 32-bit folds the LFSRs actually consume
-    // (the 64-bit mixes are distinct by construction; the fold is where a
-    // birthday or 0->1-remap collision could alias two generators).
-    const std::vector<std::uint32_t> seeds = derived_seeds(p, plan, {});
+    // The 32-bit folds the LFSRs actually consume (the 64-bit mixes are
+    // distinct by construction; the fold is where a birthday or
+    // 0->1-remap collision could alias two generators).
+    std::vector<std::uint32_t> seeds;
+    for (const SeedSite& site : seed_sites(p, plan)) {
+      seeds.push_back(site.seed32(ExecConfig{}.seed));
+    }
     ASSERT_GT(seeds.size(), 100u);
     std::set<std::uint32_t> unique(seeds.begin(), seeds.end());
     EXPECT_EQ(unique.size(), seeds.size())
@@ -128,6 +133,72 @@ TEST(SeedDerivation, DistinctRolesAndLanesNeverAlias) {
     }
   }
   EXPECT_EQ(seen.size(), count);
+}
+
+TEST(SeedSites, ExecutorDrawsTheListedFixGenerators) {
+  // Rebuilds each planned fix by hand from fix_seed_sites and checks the
+  // kernel backend's gate output against it bit for bit, so the
+  // generators the executor constructs are the ones the list — and with
+  // it the seed audit and the analyzer — names, rotation included.
+  struct Case {
+    const char* op;
+    unsigned group_y;
+    Strategy strategy;
+    FixKind fix;
+  };
+  ExecConfig config;
+  config.stream_length = 4133;
+  config.width = 10;
+  config.seed = 11;
+  for (const Case& c :
+       {Case{"multiply", 0, Strategy::kManipulation, FixKind::kDecorrelator},
+        Case{"multiply", 0, Strategy::kRegeneration,
+             FixKind::kRegenerateDistinct},
+        Case{"max", 1, Strategy::kRegeneration,
+             FixKind::kRegenerateShared}}) {
+    GraphBuilder b;
+    const Value x = b.input("x", 0.7, 0);
+    const Value y = b.input("y", 0.4, c.group_y);
+    const Value out = b.op(c.op, {x, y});
+    b.output(out);
+    const Program p = b.build();
+    const ProgramPlan plan = plan_program(p, c.strategy);
+    ASSERT_EQ(plan.inserted_units, 1u) << to_string(c.fix);
+    const PairFix& fix = plan.fixes[0];
+    ASSERT_EQ(fix.fix, c.fix);
+    const ExecutionResult run =
+        make_backend(BackendKind::kKernel)->run(p, plan, config);
+
+    std::vector<std::unique_ptr<rng::Lfsr>> sources;
+    for (const SeedSite& site :
+         fix_seed_sites(fix, p.node(out.id).seed_tag)) {
+      sources.push_back(std::make_unique<rng::Lfsr>(
+          config.width, site.seed32(config.seed), site.rotation));
+    }
+    Bitstream a = run.streams[x.id];
+    Bitstream b_stream = run.streams[y.id];
+    if (c.fix == FixKind::kDecorrelator) {
+      ASSERT_EQ(sources.size(), 2u);
+      core::Decorrelator decorrelator(
+          config.shuffle_depth, std::move(sources[0]), std::move(sources[1]));
+      const sc::StreamPair fixed = core::apply(decorrelator, a, b_stream);
+      a = fixed.x;
+      b_stream = fixed.y;
+    } else if (c.fix == FixKind::kRegenerateDistinct) {
+      ASSERT_EQ(sources.size(), 2u);
+      a = convert::regenerate(a, *sources[0]);
+      b_stream = convert::regenerate(b_stream, *sources[1]);
+    } else {
+      ASSERT_EQ(sources.size(), 1u);
+      const std::vector<Bitstream> bus =
+          convert::regenerate_bus_correlated({a, b_stream}, *sources[0]);
+      a = bus[0];
+      b_stream = bus[1];
+    }
+    const Bitstream expected =
+        c.fix == FixKind::kRegenerateShared ? (a | b_stream) : (a & b_stream);
+    EXPECT_EQ(run.streams[out.id], expected) << to_string(c.fix);
+  }
 }
 
 // --- satellite: planner property -------------------------------------------
