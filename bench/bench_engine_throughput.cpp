@@ -1,7 +1,8 @@
 /// \file bench_engine_throughput.cpp
 /// Throughput of the batched streaming execution engine.
 ///
-/// Three workloads, each swept over worker-thread counts:
+/// Three workloads, each swept over session thread counts (the calling
+/// thread plus its workers, so t1 runs every job on the caller):
 ///   1. chunked-stream: a maximally correlated pair generated,
 ///      decorrelated, and reduced chunk-at-a-time (never materialized) —
 ///      reports Mbit/s and the peak engine-side buffer.

@@ -46,7 +46,8 @@ std::uint64_t job_seed(std::uint64_t base_seed, std::size_t job_index);
 std::uint32_t strided_seed32(std::uint64_t base_seed, std::size_t job_index);
 
 struct SessionConfig {
-  /// Worker threads; 0 = one per hardware thread.
+  /// Executors, counting the thread that calls map()/for_each(): the pool
+  /// starts `threads - 1` workers.  0 = one per hardware thread.
   unsigned threads = 0;
   /// Chunk size for long-stream processing, in bits.
   std::size_t chunk_bits = kDefaultChunkBits;

@@ -1,7 +1,9 @@
 #include "engine/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <exception>
 
 #include "obs/telemetry.hpp"
@@ -16,15 +18,37 @@ std::uint64_t steady_now_us() {
           .count());
 }
 
-/// The pool whose worker_loop this thread runs (nullptr off the pools).
+/// The pool whose indices this thread runs (nullptr outside every fan-out):
+/// a worker's own pool, or the pool a caller is running its batch on.
 thread_local const ThreadPool* current_pool = nullptr;
 
 }  // namespace
 
 struct ThreadPool::Batch {
-  const std::function<void(std::size_t)>* body = nullptr;
-  std::size_t pending = 0;   // blocks not yet finished; guarded by mutex_
-  std::exception_ptr error;  // guarded by mutex_
+  Batch(const std::function<void(std::size_t)>& body, std::size_t count)
+      : body(body), count(count) {}
+
+  /// Claims and runs indices until none is left.  On an exception, moves
+  /// the cursor to the end, so no executor starts another index, and
+  /// returns it.
+  std::exception_ptr run() {
+    try {
+      for (std::size_t i = next++; i < count; i = next++) body(i);
+    } catch (...) {
+      next = count;
+      return std::current_exception();
+    }
+    return nullptr;
+  }
+
+  [[nodiscard]] bool exhausted() const { return next >= count; }
+
+  const std::function<void(std::size_t)>& body;
+  const std::size_t count;
+  std::atomic<std::size_t> next{0};  // the next unclaimed index
+  unsigned running = 0;              // workers inside run(); guarded by mutex_
+  std::exception_ptr error;          // guarded by mutex_
+  std::uint64_t enqueued_us = 0;     // guarded by mutex_; 0 = not timed
 };
 
 unsigned ThreadPool::resolve_threads(unsigned requested) {
@@ -34,9 +58,10 @@ unsigned ThreadPool::resolve_threads(unsigned requested) {
 }
 
 ThreadPool::ThreadPool(unsigned threads) {
-  const unsigned count = resolve_threads(threads);
-  workers_.reserve(count);
-  for (unsigned i = 0; i < count; ++i) {
+  // The thread calling for_each is the last executor.
+  const unsigned workers = resolve_threads(threads) - 1;
+  workers_.reserve(workers);
+  for (unsigned i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -64,47 +89,49 @@ void ThreadPool::attach_telemetry(obs::Telemetry* telemetry) {
   stalls_ = &metrics.counter("engine.pool.backpressure_stalls");
 }
 
-void ThreadPool::for_each(std::size_t count,
-                          const std::function<void(std::size_t)>& body) {
-  if (count == 0) return;
-  if (current_pool == this) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  // A few blocks per worker, so a slow block does not serialize the tail.
-  const std::size_t target_blocks = std::min(count, std::size_t{4} * size());
-  const std::size_t block = (count + target_blocks - 1) / target_blocks;
-
-  Batch batch;
-  batch.body = &body;
-  batch.pending = (count + block - 1) / block;
-  std::unique_lock<std::mutex> lock(mutex_);
-  const std::uint64_t now = task_wait_ != nullptr ? steady_now_us() : 0;
-  // Whatever is queued now belongs to other calls, and every block of
-  // this one waits behind it.
-  if (stalls_ != nullptr && !queue_.empty()) stalls_->add(batch.pending);
-  for (std::size_t lo = 0; lo < count; lo += block) {
-    queue_.push({&batch, lo, std::min(count, lo + block), now});
-  }
+void ThreadPool::dequeue(const Batch& batch) {
+  const auto it = std::find(queue_.begin(), queue_.end(), &batch);
+  if (it == queue_.end()) return;
+  queue_.erase(it);
   if (queue_depth_ != nullptr) {
     queue_depth_->set(static_cast<double>(queue_.size()));
   }
-  lock.unlock();
-  cv_.notify_all();
-
-  lock.lock();
-  done_.wait(lock, [&batch] { return batch.pending == 0; });
-  lock.unlock();
-  if (batch.error) std::rethrow_exception(batch.error);
 }
 
-std::exception_ptr ThreadPool::run_block(const Block& block) {
-  try {
-    for (std::size_t i = block.lo; i < block.hi; ++i) (*block.batch->body)(i);
-  } catch (...) {
-    return std::current_exception();
+void ThreadPool::for_each(std::size_t count,
+                          const std::function<void(std::size_t)>& body) {
+  if (count == 0) return;
+  if (workers_.empty() || current_pool == this) {
+    for (std::size_t i = 0; i < count; ++i) body(i);
+    return;
   }
-  return nullptr;
+  Batch batch(body, count);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    // Whatever is queued now is other calls' fan-outs, which the workers
+    // join first.
+    if (stalls_ != nullptr && !queue_.empty()) stalls_->add(count);
+    if (task_wait_ != nullptr) batch.enqueued_us = steady_now_us();
+    queue_.push_back(&batch);
+    if (queue_depth_ != nullptr) {
+      queue_depth_->set(static_cast<double>(queue_.size()));
+    }
+  }
+  cv_.notify_all();
+
+  const ThreadPool* const outer = current_pool;
+  current_pool = this;
+  std::exception_ptr error = batch.run();
+  current_pool = outer;
+
+  // No index is left to claim: take the batch off the queue, so no worker
+  // joins it any more, and wait for the workers still inside it.
+  std::unique_lock<std::mutex> lock(mutex_);
+  dequeue(batch);
+  if (error && !batch.error) batch.error = std::move(error);
+  done_.wait(lock, [&batch] { return batch.running == 0; });
+  lock.unlock();
+  if (batch.error) std::rethrow_exception(batch.error);
 }
 
 void ThreadPool::worker_loop() {
@@ -113,31 +140,30 @@ void ThreadPool::worker_loop() {
   for (;;) {
     cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
     if (queue_.empty()) return;
-    const Block block = queue_.front();
-    queue_.pop();
-    if (queue_depth_ != nullptr) {
-      queue_depth_->set(static_cast<double>(queue_.size()));
+    Batch& batch = *queue_.front();
+    if (batch.exhausted()) {
+      // No index is left to claim; the executors inside finish it.
+      dequeue(batch);
+      continue;
     }
-    if (task_wait_ != nullptr && block.enqueued_us != 0) {
+    ++batch.running;
+    if (task_wait_ != nullptr && batch.enqueued_us != 0) {
       const std::uint64_t now = steady_now_us();
-      task_wait_->observe(now > block.enqueued_us ? now - block.enqueued_us
+      task_wait_->observe(now > batch.enqueued_us ? now - batch.enqueued_us
                                                   : 0);
     }
+    batch.enqueued_us = 0;  // only the first worker to join is timed
     lock.unlock();
-    std::exception_ptr error = run_block(block);
+    std::exception_ptr error = batch.run();
     lock.lock();
-    Batch& batch = *block.batch;
     if (error && !batch.error) batch.error = std::move(error);
-    --batch.pending;
-    // Notify after unlocking: once it sees pending == 0 the caller may
-    // return and destroy the batch, but done_ is the pool's.  The caller
-    // is woken after every block, not only the last: on a 4-vCPU VM a
-    // caller that slept through a whole 64-job fan-out left one of the
-    // four workers without a block in about half the calls, 10-30%
-    // slower per call.
-    lock.unlock();
-    done_.notify_all();
-    lock.lock();
+    if (--batch.running == 0) {
+      // Notify after unlocking: once it sees running == 0 the caller may
+      // return and destroy the batch, but done_ is the pool's.
+      lock.unlock();
+      done_.notify_all();
+      lock.lock();
+    }
   }
 }
 

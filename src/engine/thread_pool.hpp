@@ -1,11 +1,14 @@
 /// \file thread_pool.hpp
-/// Fixed-size worker pool with one entry point, for_each.
+/// Fixed-size pool of executors with one entry point, for_each.
 ///
 /// The engine's unit of parallelism is the *job*: an independent,
 /// deterministic function of its inputs (a graph execution, an image tile,
 /// a sweep point).  Jobs never share mutable state, so the pool needs no
-/// work stealing or priorities — a single locked queue drained by N workers
-/// saturates the embarrassingly parallel workloads this library produces.
+/// work stealing or priorities.  A pool of size() executors is the thread
+/// calling for_each plus size() - 1 workers: each call queues one batch,
+/// and the caller and every worker that joins it claim indices one at a
+/// time from the batch's atomic cursor, so the fan-out runs on every
+/// executor and no index waits behind a slow one.
 ///
 /// Determinism contract: the pool schedules jobs in an arbitrary order, so
 /// callers that need reproducible output must make every job a pure
@@ -17,11 +20,9 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <exception>
+#include <deque>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -36,7 +37,9 @@ namespace sc::engine {
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers; 0 means one per hardware thread.
+  /// A pool of `threads` executors (0 means one per hardware thread): the
+  /// calling thread and `threads - 1` workers.  A 1-thread pool starts no
+  /// worker.
   explicit ThreadPool(unsigned threads = 0);
 
   /// Joins the workers.  No for_each may be in flight.
@@ -45,59 +48,56 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Number of worker threads.
-  [[nodiscard]] unsigned size() const noexcept { return static_cast<unsigned>(workers_.size()); }
+  /// Number of executors: the workers plus the thread calling for_each.
+  [[nodiscard]] unsigned size() const noexcept {
+    return static_cast<unsigned>(workers_.size()) + 1;
+  }
 
   /// Runs body(i) for every i in [0, count) and returns once every index
-  /// has run.  The indices are split into min(count, 4 x size())
-  /// contiguous blocks, so a slow block does not serialize the tail and
-  /// the queue never holds one task per index.  After every block has
-  /// finished — blocks may reference the caller's frame — rethrows the
-  /// first exception a block threw (a block stops at its throwing index).
+  /// has run.  The call queues one batch and wakes idle workers; the
+  /// caller then claims indices itself, as does every worker that joins,
+  /// one index at a time.  The caller does not sleep while its batch has
+  /// an unclaimed index: once none is left, it takes the batch off the
+  /// queue and sleeps once, until the last worker still running one of
+  /// its indices leaves.  After every started index has finished — bodies
+  /// may reference the caller's frame — rethrows the first exception an
+  /// index threw; indices not yet started when it was thrown are skipped.
   ///
-  /// Called from one of this pool's own workers (a job that fans out
-  /// again, e.g. an engine-backend run inside Session::map on the same
-  /// session), the indices run inline on that worker: waiting on the queue
-  /// there could deadlock once every worker waits.
+  /// A 1-thread pool runs the indices inline, in order.  So does a call
+  /// from an executor already running one of this pool's indices (a job
+  /// that fans out again, e.g. an engine-backend run inside Session::map
+  /// on the same session): that covers both the workers and a caller
+  /// inside its own fan-out.
   void for_each(std::size_t count, const std::function<void(std::size_t)>& body);
 
-  /// Resolved worker count for a requested thread count (0 = hardware).
+  /// Resolved executor count for a requested thread count (0 = hardware).
   static unsigned resolve_threads(unsigned requested);
 
   /// Binds (or, with nullptr, unbinds) a telemetry context.  While bound,
-  /// the pool maintains the "engine.pool.queue_depth" gauge (value + max),
-  /// the "engine.pool.task_wait_us" histogram (enqueue -> dequeue latency),
-  /// and the "engine.pool.backpressure_stalls" counter (blocks of a
-  /// for_each that found other calls' blocks still queued when it began
-  /// to enqueue; a call's own blocks never count against it).  Unbound —
-  /// the default — the queue carries no timestamps and no clock is read.
-  /// Call before running work; instrument pointers are swapped under the
-  /// queue lock.
+  /// the pool maintains the "engine.pool.queue_depth" gauge (value + max:
+  /// the number of queued fan-outs), the "engine.pool.task_wait_us"
+  /// histogram (from a fan-out's enqueue to the first worker that joins
+  /// it; a fan-out its caller finishes alone records none), and the
+  /// "engine.pool.backpressure_stalls" counter (the indices of each call
+  /// that found another call's fan-out still queued).  Unbound — the
+  /// default — no clock is read.  Call before running work; instrument
+  /// pointers are swapped under the queue lock.
   void attach_telemetry(obs::Telemetry* telemetry);
 
  private:
-  /// One for_each call's shared state (thread_pool.cpp), guarded by
-  /// mutex_; it lives on the caller's stack until its last block has
-  /// finished.
+  /// One for_each call's shared state (thread_pool.cpp); it lives on the
+  /// caller's stack, and no worker touches it once for_each returns.
   struct Batch;
 
-  /// Queue entry: indices [lo, hi) of one batch plus the enqueue timestamp
-  /// (0 when the pool had no telemetry — no clock read on that path).
-  struct Block {
-    Batch* batch = nullptr;
-    std::size_t lo = 0;
-    std::size_t hi = 0;
-    std::uint64_t enqueued_us = 0;
-  };
-
   void worker_loop();
-  static std::exception_ptr run_block(const Block& block);
+  /// Removes `batch` from the queue if it is still there.  Needs mutex_.
+  void dequeue(const Batch& batch);
 
   std::mutex mutex_;
-  std::queue<Block> queue_;         // guarded by mutex_
+  std::deque<Batch*> queue_;        // guarded by mutex_
   bool stop_ = false;               // guarded by mutex_
-  std::condition_variable cv_;      // work queued, or stop_
-  std::condition_variable done_;    // a block finished
+  std::condition_variable cv_;      // a batch queued, or stop_
+  std::condition_variable done_;    // the last worker left a batch
 
   obs::Gauge* queue_depth_ = nullptr;  // guarded by mutex_
   obs::Histogram* task_wait_ = nullptr;

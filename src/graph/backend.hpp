@@ -144,7 +144,7 @@ std::unique_ptr<ExecutorBackend> make_backend(BackendKind kind);
 /// of each topological level across its pool, and records chunked-run
 /// stats into the session's telemetry too.  The session must outlive the
 /// backend.  run() may be called from inside one of the same session's
-/// jobs: on a pool worker the fan-out runs inline (ThreadPool::for_each).
+/// jobs: there the fan-out runs inline (ThreadPool::for_each).
 std::unique_ptr<ExecutorBackend> make_engine_backend(engine::Session& session);
 
 /// One generator a run constructs: an rng::Lfsr of the run's width,

@@ -9,7 +9,6 @@
 
 #pragma once
 
-#include <cassert>
 #include <sstream>
 
 #include "rng/random_source.hpp"
@@ -19,13 +18,12 @@ namespace sc::rng {
 /// Wrap-around w-bit up-counter.
 class CounterSource final : public RandomSource {
  public:
+  /// \throws std::invalid_argument if width lies outside 1..32
   explicit CounterSource(unsigned width, std::uint32_t start = 0)
-      : width_(width),
-        mask_(width == 32 ? ~0u : (1u << width) - 1u),
+      : width_(checked_width("rng::CounterSource", width, 1, 32)),
+        mask_(width_ == 32 ? ~0u : (1u << width_) - 1u),
         start_(start & mask_),
-        state_(start & mask_) {
-    assert(width >= 1 && width <= 32);
-  }
+        state_(start & mask_) {}
 
   std::uint32_t next() override {
     const std::uint32_t out = state_;

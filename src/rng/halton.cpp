@@ -1,15 +1,23 @@
 #include "rng/halton.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace sc::rng {
 
 Halton::Halton(unsigned width, unsigned base, std::uint32_t offset)
-    : width_(width), base_(base), offset_(offset), counter_(offset) {
-  assert(width >= 1 && width <= 31);
-  assert(base >= 2);
+    : width_(checked_width("rng::Halton", width, 1, 31)),
+      base_(base),
+      offset_(offset),
+      counter_(offset) {
+  // Base 0 divides by zero in radical_inverse, and base 1 never leaves its
+  // loop.
+  if (base < 2) {
+    throw std::invalid_argument("rng::Halton: base " + std::to_string(base) +
+                                " is below 2");
+  }
 }
 
 double Halton::radical_inverse(std::uint64_t t, unsigned base) {

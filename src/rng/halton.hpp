@@ -22,6 +22,7 @@ class Halton final : public RandomSource {
   /// \param base   radix of the radical inverse (>= 2); prime bases give the
   ///               classic Halton sequence
   /// \param offset starting counter value (phase)
+  /// \throws std::invalid_argument if width or base lies outside its range
   explicit Halton(unsigned width, unsigned base = 3, std::uint32_t offset = 0);
 
   std::uint32_t next() override;

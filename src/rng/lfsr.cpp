@@ -161,22 +161,18 @@ const std::uint8_t* orbit_bytes(unsigned width, unsigned rotation,
 }
 
 /// Returns `width` if kTapTable has taps for it (3..32); throws otherwise.
-unsigned checked_width(unsigned width) {
-  if (width < 3 || width > 32) {
-    throw std::invalid_argument("rng::Lfsr: width " + std::to_string(width) +
-                                " is outside 3..32");
-  }
-  return width;
+unsigned checked_lfsr_width(unsigned width) {
+  return checked_width("rng::Lfsr", width, 3, 32);
 }
 
 }  // namespace
 
 std::uint32_t Lfsr::maximal_taps(unsigned width) {
-  return kTapTable[checked_width(width)];
+  return kTapTable[checked_lfsr_width(width)];
 }
 
 Lfsr::Lfsr(unsigned width, std::uint32_t seed, unsigned rotation)
-    : width_(checked_width(width)),
+    : width_(checked_lfsr_width(width)),
       rotation_(rotation % width_),
       taps_(kTapTable[width_]),
       mask_(width_ == 32 ? ~0u : (1u << width_) - 1u) {

@@ -17,10 +17,11 @@ namespace sc::rng {
 /// Uniform w-bit integers from std::mt19937.
 class Mt19937Source final : public RandomSource {
  public:
+  /// \throws std::invalid_argument if width lies outside 1..32
   explicit Mt19937Source(unsigned width, std::uint32_t seed = 1)
-      : width_(width), seed_(seed), gen_(seed) {
-    assert(width >= 1 && width <= 32);
-  }
+      : width_(checked_width("rng::Mt19937Source", width, 1, 32)),
+        seed_(seed),
+        gen_(seed) {}
 
   std::uint32_t next() override {
     const std::uint32_t raw = gen_();

@@ -1,5 +1,8 @@
 #include "rng/random_source.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "common/simd.hpp"
 
 namespace sc::rng {
@@ -40,6 +43,17 @@ void RandomSource::fill_indices(std::uint8_t* out, std::size_t n,
     fill(tmp, take);
     simd::mod_bytes(tmp, take, bound, range(), out + i);
   }
+}
+
+unsigned checked_width(const char* generator, unsigned width,
+                       unsigned min_width, unsigned max_width) {
+  if (width < min_width || width > max_width) {
+    throw std::invalid_argument(std::string(generator) + ": width " +
+                                std::to_string(width) + " is outside " +
+                                std::to_string(min_width) + ".." +
+                                std::to_string(max_width));
+  }
+  return width;
 }
 
 }  // namespace sc::rng

@@ -12,7 +12,6 @@
 
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -84,5 +83,11 @@ class RandomSource {
 
 /// Owning handle used across module boundaries.
 using RandomSourcePtr = std::unique_ptr<RandomSource>;
+
+/// Returns `width` if it lies in [min_width, max_width]; otherwise throws
+/// std::invalid_argument naming `generator`.  Every generator checks its
+/// width with it before deriving a mask or a shift from it.
+unsigned checked_width(const char* generator, unsigned width,
+                       unsigned min_width, unsigned max_width);
 
 }  // namespace sc::rng

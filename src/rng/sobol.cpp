@@ -1,8 +1,9 @@
 #include "rng/sobol.hpp"
 
 #include <bit>
-#include <cassert>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace sc::rng {
@@ -35,9 +36,14 @@ constexpr std::array<JoeKuoEntry, 11> kJoeKuo = {{
 }  // namespace
 
 Sobol::Sobol(unsigned width, unsigned dimension)
-    : width_(width), dimension_(dimension) {
-  assert(width >= 1 && width <= 32);
-  assert(dimension >= 1 && dimension <= kMaxDimension);
+    : width_(checked_width("rng::Sobol", width, 1, 32)),
+      dimension_(dimension) {
+  // Dimensions past 1 index kJoeKuo[dimension - 2].
+  if (dimension < 1 || dimension > kMaxDimension) {
+    throw std::invalid_argument("rng::Sobol: dimension " +
+                                std::to_string(dimension) + " is outside 1.." +
+                                std::to_string(kMaxDimension));
+  }
 
   if (dimension == 1) {
     // First Sobol dimension: v_k = 2^(32-k), i.e. bit reversal.

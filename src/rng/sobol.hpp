@@ -26,6 +26,7 @@ class Sobol final : public RandomSource {
   /// \param width     output width in bits (1..32); the top `width` bits of
   ///                  the 32-bit Sobol state are emitted
   /// \param dimension Sobol dimension in [1, kMaxDimension]
+  /// \throws std::invalid_argument if either lies outside its range
   explicit Sobol(unsigned width, unsigned dimension = 1);
 
   std::uint32_t next() override;

@@ -1,17 +1,14 @@
 #include "rng/van_der_corput.hpp"
 
-#include <cassert>
 #include <sstream>
 
 namespace sc::rng {
 
 VanDerCorput::VanDerCorput(unsigned width, std::uint32_t offset)
-    : width_(width),
+    : width_(checked_width("rng::VanDerCorput", width, 1, 32)),
       offset_(offset),
       counter_(offset),
-      mask_(width == 32 ? ~0u : (1u << width) - 1u) {
-  assert(width >= 1 && width <= 32);
-}
+      mask_(width_ == 32 ? ~0u : (1u << width_) - 1u) {}
 
 std::uint32_t VanDerCorput::reverse_bits(std::uint32_t v, unsigned width) {
   std::uint32_t out = 0;

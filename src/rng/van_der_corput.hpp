@@ -20,6 +20,7 @@ class VanDerCorput final : public RandomSource {
  public:
   /// \param width  output width in bits (1..32)
   /// \param offset starting counter value (phase of the sequence)
+  /// \throws std::invalid_argument if width lies outside 1..32
   explicit VanDerCorput(unsigned width, std::uint32_t offset = 0);
 
   std::uint32_t next() override;

@@ -48,9 +48,9 @@ TEST(ThreadPool, ForEachCoversEveryIndexOnce) {
 }
 
 TEST(ThreadPool, ForEachDrainsBeforeRethrowing) {
-  // An early job failure must not unwind while queued blocks still hold
-  // references into the caller's frame: for_each may only rethrow after
-  // every block has finished.
+  // An early job failure must not unwind while other executors still run
+  // indices that hold references into the caller's frame: for_each may
+  // only rethrow after every started index has finished.
   ThreadPool pool(4);
   std::atomic<int> ran{0};
   EXPECT_THROW(pool.for_each(200,
@@ -67,9 +67,8 @@ TEST(ThreadPool, ForEachDrainsBeforeRethrowing) {
 }
 
 TEST(ThreadPool, FanOutsOnAnIdlePoolCountNoBackpressureStalls) {
-  // Each for_each returns after its last block has run, so the next call
-  // finds the queue empty: a call's own blocks queued behind one another
-  // are not backpressure.
+  // Each for_each takes its batch off the queue before it returns, so the
+  // next call finds the queue empty: a call never stalls behind itself.
   obs::Telemetry telemetry;
   ThreadPool pool(4);
   pool.attach_telemetry(&telemetry);
@@ -81,13 +80,14 @@ TEST(ThreadPool, FanOutsOnAnIdlePoolCountNoBackpressureStalls) {
 }
 
 TEST(ThreadPool, FanOutQueuedBehindAnotherCallsBlocksCountsStalls) {
-  // One worker, held inside the first call's first block, so that call's
-  // other three blocks stay queued; a second call's four blocks then
-  // queue behind them and count as stalled.
+  // Both executors, the first call's caller and the one worker, held
+  // inside that call's indices, so its fan-out stays queued with indices
+  // unclaimed; a second call then finds it queued, and its four indices
+  // count as stalled.
   obs::Telemetry telemetry;
   const obs::Counter& stalls =
       telemetry.metrics().counter("engine.pool.backpressure_stalls");
-  ThreadPool pool(1);
+  ThreadPool pool(2);
   pool.attach_telemetry(&telemetry);
   std::atomic<bool> holding{false};
   std::atomic<bool> release{false};
@@ -111,12 +111,89 @@ TEST(ThreadPool, FanOutQueuedBehindAnotherCallsBlocksCountsStalls) {
   EXPECT_EQ(stalls.value(), 4u);
 }
 
+TEST(ThreadPool, SingleThreadPoolRunsEveryIndexOnTheCaller) {
+  // A 1-thread pool is its caller alone: it starts no worker.
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.size(), 1u);
+  std::vector<std::thread::id> ran_on(64);
+  pool.for_each(ran_on.size(), [&ran_on](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  for (const std::thread::id& id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
+TEST(ThreadPool, CallerFinishesItsFanOutWhileTheWorkerIsHeld) {
+  // A first call holds both executors, its caller and the one worker,
+  // inside its indices.  A second call then has only its own caller, which
+  // runs every index itself and returns without waiting for the worker.
+  // The watchdog releases the first call after a deadline, so a pool whose
+  // callers wait on the workers fails here instead of hanging.
+  ThreadPool pool(2);
+  std::atomic<int> held{0};
+  std::atomic<bool> release{false};
+  std::thread first([&] {
+    pool.for_each(2, [&](std::size_t) {
+      held.fetch_add(1);
+      while (!release) std::this_thread::yield();
+    });
+  });
+  std::atomic<bool> second_returned{false};
+  std::thread watchdog([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!second_returned && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    release = true;
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (held.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  const int held_before = held.load();
+  std::atomic<int> ran{0};
+  pool.for_each(16, [&ran](std::size_t) { ran.fetch_add(1); });
+  const bool released_before_return = release.load();
+  second_returned = true;
+  watchdog.join();
+  first.join();
+  EXPECT_EQ(held_before, 2);
+  EXPECT_EQ(ran.load(), 16);
+  EXPECT_FALSE(released_before_return);
+}
+
+TEST(ThreadPool, ConcurrentCallersRunEveryIndexOnce) {
+  // Three callers' fan-outs share the queue and the workers; each call
+  // still runs each of its indices exactly once.
+  ThreadPool pool(4);
+  constexpr int kRounds = 10;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 3; ++c) {
+    callers.emplace_back([&pool, &wrong] {
+      std::vector<std::atomic<int>> hits(1000);
+      for (int round = 1; round <= kRounds; ++round) {
+        pool.for_each(hits.size(),
+                      [&hits](std::size_t i) { hits[i].fetch_add(1); });
+        for (const auto& h : hits) {
+          if (h.load() != round) wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
 // --- seeding -------------------------------------------------------------------
 
 TEST(ThreadPool, ZeroRequestAlwaysResolvesToAtLeastOneWorker) {
   // resolve_threads(0) falls back to hardware_concurrency(), which the
-  // standard allows to return 0; the clamp must still yield >= 1 worker or
-  // a default-constructed pool would deadlock with an empty worker set.
+  // standard allows to return 0; the clamp must still yield >= 1 executor,
+  // since the pool starts one worker fewer than that.
   EXPECT_GE(ThreadPool::resolve_threads(0), 1u);
   EXPECT_EQ(ThreadPool::resolve_threads(3), 3u);
   ThreadPool pool(0);

@@ -9,12 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bitstream/bitstream.hpp"
@@ -574,21 +577,41 @@ TEST(Acceptance, FanOutRunEmitsFullMetricsAndMultiThreadTrace) {
   EXPECT_GE(snapshot.counters.at("planner.plans"), 1u);
   EXPECT_GE(snapshot.counters.at("opt.passes"), 1u);
 
-  // The trace: planner, optimizer, and backend spans, per-chunk activity,
-  // and more than one thread on the timeline.
+  // The trace: planner, optimizer, and backend spans, and per-chunk
+  // activity.
   ASSERT_NE(telemetry.tracer(), nullptr);
-  const std::vector<TraceEvent> events = telemetry.tracer()->events();
   std::set<std::string> names;
-  std::set<std::uint32_t> tids;
-  for (const TraceEvent& event : events) {
+  for (const TraceEvent& event : telemetry.tracer()->events()) {
     names.insert(event.name);
-    tids.insert(event.tid);
   }
   EXPECT_NE(names.count("planner.plan_program"), 0u);
   EXPECT_NE(names.count("opt.optimize"), 0u);
   EXPECT_NE(names.count("backend.run.engine"), 0u);
   EXPECT_NE(names.count("engine.chunk"), 0u);
-  EXPECT_GE(tids.size(), 2u) << "per-chunk spans should land on workers";
+
+  // And more than one thread on the timeline.  The caller is one of the
+  // session's executors, so which level of the run a worker joins depends
+  // on timing; a two-index fan-out whose index 0 waits until index 1 has
+  // started runs on two executors however they are scheduled.
+  std::atomic<bool> second_started{false};
+  session.for_each(2, [&](std::size_t i) {
+    Span span(telemetry.tracer(), "test.fan_out_index", "test");
+    if (i == 1) {
+      second_started = true;
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!second_started && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  std::set<std::uint32_t> tids;
+  for (const TraceEvent& event : telemetry.tracer()->events()) {
+    if (event.name == "test.fan_out_index") tids.insert(event.tid);
+  }
+  EXPECT_EQ(tids.size(), 2u) << "the fan-out's indices should land on two "
+                                "executors";
 
   // And the serialized trace is Perfetto-shaped.
   const std::string json = telemetry.tracer()->chrome_trace_json();

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <latch>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -134,6 +135,15 @@ TEST(VanDerCorput, OffsetShiftsPhase) {
   for (int i = 0; i < 20; ++i) EXPECT_EQ(a.next(), b.next());
 }
 
+TEST(VanDerCorput, RejectsOutOfRangeWidth) {
+  // Checked in every build: width 0 drew nothing but zeros, and width 33
+  // shifts a 32-bit mask past its width.
+  EXPECT_THROW(VanDerCorput(0), std::invalid_argument);
+  EXPECT_THROW(VanDerCorput(33), std::invalid_argument);
+  EXPECT_NO_THROW(VanDerCorput(1));
+  EXPECT_NO_THROW(VanDerCorput(32));
+}
+
 // --- Halton -----------------------------------------------------------------
 
 TEST(Halton, RadicalInverseBase2MatchesBitReversal) {
@@ -166,6 +176,17 @@ TEST(Halton, StaysBelowRange) {
   for (int i = 0; i < 1000; ++i) EXPECT_LT(h.next(), 256u);
 }
 
+TEST(Halton, RejectsOutOfRangeWidthOrBase) {
+  // Checked in every build: base 0 divides by zero in radical_inverse,
+  // base 1 never leaves its loop, and width 32 would scale by 2^32.
+  EXPECT_THROW(Halton(0, 3), std::invalid_argument);
+  EXPECT_THROW(Halton(32, 3), std::invalid_argument);
+  EXPECT_THROW(Halton(8, 0), std::invalid_argument);
+  EXPECT_THROW(Halton(8, 1), std::invalid_argument);
+  EXPECT_NO_THROW(Halton(1, 2));
+  EXPECT_NO_THROW(Halton(31, 3));
+}
+
 TEST(Halton, ResetAndCloneSemantics) {
   Halton h(8, 3);
   for (int i = 0; i < 5; ++i) h.next();
@@ -187,6 +208,17 @@ TEST(Sobol, Dimension1IsBitReversalSequence) {
   EXPECT_EQ(sobol.next(), 0u);
   seen.insert(0);
   for (int i = 1; i < 256; ++i) EXPECT_TRUE(seen.insert(sobol.next()).second);
+}
+
+TEST(Sobol, RejectsOutOfRangeWidthOrDimension) {
+  // Checked in every build: a dimension outside 1..kMaxDimension indexes
+  // the direction-number table out of bounds.
+  EXPECT_THROW(Sobol(0, 1), std::invalid_argument);
+  EXPECT_THROW(Sobol(33, 1), std::invalid_argument);
+  EXPECT_THROW(Sobol(8, Sobol::kMaxDimension + 1), std::invalid_argument);
+  EXPECT_THROW(Sobol(8, 0), std::invalid_argument);
+  EXPECT_NO_THROW(Sobol(1, 1));
+  EXPECT_NO_THROW(Sobol(32, Sobol::kMaxDimension));
 }
 
 class SobolDimension : public ::testing::TestWithParam<unsigned> {};
@@ -225,6 +257,20 @@ TEST(CounterSource, ResetRestoresStart) {
   ctr.next();
   ctr.reset();
   EXPECT_EQ(ctr.next(), 3u);
+}
+
+TEST(CounterSource, RejectsOutOfRangeWidth) {
+  EXPECT_THROW(CounterSource(0), std::invalid_argument);
+  EXPECT_THROW(CounterSource(33), std::invalid_argument);
+  EXPECT_NO_THROW(CounterSource(1));
+  EXPECT_NO_THROW(CounterSource(32));
+}
+
+TEST(Mt19937Source, RejectsOutOfRangeWidth) {
+  EXPECT_THROW(Mt19937Source(0), std::invalid_argument);
+  EXPECT_THROW(Mt19937Source(33), std::invalid_argument);
+  EXPECT_NO_THROW(Mt19937Source(1));
+  EXPECT_NO_THROW(Mt19937Source(32));
 }
 
 TEST(Mt19937Source, MaskedToWidth) {
