@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <sstream>
 #include <string>
@@ -12,6 +11,7 @@
 #include <utility>
 
 #include "bitstream/encoding.hpp"
+#include "common/json.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "rng/lfsr.hpp"
@@ -181,35 +181,6 @@ double sync_state_bits(unsigned sync_depth) {
   return std::ceil(std::log2(2.0 * static_cast<double>(sync_depth) + 1.0));
 }
 
-// ------------------------------------------------------------ JSON bits
-
-void json_escape(std::ostringstream& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 std::size_t AnalysisReport::count(Severity severity) const {
@@ -257,26 +228,21 @@ std::string AnalysisReport::to_text() const {
 
 std::string AnalysisReport::to_json(const std::string& source) const {
   std::ostringstream out;
-  out << "{\n  \"source\": \"";
-  json_escape(out, source);
-  out << "\",\n  \"summary\": {\"errors\": " << count(Severity::kError)
+  out << "{\n  \"source\": \"" << json_escape(source)
+      << "\",\n  \"summary\": {\"errors\": " << count(Severity::kError)
       << ", \"warnings\": " << count(Severity::kWarning)
       << ", \"notes\": " << count(Severity::kNote) << "},\n"
       << "  \"fragility\": " << fragility << ",\n  \"error_bound\": "
       << worst_error_bound << ",\n  \"diagnostics\": [";
   for (std::size_t i = 0; i < diagnostics.size(); ++i) {
     const Diagnostic& d = diagnostics[i];
-    out << (i == 0 ? "" : ",") << "\n    {\"id\": \"";
-    json_escape(out, d.id);
-    out << "\", \"severity\": \"" << to_string(d.severity) << "\", \"node\": "
+    out << (i == 0 ? "" : ",") << "\n    {\"id\": \"" << json_escape(d.id)
+        << "\", \"severity\": \"" << to_string(d.severity) << "\", \"node\": "
         << (d.node == graph::kInvalidNode
                 ? -1
                 : static_cast<std::int64_t>(d.node))
-        << ", \"name\": \"";
-    json_escape(out, d.name);
-    out << "\", \"message\": \"";
-    json_escape(out, d.message);
-    out << "\"}";
+        << ", \"name\": \"" << json_escape(d.name) << "\", \"message\": \""
+        << json_escape(d.message) << "\"}";
   }
   out << (diagnostics.empty() ? "" : "\n  ") << "],\n  \"pairs\": [";
   for (std::size_t i = 0; i < pairs.size(); ++i) {

@@ -31,10 +31,10 @@
 /// only ever tightens it.
 ///
 /// Consumers:
-///  * opt::PassManager — the multi-objective Pareto gate compares
-///    plan_error before/after each rewrite against OptConfig::
+///  * opt::optimize — the multi-objective Pareto gate compares
+///    plan_error before/after each proposal against OptConfig::
 ///    error_budget (the chain rewrite trades accuracy for area; under a
-///    tight budget it must be rolled back),
+///    tight budget it must be dropped),
 ///  * sc_lint — append_accuracy_diagnostics turns the interpretation
 ///    into typed diagnostics (precision-loss, saturation-risk,
 ///    correlation-bias, insufficient-stream-length, chain-unrecoverable),

@@ -1,7 +1,6 @@
 #include "arith/add.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <iterator>
 
 #include "arith/gates.hpp"
@@ -40,7 +39,7 @@ Bitstream scaled_add(const Bitstream& x, const Bitstream& y,
 
 Bitstream scaled_add(const Bitstream& x, const Bitstream& y,
                      rng::RandomSource& sel_source) {
-  assert(x.size() == y.size());
+  require_same_size("sc::arith::scaled_add", x.size(), y.size());
   Bitstream sel;
   sel.reserve(x.size());
   const std::uint32_t msb = 1u << (sel_source.width() - 1);

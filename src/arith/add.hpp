@@ -35,7 +35,8 @@ Bitstream scaled_add(const Bitstream& x, const Bitstream& y,
                      const Bitstream& sel);
 
 /// Scaled add drawing the select stream from `sel_source` (one bit per cycle,
-/// taken as the source's MSB so any width works).
+/// taken as the source's MSB so any width works).  Unequal operand sizes
+/// throw std::invalid_argument before the source is drawn.
 Bitstream scaled_add(const Bitstream& x, const Bitstream& y,
                      rng::RandomSource& sel_source);
 

@@ -1,7 +1,5 @@
 #include "arith/bipolar.hpp"
 
-#include <cassert>
-
 #include "arith/add.hpp"
 #include "arith/gates.hpp"
 
@@ -29,7 +27,7 @@ Bitstream scaled_add_bipolar(const Bitstream& x, const Bitstream& y,
 
 Bitstream scaled_add_bipolar(const Bitstream& x, const Bitstream& y,
                              rng::RandomSource& sel_source) {
-  assert(x.size() == y.size());
+  require_same_size("sc::arith::scaled_add_bipolar", x.size(), y.size());
   return Bitstream::mux(x, y, select_stream(sel_source, x.size()));
 }
 
@@ -40,7 +38,7 @@ Bitstream scaled_sub_bipolar(const Bitstream& x, const Bitstream& y,
 
 Bitstream scaled_sub_bipolar(const Bitstream& x, const Bitstream& y,
                              rng::RandomSource& sel_source) {
-  assert(x.size() == y.size());
+  require_same_size("sc::arith::scaled_sub_bipolar", x.size(), y.size());
   return Bitstream::mux(x, ~y, select_stream(sel_source, x.size()));
 }
 

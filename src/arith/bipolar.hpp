@@ -21,6 +21,8 @@ Bitstream negate_bipolar(const Bitstream& x);
 
 /// Bipolar scaled addition: z = 0.5 (vX + vY).  `sel` must be a half-weight
 /// stream uncorrelated with both operands (same MUX as the unipolar adder).
+/// The `sel_source` overloads here and below throw std::invalid_argument on
+/// unequal operand sizes before drawing the select stream.
 Bitstream scaled_add_bipolar(const Bitstream& x, const Bitstream& y,
                              const Bitstream& sel);
 Bitstream scaled_add_bipolar(const Bitstream& x, const Bitstream& y,

@@ -1,11 +1,16 @@
 #include "convert/apc.hpp"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace sc::convert {
 
 void Apc::step(sc::span<const bool> bits) {
-  assert(bits.size() == inputs_);
+  if (bits.size() != inputs_) {
+    throw std::invalid_argument("convert::Apc::step: " +
+                                std::to_string(bits.size()) + " bits for " +
+                                std::to_string(inputs_) + " inputs");
+  }
   for (bool b : bits) sum_ += b ? 1u : 0u;
   ++cycles_;
 }
@@ -25,7 +30,7 @@ double apc_scaled_sum(sc::span<const Bitstream> streams) {
   const std::size_t n = streams.front().size();
   std::uint64_t total = 0;
   for (const Bitstream& s : streams) {
-    assert(s.size() == n);
+    require_same_size("convert::apc_scaled_sum", s.size(), n);
     total += s.count_ones();
   }
   if (n == 0) return 0.0;

@@ -21,7 +21,8 @@ class Apc {
  public:
   explicit Apc(std::size_t inputs) : inputs_(inputs) {}
 
-  /// Adds one cycle's worth of input bits.  bits.size() must equal inputs().
+  /// Adds one cycle's worth of input bits.  bits.size() must equal inputs()
+  /// (std::invalid_argument otherwise).
   void step(sc::span<const bool> bits);
 
   [[nodiscard]] std::size_t inputs() const { return inputs_; }
@@ -45,8 +46,8 @@ class Apc {
 };
 
 /// Whole-stream APC: exact sum of all 1s across the input streams.
-/// All streams must share one length.  Returns sum / (k * N), the exact
-/// scaled sum the MUX adder approximates.
+/// All streams must share one length (std::invalid_argument otherwise).
+/// Returns sum / (k * N), the exact scaled sum the MUX adder approximates.
 double apc_scaled_sum(sc::span<const Bitstream> streams);
 
 }  // namespace sc::convert

@@ -1,7 +1,7 @@
 #include "convert/sng.hpp"
 
-#include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "bitstream/encoding.hpp"
 
@@ -18,7 +18,11 @@ Sng::Sng(rng::RandomSourcePtr source) : source_(std::move(source)) {
 }
 
 Bitstream Sng::generate(std::uint64_t level, std::size_t n) {
-  assert(level <= natural_length_);
+  if (level > natural_length_) {
+    throw std::invalid_argument("convert::Sng::generate: level " +
+                                std::to_string(level) + " above " +
+                                std::to_string(natural_length_));
+  }
   Bitstream out;
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -35,7 +35,8 @@ class Sng {
   /// Emits one bit for level x in [0, natural_length()].
   bool step(std::uint64_t level) { return source_->next() < level; }
 
-  /// Generates a length-n stream for integer level x in [0, natural_length()].
+  /// Generates a length-n stream for integer level x in [0, natural_length()]
+  /// (a higher level throws std::invalid_argument).
   /// Does not reset the source first (streams generated back-to-back continue
   /// the sequence); call reset() for a fresh period.
   Bitstream generate(std::uint64_t level, std::size_t n);

@@ -51,7 +51,7 @@ class Decorrelator final : public PairTransform {
 /// copy j the composition of j independent shuffles of copy 0, so every
 /// copy pair decorrelates with one single-buffer circuit per link
 /// instead of the planner's pairwise two-buffer decorrelators — the
-/// rewrite opt::make_chain_decorrelator_pass performs.
+/// rewrite opt::chain_decorrelators proposes.
 class DecorrelatorChainLink final : public PairTransform {
  public:
   /// \param depth   slots of the link's shuffle buffer

@@ -151,7 +151,7 @@ std::uint64_t apply_one(const EdgeFault& fault, std::uint64_t key,
 }  // namespace
 
 ResolvedFaultPlan resolve(const FaultPlan* plan, const graph::Program& program,
-                          const graph::ProgramPlan* exec_plan,
+                          const graph::ProgramPlan& exec_plan,
                           obs::Telemetry* telemetry) {
   telemetry = obs::fallback(telemetry);
   ResolvedFaultPlan resolved;
@@ -180,35 +180,24 @@ ResolvedFaultPlan resolve(const FaultPlan* plan, const graph::Program& program,
   // Per active fix of exec_plan: its position within fixes_for(op) — the
   // lane coordinate the backends wrap by — and its physical-circuit group
   // (the correction-sharing representative, itself when unshared).
-  std::vector<std::int32_t> position;
-  std::vector<std::size_t> group;
-  if (exec_plan != nullptr) {
-    position.assign(exec_plan->fixes.size(), -1);
-    group.resize(exec_plan->fixes.size());
-    std::map<graph::NodeId, std::int32_t> counters;
-    for (std::size_t i = 0; i < exec_plan->fixes.size(); ++i) {
-      const graph::PairFix& fix = exec_plan->fixes[i];
-      if (fix.fix != graph::FixKind::kNone) {
-        position[i] = counters[fix.op_node]++;
-      }
-      group[i] = fix.shared_with >= 0
-                     ? static_cast<std::size_t>(fix.shared_with)
-                     : i;
-    }
+  const std::vector<graph::PairFix>& fixes = exec_plan.fixes;
+  std::vector<std::int32_t> position(fixes.size(), -1);
+  std::vector<std::size_t> group(fixes.size());
+  std::map<graph::NodeId, std::int32_t> counters;
+  for (std::size_t i = 0; i < fixes.size(); ++i) {
+    const graph::PairFix& fix = fixes[i];
+    if (fix.fix != graph::FixKind::kNone) position[i] = counters[fix.op_node]++;
+    group[i] =
+        fix.shared_with >= 0 ? static_cast<std::size_t>(fix.shared_with) : i;
   }
 
   for (const FsmFault& fault : plan->fsms) {
     const graph::NodeId id = program.find(fault.op);
     if (id == graph::kInvalidNode) continue;
-    if (exec_plan == nullptr) {
-      resolved.fsms[id].push_back({&fault, fault.lane});
-      resolved.any_fsms = true;
-      continue;
-    }
     // The physical circuits this fault addresses through (op, lane)...
     std::set<std::size_t> circuits;
-    for (std::size_t i = 0; i < exec_plan->fixes.size(); ++i) {
-      const graph::PairFix& fix = exec_plan->fixes[i];
+    for (std::size_t i = 0; i < fixes.size(); ++i) {
+      const graph::PairFix& fix = fixes[i];
       if (fix.op_node != id || position[i] < 0) continue;
       if (fault.lane >= 0 && fault.lane != position[i]) continue;
       circuits.insert(group[i]);
@@ -216,10 +205,9 @@ ResolvedFaultPlan resolve(const FaultPlan* plan, const graph::Program& program,
     // ...wipe every consumer's mirror of those circuits: a shared fix is
     // one state register in hardware, so the SEU's blast radius is every
     // sibling it fans out to (PairFix::shared_with).
-    for (std::size_t i = 0; i < exec_plan->fixes.size(); ++i) {
+    for (std::size_t i = 0; i < fixes.size(); ++i) {
       if (position[i] < 0 || circuits.count(group[i]) == 0) continue;
-      resolved.fsms[exec_plan->fixes[i].op_node].push_back(
-          {&fault, position[i]});
+      resolved.fsms[fixes[i].op_node].push_back({&fault, position[i]});
       resolved.any_fsms = true;
     }
   }

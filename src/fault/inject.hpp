@@ -76,13 +76,12 @@ struct ResolvedFaultPlan {
 /// does not have (e.g. optimized away), so there is nothing to corrupt —
 /// identically on every backend.  Use validate() to reject typos up front.
 ///
-/// When `exec_plan` is given, FSM faults expand across correction-sharing
-/// groups (PairFix::shared_with): the sharing pass models sibling fixes as
-/// ONE physical circuit fanning out to every consumer, so an SEU addressed
+/// FSM faults address the fixes of `exec_plan`, the plan the backend
+/// executes, and expand across its correction-sharing groups
+/// (PairFix::shared_with): the sharing pass models sibling fixes as ONE
+/// physical circuit fanning out to every consumer, so an SEU addressed
 /// through any consumer's (op, lane) wipes the mirrored FSM state of every
 /// consumer at the same cycles — the shared design's true blast radius.
-/// Backends pass their executed plan; plan-less resolution keeps the
-/// direct per-op semantics.
 ///
 /// When `telemetry` resolves (explicitly or via the SC_METRICS/SC_TRACE
 /// env fallback), every edge site gets a "fault.edge.<name>.corrupted_bits"
@@ -91,7 +90,7 @@ struct ResolvedFaultPlan {
 /// carry null counters and application skips all counting.  Counting never
 /// changes the corruption itself.
 ResolvedFaultPlan resolve(const FaultPlan* plan, const graph::Program& program,
-                          const graph::ProgramPlan* exec_plan = nullptr,
+                          const graph::ProgramPlan& exec_plan,
                           obs::Telemetry* telemetry = nullptr);
 
 /// Throws std::invalid_argument when `plan` names an edge or op absent

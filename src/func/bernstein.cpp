@@ -1,8 +1,8 @@
 #include "func/bernstein.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "bitstream/encoding.hpp"
 #include "convert/sng.hpp"
@@ -28,7 +28,9 @@ std::vector<double> bernstein_coefficients(
 }
 
 double bernstein_value(sc::span<const double> coefficients, double x) {
-  assert(!coefficients.empty());
+  if (coefficients.empty()) {
+    throw std::invalid_argument("func::bernstein_value: no coefficients");
+  }
   const std::size_t n = coefficients.size() - 1;
   // de Casteljau evaluation: numerically stable for any degree.
   std::vector<double> beta(coefficients.begin(), coefficients.end());
@@ -42,7 +44,10 @@ double bernstein_value(sc::span<const double> coefficients, double x) {
 
 double resc_expected(sc::span<const double> coefficients,
                      sc::span<const double> copy_values) {
-  assert(coefficients.size() == copy_values.size() + 1);
+  if (coefficients.size() != copy_values.size() + 1) {
+    throw std::invalid_argument(
+        "func::resc_expected: needs one coefficient more than copy values");
+  }
   // Poisson-binomial DP: dist[k] = P(k of the copies emit 1 this cycle).
   std::vector<double> dist(copy_values.size() + 1, 0.0);
   dist[0] = 1.0;
@@ -62,16 +67,24 @@ double resc_expected(sc::span<const double> coefficients,
 
 Bitstream resc_evaluate(sc::span<const Bitstream> copies,
                         sc::span<const Bitstream> coefficient_streams) {
-  assert(!copies.empty());
-  assert(coefficient_streams.size() == copies.size() + 1);
+  if (copies.empty()) {
+    throw std::invalid_argument("func::resc_evaluate: no copies");
+  }
+  if (coefficient_streams.size() != copies.size() + 1) {
+    throw std::invalid_argument(
+        "func::resc_evaluate: needs one coefficient stream more than copies");
+  }
   const std::size_t n = copies.front().size();
+  for (const Bitstream& copy : copies) {
+    require_same_size("func::resc_evaluate", copy.size(), n);
+  }
+  for (const Bitstream& coefficient : coefficient_streams) {
+    require_same_size("func::resc_evaluate", coefficient.size(), n);
+  }
   Bitstream out(n);
   for (std::size_t t = 0; t < n; ++t) {
     std::size_t count = 0;
-    for (const Bitstream& copy : copies) {
-      assert(copy.size() == n);
-      count += copy.get(t) ? 1 : 0;
-    }
+    for (const Bitstream& copy : copies) count += copy.get(t) ? 1 : 0;
     if (coefficient_streams[count].get(t)) out.set(t, true);
   }
   return out;

@@ -33,20 +33,22 @@ namespace sc::func {
 std::vector<double> bernstein_coefficients(
     const std::function<double(double)>& f, std::size_t degree);
 
-/// Reference evaluation of sum_i b_i B_{i,n}(x) in floating point.
+/// Reference evaluation of sum_i b_i B_{i,n}(x) in floating point.  No
+/// coefficients throws std::invalid_argument.
 double bernstein_value(sc::span<const double> coefficients, double x);
 
 /// Expected ReSC output for *independent* copies with possibly unequal
 /// values: E[out] = sum_k P(popcount = k) * b_k, with the popcount
 /// distribution the Poisson-binomial of the copy values
-/// (copies.size() = coefficients.size() - 1).  Equals
-/// bernstein_value(coefficients, x) when every copy value is x.
+/// (copies.size() = coefficients.size() - 1, else std::invalid_argument).
+/// Equals bernstein_value(coefficients, x) when every copy value is x.
 double resc_expected(sc::span<const double> coefficients,
                      sc::span<const double> copy_values);
 
 /// Core ReSC evaluation: per cycle, count the 1s among the x-copies and
 /// emit that coefficient stream's bit.  copies.size() = n,
-/// coefficient_streams.size() = n + 1, all streams one length.
+/// coefficient_streams.size() = n + 1, all streams one length; anything else
+/// (no copies included) throws std::invalid_argument.
 Bitstream resc_evaluate(sc::span<const Bitstream> copies,
                         sc::span<const Bitstream> coefficient_streams);
 

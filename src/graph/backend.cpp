@@ -265,7 +265,7 @@ ExecutionResult execute(const Program& program, const ProgramPlan& plan,
                static_cast<std::uint64_t>(
                    session != nullptr ? session->threads() : 1));
   const fault::ResolvedFaultPlan faults =
-      fault::resolve(config.fault_plan, program, &plan, telemetry);
+      fault::resolve(config.fault_plan, program, plan, telemetry);
   const std::size_t n = config.stream_length;
   // 64-bit: `1u << 32` is UB and a uint32 period wraps to 0 at width 32.
   const std::uint64_t natural = std::uint64_t{1} << config.width;

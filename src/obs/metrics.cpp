@@ -5,32 +5,10 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/json.hpp"
+
 namespace sc::obs {
 namespace {
-
-/// Minimal JSON string escaping (instrument names are library-chosen, but
-/// probe edges carry user value names).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string format_double(double v) {
   char buf[64];

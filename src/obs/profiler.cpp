@@ -6,6 +6,8 @@
 #include <map>
 #include <sstream>
 
+#include "common/json.hpp"
+
 namespace sc::obs {
 namespace {
 
@@ -86,27 +88,6 @@ void sort_by_inclusive(std::vector<ProfileNode>* nodes) {
               return a.inclusive_us > b.inclusive_us;
             });
   for (ProfileNode& n : *nodes) sort_by_inclusive(&n.children);
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string fmt(double v) {

@@ -5,29 +5,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.hpp"
+
 namespace sc::obs {
 namespace {
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string us(double v) {
   char buf[64];
@@ -158,15 +139,15 @@ std::string Tracer::chrome_trace_json() const {
   out << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
   for (std::size_t i = 0; i < sorted.size(); ++i) {
     const TraceEvent& e = sorted[i];
-    out << "  {\"name\": \"" << escape(e.name) << "\", \"cat\": \""
-        << escape(e.category) << "\", \"ph\": \"" << e.phase
+    out << "  {\"name\": \"" << json_escape(e.name) << "\", \"cat\": \""
+        << json_escape(e.category) << "\", \"ph\": \"" << e.phase
         << "\", \"pid\": 1, \"tid\": " << e.tid << ", \"ts\": "
         << us(e.ts_us);
     if (e.phase == 'X') out << ", \"dur\": " << us(e.dur_us);
     if (!e.args.empty()) {
       out << ", \"args\": {";
       for (std::size_t k = 0; k < e.args.size(); ++k) {
-        out << (k == 0 ? "" : ", ") << "\"" << escape(e.args[k].first)
+        out << (k == 0 ? "" : ", ") << "\"" << json_escape(e.args[k].first)
             << "\": " << e.args[k].second;
       }
       out << "}";

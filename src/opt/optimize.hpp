@@ -1,7 +1,8 @@
 /// \file optimize.hpp
 /// One-call front of the optimizer subsystem: opt::optimize runs the
-/// default pass pipeline (pass.hpp) over a planned program and returns the
-/// rewritten program/plan plus per-pass diff reports.  Backends invoke it
+/// passes (pass.hpp) over a planned program, keeps or drops each proposal
+/// at its cost/safety gate, and returns the rewritten program/plan plus
+/// per-pass diff reports.  Backends invoke it
 /// automatically when ExecConfig::optimize is set.  opt::assess prices a
 /// rewrite — modeled area, static fragility, predicted error and the
 /// full-design cost change — for the callers that print or check it;
@@ -58,9 +59,15 @@ struct OptAssessment {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Runs the default pipeline (fold -> cse -> dve -> chain -> share, per
-/// config toggles) over a copy of (program, plan).  config.planner must
-/// match the PlannerConfig the plan was made with.
+/// Runs the passes (fold -> cse -> dve -> chain -> share -> drop dead
+/// fixes, per config toggles) over (program, plan).  Each proposal is
+/// replanned (program rewrites) and priced, then kept only when it passes
+/// the gate: the full design's modeled area, and when budgeted its
+/// predicted error and fragility, are evaluated once up front and once per
+/// proposal, the accepted state's values carrying on as the next pass's
+/// baseline.  `node_map` composes the accepted program rewrites'
+/// remaps.  config.planner must match the PlannerConfig the plan was made
+/// with.
 OptResult optimize(const graph::Program& program,
                    const graph::ProgramPlan& plan,
                    const OptConfig& config = {});

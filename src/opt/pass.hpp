@@ -1,18 +1,19 @@
 /// \file pass.hpp
-/// The program-optimizer pass pipeline (Pass / PassManager).
+/// The program optimizer's passes and the contract they share.
 ///
-/// A Pass rewrites a graph::Program and its ProgramPlan before execution.
-/// The PassManager runs passes in order and guards every rewrite with the
-/// hw::cost model: a pass's result is kept only when it does not raise the
-/// modeled area of the full design (operator cells + SNG bank + inserted
+/// A pass reads a graph::Program and its ProgramPlan and may propose a
+/// Rewrite: a new program with its node remap, or a new plan over the same
+/// program.  opt::optimize (optimize.hpp) runs the passes in the order
+/// below, honoring OptConfig's toggles, and guards every proposal with the
+/// hw::cost model: it keeps one only when it does not raise the modeled
+/// area of the full design (operator cells + SNG bank + inserted
 /// correction hardware) and leaves every per-operand-pair Requirement
 /// either provably satisfied, fixed, chain-covered (see plan_covers), or —
-/// under Strategy::kNone — recorded as a violation.  Rejected rewrites are
-/// rolled back wholesale, so a buggy or unprofitable pass can never
-/// corrupt a program.
+/// under Strategy::kNone — recorded as a violation.  A rejected proposal is
+/// dropped; the passes never touch their inputs, so a buggy or
+/// unprofitable pass can never corrupt a program.
 ///
-/// Six passes ship (factories below, canonical order in
-/// opt::default_pipeline; the sixth is opt-in):
+/// Six passes ship, in this order (the sixth is opt-in):
 ///   1. constant folding        — ops whose inputs are all constants
 ///                                become constants (reseeded),
 ///   2. common-subexpression    — duplicate registry ops merge when their
@@ -41,8 +42,9 @@
 
 #include <cstddef>
 #include <limits>
-#include <memory>
+#include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "graph/planner.hpp"
@@ -59,7 +61,7 @@ struct OptConfig {
   graph::PlannerConfig planner;
   hw::CostConfig cost;
   unsigned width = 8;
-  /// Telemetry context (src/obs/): the PassManager records one span per
+  /// Telemetry context (src/obs/): opt::optimize records one span per
   /// pass ("opt.<pass>": accepted, rewrite counts, area delta) and opt.*
   /// counters into it.  Non-owning, nullptr = env fallback, exactly as
   /// ExecConfig::telemetry.  Replans triggered by program rewrites also
@@ -93,7 +95,7 @@ struct OptConfig {
   // pass: it lowers area but raises both predicted error
   // (single-shuffle residual, error_model.hpp) and fragility (shared
   // upstream shuffle state) — under a tight error_budget it must be
-  // rolled back, under a loose one kept.
+  // dropped, under a loose one kept.
 
   /// Modeled full-design area ceiling in um2.
   double area_budget_um2 = std::numeric_limits<double>::infinity();
@@ -144,61 +146,37 @@ struct PassReport {
 
 std::string to_string(const PassReport& report);
 
-/// One rewrite stage.  Passes mutate program/plan in place; the manager
-/// snapshots both and rolls back when the gate rejects the result.
-class Pass {
- public:
-  virtual ~Pass() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Rewrites program and/or plan, filling `report` (changed, nodes_*,
-  /// corrections_saved, detail).  Returns the node remap for program
-  /// rewrites — old id -> new id, graph::kInvalidNode for removed nodes —
-  /// or an empty vector when the program was left untouched.  After a
-  /// non-empty remap the manager replans the program under the plan's
-  /// strategy, so plan-only passes must run after program passes (the
-  /// default pipeline does).  A pass that leaves report.changed false
-  /// must leave program and plan exactly as it found them: the manager
-  /// carries their modeled area on without re-modelling it.
-  virtual std::vector<graph::NodeId> run(graph::Program& program,
-                                         graph::ProgramPlan& plan,
-                                         const OptConfig& config,
-                                         PassReport& report) = 0;
+/// A program pass's proposal: the rewritten program and the node remap
+/// (old id -> new id, graph::kInvalidNode for removed nodes).  The gate
+/// replans the program under the incoming plan's strategy.
+struct ProgramRewrite {
+  graph::Program program;
+  std::vector<graph::NodeId> remap;
 };
 
-/// Ordered pass pipeline with the cost/safety gate.
-class PassManager {
- public:
-  PassManager& add(std::unique_ptr<Pass> pass);
-  [[nodiscard]] std::size_t size() const { return passes_.size(); }
+/// What a pass proposes: a new program, or a new plan over the program it
+/// was given.  Plan passes run after the program passes, whose accepted
+/// rewrites replace the plan with a fresh one.
+using Rewrite = std::variant<ProgramRewrite, graph::ProgramPlan>;
 
-  /// Runs every pass.  `node_map` (original id -> current id,
-  /// graph::kInvalidNode for removed) is composed across accepted program
-  /// rewrites; pass an identity map sized to the original program.  The
-  /// gate models the full design's area once before the first pass and
-  /// once per rewrite, and carries the accepted state's area (and, when
-  /// budgeted, its error and fragility) on as the next pass's baseline.
-  std::vector<PassReport> run(graph::Program& program,
-                              graph::ProgramPlan& plan,
-                              std::vector<graph::NodeId>& node_map,
-                              const OptConfig& config) const;
+/// The pass contract: a pass reads the program and plan and returns its
+/// proposal, or nothing when it finds no rewrite.  It fills `report`'s
+/// nodes_removed, nodes_folded, corrections_saved and detail for the
+/// proposal it returns, and leaves them zero when it returns nothing;
+/// opt::optimize fills the rest.
+using PassFn = std::optional<Rewrite>(const graph::Program& program,
+                                      const graph::ProgramPlan& plan,
+                                      const OptConfig& config,
+                                      PassReport& report);
 
- private:
-  std::vector<std::unique_ptr<Pass>> passes_;
-};
+// ------------------------------------------------- the passes, in order
 
-// ------------------------------------------------------------- factories
-
-std::unique_ptr<Pass> make_constant_folding_pass();
-std::unique_ptr<Pass> make_cse_pass();
-std::unique_ptr<Pass> make_dead_value_elimination_pass();
-std::unique_ptr<Pass> make_chain_decorrelator_pass();
-std::unique_ptr<Pass> make_correction_sharing_pass();
-std::unique_ptr<Pass> make_dead_fix_elimination_pass();
-
-/// The five passes in canonical order (program rewrites first, then plan
-/// rewrites), honoring the config's toggles.
-PassManager default_pipeline(const OptConfig& config);
+PassFn fold_constants;               ///< "constant-fold"
+PassFn merge_common_subexpressions;  ///< "cse"
+PassFn drop_dead_values;             ///< "dve"
+PassFn chain_decorrelators;          ///< "chain-decorrelators"
+PassFn share_corrections;            ///< "share-corrections"
+PassFn drop_dead_fixes;              ///< "drop-dead-fixes"
 
 // --------------------------------------------------------------- helpers
 
@@ -213,7 +191,7 @@ double modeled_area(const graph::Program& program,
 /// re-shuffled by an independent schedule is uncorrelated with every other
 /// operand, so a kUncorrelated pair is met when either slot appears in a
 /// kDecorrelator fix of the same op), or is a recorded violation.  The
-/// safety half of the PassManager's gate.
+/// safety half of opt::optimize's gate.
 bool plan_covers(const graph::ProgramPlan& plan);
 
 }  // namespace sc::opt

@@ -115,6 +115,15 @@ TEST(ScaledAdd, ExplicitSelectStream) {
   EXPECT_NEAR(scaled_add(x, y, sel).value(), 0.5, 1e-12);
 }
 
+TEST(ScaledAdd, UnequalLengthsThrowBeforeDrawingTheSelect) {
+  const Bitstream x(64);
+  const Bitstream y(32);
+  rng::Lfsr sel(8, 55);
+  rng::Lfsr fresh(8, 55);
+  EXPECT_THROW(scaled_add(x, y, sel), std::invalid_argument);
+  EXPECT_EQ(sel.next(), fresh.next());
+}
+
 // --- toggle (correlation-agnostic) adder ---------------------------------------
 
 class ToggleAddSweep

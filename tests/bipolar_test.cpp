@@ -76,6 +76,21 @@ TEST(Bipolar, ExplicitSelectStreamForm) {
 
 // --- weighted sampler -------------------------------------------------------
 
+TEST(Bipolar, UnequalLengthsThrowBeforeDrawingTheSelect) {
+  const Bitstream x(64);
+  const Bitstream y(32);
+  using SourcedOp =
+      Bitstream (*)(const Bitstream&, const Bitstream&, rng::RandomSource&);
+  const SourcedOp ops[] = {&arith::scaled_add_bipolar,
+                           &arith::scaled_sub_bipolar};
+  for (const SourcedOp op : ops) {
+    rng::Lfsr sel(8, 55);
+    rng::Lfsr fresh(8, 55);
+    EXPECT_THROW(op(x, y, sel), std::invalid_argument);
+    EXPECT_EQ(sel.next(), fresh.next());
+  }
+}
+
 TEST(WeightedSampler, UniformWeightsCoverAllCategories) {
   convert::WeightedSampler sampler({1, 1, 1, 1},
                                    std::make_unique<rng::VanDerCorput>(8));

@@ -88,6 +88,14 @@ TEST(Sng, NullSourceThrows) {
   EXPECT_THROW(Sng(nullptr), std::invalid_argument);
 }
 
+TEST(Sng, LevelAboveTheNaturalLengthThrows) {
+  // Release builds returned an all-ones stream for any level past 2^8.
+  Sng sng(std::make_unique<rng::Lfsr>(8, 1));
+  EXPECT_THROW(sng.generate(1000, 64), std::invalid_argument);
+  EXPECT_THROW(sng.generate(257, 64), std::invalid_argument);
+  EXPECT_EQ(sng.generate(256, 64).count_ones(), 64u);
+}
+
 TEST(Sng, SameSourceTwoStreamsPositivelyCorrelated) {
   // Two levels encoded from one shared RNG trace: SCC = +1 (paper §II-B).
   rng::VanDerCorput vdc(8);
@@ -192,6 +200,20 @@ TEST(Apc, EmptyInputsGiveZero) {
   EXPECT_DOUBLE_EQ(apc_scaled_sum({}), 0.0);
   Apc apc(2);
   EXPECT_DOUBLE_EQ(apc.mean_value(), 0.0);
+}
+
+TEST(Apc, StepRejectsTheWrongBitCount) {
+  Apc apc(2);
+  const std::array<bool, 3> three = {true, true, true};
+  EXPECT_THROW(apc.step(three), std::invalid_argument);
+  EXPECT_EQ(apc.cycles(), 0u);
+}
+
+TEST(Apc, ScaledSumRejectsUnequalLengths) {
+  // Release builds returned 1.5 for these two all-ones streams.
+  const std::vector<Bitstream> streams = {Bitstream(4, true),
+                                          Bitstream(8, true)};
+  EXPECT_THROW(apc_scaled_sum(streams), std::invalid_argument);
 }
 
 // --- regeneration ----------------------------------------------------------------

@@ -212,7 +212,8 @@ TEST(Resolution, UnknownNamesSkipButValidateThrows) {
   const Program p = shared_max();
   FaultPlan plan;
   plan.edges.push_back({"no-such-wire", ErrorKind::kStuckAt1, 0.0});
-  const ResolvedFaultPlan resolved = resolve(&plan, p);
+  const ResolvedFaultPlan resolved =
+      resolve(&plan, p, plan_program(p, Strategy::kNone));
   EXPECT_FALSE(resolved.any_edges);  // skipped: the wire does not exist
   EXPECT_THROW(validate(plan, p), std::invalid_argument);
 
@@ -228,7 +229,8 @@ TEST(Resolution, UnknownNamesSkipButValidateThrows) {
   good.edges.push_back({"out", ErrorKind::kBitFlip, 0.1});
   good.fsms.push_back({"out", 10, 0, -1});
   EXPECT_NO_THROW(validate(good, p));
-  EXPECT_EQ(resolve(nullptr, p).any_edges, false);
+  EXPECT_EQ(resolve(nullptr, p, plan_program(p, Strategy::kNone)).any_edges,
+            false);
 }
 
 // --- FSM state corruption ---------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "bitstream/correlation.hpp"
 #include "convert/sng.hpp"
@@ -166,6 +167,11 @@ TEST(Bernstein, OperatorConvergesToSmoothFunction) {
   EXPECT_LT(err16, err4);
 }
 
+TEST(Bernstein, ValueOfNoCoefficientsThrows) {
+  // Degree = size - 1 wrapped to SIZE_MAX in Release.
+  EXPECT_THROW(bernstein_value({}, 0.5), std::invalid_argument);
+}
+
 // --- ReSC evaluation -----------------------------------------------------------------
 
 TEST(Resc, EvaluateCountsSelectCoefficientStream) {
@@ -176,6 +182,32 @@ TEST(Resc, EvaluateCountsSelectCoefficientStream) {
       Bitstream::from_string("11111111")};
   const Bitstream out = resc_evaluate(copies, coefficients);
   EXPECT_EQ(out, Bitstream(8, true));
+}
+
+TEST(Resc, ExpectedNeedsOneCoefficientMoreThanCopyValues) {
+  const std::vector<double> coefficients = {0.1, 0.5, 0.9};
+  EXPECT_NO_THROW(resc_expected(coefficients, std::vector<double>{0.5, 0.5}));
+  EXPECT_THROW(resc_expected(coefficients, std::vector<double>{0.5}),
+               std::invalid_argument);
+  EXPECT_THROW(resc_expected(coefficients, std::vector<double>(3, 0.5)),
+               std::invalid_argument);
+}
+
+TEST(Resc, EvaluateRejectsMismatchedCountsAndLengths) {
+  const std::vector<Bitstream> copies(2, Bitstream(64));
+  const std::vector<Bitstream> coefficients(3, Bitstream(64));
+  EXPECT_NO_THROW(resc_evaluate(copies, coefficients));
+  EXPECT_THROW(resc_evaluate({}, std::vector<Bitstream>(1, Bitstream(64))),
+               std::invalid_argument);
+  EXPECT_THROW(resc_evaluate(copies, std::vector<Bitstream>(2, Bitstream(64))),
+               std::invalid_argument);
+  std::vector<Bitstream> short_copy = copies;
+  short_copy[1] = Bitstream(32);
+  EXPECT_THROW(resc_evaluate(short_copy, coefficients), std::invalid_argument);
+  std::vector<Bitstream> short_coefficient = coefficients;
+  short_coefficient[2] = Bitstream(32);
+  EXPECT_THROW(resc_evaluate(copies, short_coefficient),
+               std::invalid_argument);
 }
 
 class RescStrategySweep : public ::testing::TestWithParam<double> {};

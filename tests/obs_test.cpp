@@ -22,6 +22,7 @@
 
 #include "bitstream/bitstream.hpp"
 #include "bitstream/correlation.hpp"
+#include "common/json.hpp"
 #include "engine/session.hpp"
 #include "fault/fault.hpp"
 #include "graph/backend.hpp"
@@ -176,6 +177,18 @@ TEST(Trace, ChromeJsonIsWellFormedAndTimeSorted) {
   EXPECT_NE(json.find("\"first\""), std::string::npos);
   // Events serialize sorted by timestamp: "first" appears before "second".
   EXPECT_LT(json.find("\"first\""), json.find("\"second\""));
+}
+
+TEST(Json, EscapeNamesQuoteBackslashNewlineTabAndCrAndHexesOtherControls) {
+  EXPECT_EQ(json_escape("plain text 0-9 ~ {}"), "plain text 0-9 ~ {}");
+  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escape("\n\t\r"), "\\n\\t\\r");
+  EXPECT_EQ(json_escape(std::string("\x00\x01\x1f", 3)),
+            "\\u0000\\u0001\\u001f");
+  // Bytes from 0x20 up, UTF-8 included, pass through.
+  EXPECT_EQ(json_escape("\x7f \xc3\xa9"), "\x7f \xc3\xa9");
+  EXPECT_EQ(json_escape(""), "");
 }
 
 // ------------------------------------------------------------------ probes

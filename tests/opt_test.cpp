@@ -1,5 +1,5 @@
-/// Tests for the program-optimizer subsystem (src/opt/): the pass
-/// pipeline's cost/safety gate, the five shipped passes, the chain-style
+/// Tests for the program-optimizer subsystem (src/opt/): opt::optimize's
+/// cost/safety gate, the six passes and their read-and-propose contract, the chain-style
 /// decorrelator regression (k-1 circuits for a k-way same-source fan-out,
 /// with the pairwise k(k-1)/2 as the documented upper bound), statistical
 /// equivalence of optimized programs across all three backends, and exact
@@ -9,9 +9,11 @@
 
 #include <bit>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "graph/backend.hpp"
@@ -335,36 +337,6 @@ TEST(Passes, CorrectionSharingChargesSiblingSynchronizersOnce) {
   }
 }
 
-TEST(PassManager, CostGateRejectsAreaRaisingRewrites) {
-  // multiply(c1, c2) where c1 and c2 are themselves outputs: folding would
-  // add a fresh SNG (comparator + LFSR) while removing only an AND gate —
-  // the gate must reject it and hand back the untouched program.
-  GraphBuilder b;
-  const Value c1 = b.constant(0.5, "c1");
-  const Value c2 = b.constant(0.6, "c2");
-  b.output(b.op("multiply", {c1, c2}), "prod");
-  b.output(c1, "c1-out").output(c2, "c2-out");
-  const Program p = b.build();
-
-  const ProgramPlan plan = plan_program(p, Strategy::kManipulation);
-  const OptResult o = optimize(p, plan);
-  EXPECT_EQ(o.program.node_count(), p.node_count());
-  EXPECT_EQ(o.nodes_removed(), 0u);
-  const OptAssessment assessed = assess(p, plan, o);
-  EXPECT_DOUBLE_EQ(assessed.area_after_um2, assessed.area_before_um2);
-  bool fold_rejected = false;
-  for (const PassReport& report : o.reports) {
-    if (report.pass == "constant-fold") {
-      fold_rejected = report.changed && !report.accepted;
-    }
-  }
-  EXPECT_TRUE(fold_rejected);
-}
-
-// A pass that reports no rewrite must hand back its input unchanged: the
-// pass manager carries the accepted state's modeled area from one pass to
-// the next, and that is exact only under this invariant.
-
 bool same_program(const Program& a, const Program& b) {
   if (a.node_count() != b.node_count() || a.outputs() != b.outputs()) {
     return false;
@@ -406,14 +378,44 @@ bool same_plan(const ProgramPlan& a, const ProgramPlan& b) {
   return true;
 }
 
-TEST(Passes, NoRewriteLeavesProgramAndPlanUntouched) {
-  using Factory = std::unique_ptr<Pass> (*)();
-  const Factory factories[] = {
-      &make_constant_folding_pass,       &make_cse_pass,
-      &make_dead_value_elimination_pass, &make_chain_decorrelator_pass,
-      &make_correction_sharing_pass,     &make_dead_fix_elimination_pass,
+TEST(Gate, CostGateRejectsAreaRaisingRewrites) {
+  // multiply(c1, c2) where c1 and c2 are themselves outputs: folding would
+  // add a fresh SNG (comparator + LFSR) while removing only an AND gate —
+  // the gate must reject it and hand back the untouched program and plan.
+  GraphBuilder b;
+  const Value c1 = b.constant(0.5, "c1");
+  const Value c2 = b.constant(0.6, "c2");
+  b.output(b.op("multiply", {c1, c2}), "prod");
+  b.output(c1, "c1-out").output(c2, "c2-out");
+  const Program p = b.build();
+
+  const ProgramPlan plan = plan_program(p, Strategy::kManipulation);
+  const OptResult o = optimize(p, plan);
+  EXPECT_TRUE(same_program(o.program, p));
+  EXPECT_TRUE(same_plan(o.plan, plan));
+  EXPECT_EQ(o.nodes_removed(), 0u);
+  const OptAssessment assessed = assess(p, plan, o);
+  EXPECT_DOUBLE_EQ(assessed.area_after_um2, assessed.area_before_um2);
+  bool fold_rejected = false;
+  for (const PassReport& report : o.reports) {
+    if (report.pass == "constant-fold") {
+      fold_rejected = report.changed && !report.accepted;
+    }
+  }
+  EXPECT_TRUE(fold_rejected);
+}
+
+TEST(Passes, NoProposalCountsNothingAndEveryProposalDiffersFromItsInput) {
+  const std::pair<const char*, PassFn*> passes[] = {
+      {"constant-fold", &fold_constants},
+      {"cse", &merge_common_subexpressions},
+      {"dve", &drop_dead_values},
+      {"chain-decorrelators", &chain_decorrelators},
+      {"share-corrections", &share_corrections},
+      {"drop-dead-fixes", &drop_dead_fixes},
   };
-  std::size_t unchanged = 0;
+  std::size_t none = 0;
+  std::size_t proposals = 0;
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
     std::mt19937_64 gen(7000 + seed);
     const Program program = random_program(gen);
@@ -426,24 +428,37 @@ TEST(Passes, NoRewriteLeavesProgramAndPlanUntouched) {
       const std::pair<const Program*, const ProgramPlan*> inputs[] = {
           {&program, &plan}, {&optimized.program, &optimized.plan}};
       for (const auto& [in_program, in_plan] : inputs) {
-        for (const Factory factory : factories) {
-          const std::unique_ptr<Pass> pass = factory();
-          Program out_program = *in_program;
-          ProgramPlan out_plan = *in_plan;
+        for (const auto& [name, pass] : passes) {
           PassReport report;
-          pass->run(out_program, out_plan, OptConfig{}, report);
-          if (report.changed) continue;
-          ++unchanged;
-          const std::string label = pass->name() + " seed " +
+          const std::optional<Rewrite> rewrite =
+              pass(*in_program, *in_plan, OptConfig{}, report);
+          const std::string label = std::string(name) + " seed " +
                                     std::to_string(seed) + " " +
                                     graph::to_string(strategy);
-          EXPECT_TRUE(same_program(out_program, *in_program)) << label;
-          EXPECT_TRUE(same_plan(out_plan, *in_plan)) << label;
+          if (!rewrite) {
+            ++none;
+            EXPECT_EQ(report.nodes_removed, 0u) << label;
+            EXPECT_EQ(report.nodes_folded, 0u) << label;
+            EXPECT_EQ(report.corrections_saved, 0u) << label;
+            EXPECT_TRUE(report.detail.empty()) << label;
+            continue;
+          }
+          ++proposals;
+          if (const auto* rewritten = std::get_if<ProgramRewrite>(&*rewrite)) {
+            EXPECT_FALSE(same_program(rewritten->program, *in_program))
+                << label;
+            EXPECT_EQ(rewritten->remap.size(), in_program->node_count())
+                << label;
+          } else {
+            EXPECT_FALSE(same_plan(std::get<ProgramPlan>(*rewrite), *in_plan))
+                << label;
+          }
         }
       }
     }
   }
-  EXPECT_GT(unchanged, 0u);
+  EXPECT_GT(none, 0u);
+  EXPECT_GT(proposals, 0u);
 }
 
 // --- satellite: optimized == unoptimized, statistically and bit-exactly ----

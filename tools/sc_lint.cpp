@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -29,6 +28,7 @@
 
 #include "analysis/analyzer.hpp"
 #include "analysis/text_format.hpp"
+#include "common/json.hpp"
 #include "graph/planner.hpp"
 #include "graph/program.hpp"
 #include "graph/registry.hpp"
@@ -280,30 +280,6 @@ sc::analysis::AnalysisReport lint(const Program& program,
                                options.analyzer);
 }
 
-/// Minimal JSON string escaping for parse_error messages (the analyzer's
-/// own to_json never emits user-controlled text; parser messages quote
-/// the offending source line, which may hold anything).
-std::string json_escape(const std::string& text) {
-  std::ostringstream out;
-  for (const char c : text) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      case '\r': out << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-              << static_cast<int>(c) << std::dec;
-        } else {
-          out << c;
-        }
-    }
-  }
-  return out.str();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -345,9 +321,9 @@ int main(int argc, char** argv) {
     if (!options.json) continue;
     if (!first) json << ",";
     first = false;
-    json << "\n{\n  \"source\": \"" << json_escape(path)
+    json << "\n{\n  \"source\": \"" << sc::json_escape(path)
          << "\",\n  \"parse_error\": {\n    \"message\": \""
-         << json_escape(message) << "\"\n  }\n}";
+         << sc::json_escape(message) << "\"\n  }\n}";
   }
   for (const auto& [name, program] : sources) {
     const sc::analysis::AnalysisReport report = lint(program, options);
